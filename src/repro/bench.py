@@ -62,6 +62,7 @@ __all__ = [
     "bench_filename",
     "compare_to_baseline",
     "load_baseline",
+    "physics_text",
     "run_case",
     "serialize_result",
     "write_record",
@@ -763,17 +764,32 @@ def serialize_result(result: ExperimentResult) -> str:
     """A canonical, byte-stable string of everything the figures read.
 
     Two runs of the same spec must produce identical strings; the
-    determinism regression test and the golden-equivalence test compare
-    these directly.  Dataclass reprs are stable and cover every field, so
-    they are used for the nested stat objects.
+    determinism regression test compares these directly.  It is
+    :func:`physics_text` plus an ``engine_steps=`` line after
+    ``elapsed_s=`` (the service's ``/serialized`` body carries it).
     """
-    parts = [
-        f"scale={result.scale}",
-        f"elapsed_s={result.elapsed_s!r}",
-        f"engine_steps={result.engine_steps}",
-        f"vm={result.vm!r}",
-        f"swap={sorted(result.swap.items())!r}",
-    ]
+    return _format_result(result, with_steps=True)
+
+
+def physics_text(result: ExperimentResult) -> str:
+    """:func:`serialize_result` without its ``engine_steps=`` line.
+
+    The physics a run's figures read — simulated time, per-process buckets,
+    VM / swap / run-time stats and sweeps — independent of how many engine
+    dispatches produced it.  The golden tests pin its digest separately
+    from the dispatch count, so an event-count change is judged at equal
+    physics.
+    """
+    return _format_result(result, with_steps=False)
+
+
+def _format_result(result: ExperimentResult, with_steps: bool) -> str:
+    # Dataclass reprs are stable and cover every field, so they are used
+    # for the nested stat objects.
+    parts = [f"scale={result.scale}", f"elapsed_s={result.elapsed_s!r}"]
+    if with_steps:
+        parts.append(f"engine_steps={result.engine_steps}")
+    parts += [f"vm={result.vm!r}", f"swap={sorted(result.swap.items())!r}"]
     for process in result.processes:
         parts.append(
             "process "

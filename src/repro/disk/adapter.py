@@ -11,11 +11,10 @@ from __future__ import annotations
 from typing import List, Sequence
 
 from repro.config import DiskParams
-from repro.faults import DiskIOError
-from repro.sim.engine import Engine
+from repro.sim.engine import Engine, Event
 from repro.sim.sync import Resource
 
-from repro.disk.device import DiskDevice, DiskRequest
+from repro.disk.device import DiskDevice
 
 __all__ = ["ScsiAdapter"]
 
@@ -44,32 +43,36 @@ class ScsiAdapter:
     def owns(self, disk: DiskDevice) -> bool:
         return disk in self.disks
 
-    def transfer(self, disk: DiskDevice, block: int, is_write: bool):
-        """Process generator: run one transfer through the adapter.
+    def command(self, disk: DiskDevice, block: int, is_write: bool) -> Event:
+        """Issue one transfer through the adapter; returns its completion.
 
-        Yields engine events; returns the completed :class:`DiskRequest`.
-        An injected transient failure propagates as
-        :class:`~repro.faults.DiskIOError` — the command still held its
-        channel slot for the full (wasted) service time, exactly like a real
-        SCSI command that comes back CHECK CONDITION.
+        The command waits FIFO for a channel slot.  At the grant it pays the
+        fixed command overhead and then reaches the disk, so the disk submit
+        is computed at grant time for ``grant + overhead``.  The returned
+        event is the disk's completion: it releases the slot before any
+        caller callback runs, and carries the :class:`DiskRequest`.  An
+        injected transient failure fails it with
+        :class:`~repro.faults.DiskIOError` after the full service time — the
+        command still held its slot for the wasted service, exactly like a
+        real SCSI command that comes back CHECK CONDITION.
         """
         if disk not in self.disks:
             raise ValueError(
                 f"disk {disk.disk_id} is not attached to adapter {self.adapter_id}"
             )
-        yield self._slots.acquire()
-        try:
-            self.commands += 1
-            # Command setup/teardown overhead on the channel.
-            yield self.engine.timeout(self._overhead_s)
-            request: DiskRequest = disk.submit(block, is_write)
-            yield request.done
-        except DiskIOError:
+        done = self.engine.event()
+        done.callbacks.append(self._retire)
+        self._slots.acquire(self._start, disk, block, is_write, done)
+        return done
+
+    def _start(self, disk: DiskDevice, block: int, is_write: bool, done: Event) -> None:
+        self.commands += 1
+        disk.submit(block, is_write, self.engine._now + self._overhead_s, done)
+
+    def _retire(self, done: Event) -> None:
+        if not done._ok:
             self.errors += 1
-            raise
-        finally:
-            self._slots.release()
-        return request
+        self._slots.release()
 
     @property
     def outstanding(self) -> int:

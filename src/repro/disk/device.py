@@ -8,7 +8,7 @@ so much faster than random demand faults.
 
 A device may carry a :class:`~repro.faults.DiskFaultModel` (chaos
 experiments only): the model can stretch a request's service time or fail
-the request outright, in which case ``request.done`` fails with
+the request outright, in which case the completion event fails with
 :class:`~repro.faults.DiskIOError` after the (wasted) service time — the
 platters spun either way.
 """
@@ -30,7 +30,7 @@ class DiskRequest:
     """One page-sized transfer.
 
     ``done`` is required at construction — only :meth:`DiskDevice.submit`
-    creates requests, and it always supplies the completion event, so a
+    creates requests, and it always schedules the completion event, so a
     half-constructed request can never be awaited.
     """
 
@@ -57,7 +57,7 @@ class DiskDevice:
     Rather than simulating the platter with a process, the device keeps a
     ``busy_until`` horizon: a request arriving at time *t* starts at
     ``max(t, busy_until)`` and completes after its service time.  This is
-    exact for a FIFO queue and costs one heap event per request.
+    exact for a FIFO queue and costs one calendar event per request.
     """
 
     def __init__(
@@ -88,26 +88,25 @@ class DiskDevice:
         self.busy_time = 0.0
         self.total_queue_delay = 0.0
 
-    def _service_time(self, block: int) -> float:
-        if self._last_block is not None and block == self._last_block + 1:
+    def submit(
+        self, block: int, is_write: bool, at: float, done: Event
+    ) -> DiskRequest:
+        """Queue one page transfer arriving at time ``at``; trigger ``done``.
+
+        ``at`` is the command's start time: an adapter computes it at slot
+        grant (grant time plus channel overhead), so it may lie ahead of the
+        clock.  Arrivals must reach a disk in nondecreasing ``at`` order —
+        the FIFO ``busy_until`` horizon assumes it.  ``done`` fires at the
+        finish with the :class:`DiskRequest`; with an injected transient
+        error it *fails* with :class:`~repro.faults.DiskIOError` instead,
+        after the same queueing and service delay a successful transfer
+        would have taken.
+        """
+        last = self._last_block
+        if last is not None and block == last + 1:
             # Head is near: short seek (track-to-track-ish) plus an average
             # half rotation — raw swap partitions are not laid out for
             # zero-latency sequential reads.
-            self.sequential_hits += 1
-            return self._seq_position_s + self._transfer_s
-        return self._rand_position_s + self._transfer_s
-
-    def submit(self, block: int, is_write: bool) -> DiskRequest:
-        """Queue one page transfer; ``request.done`` fires on completion.
-
-        With an injected transient error the event *fails* with
-        :class:`~repro.faults.DiskIOError` instead — after the same queueing
-        and service delay a successful transfer would have taken.
-        """
-        now = self.engine._now
-        # _service_time inlined: one method call per page of swap traffic.
-        last = self._last_block
-        if last is not None and block == last + 1:
             self.sequential_hits += 1
             service = self._seq_position_s + self._transfer_s
         else:
@@ -115,34 +114,32 @@ class DiskDevice:
         failed = False
         if self.faults is not None:
             service, failed = self.faults.perturb(service)
-        request = DiskRequest(
-            block=block,
-            is_write=is_write,
-            issued_at=now,
-            done=self.engine.event(),
-        )
-        start = max(now, self._busy_until)
+        busy_until = self._busy_until
+        start = at if at >= busy_until else busy_until
         finish = start + service
         self._busy_until = finish
         self._last_block = block
-        request.start_time = start
-        request.finish_time = finish
+        request = DiskRequest(block, is_write, at, done, start, finish)
         self.requests += 1
         if is_write:
             self.writes += 1
         else:
             self.reads += 1
         self.busy_time += service
-        self.total_queue_delay += start - now
+        self.total_queue_delay += start - at
+        # A delay of finish - at measured from at: the instant
+        # succeed(delay=...) would compute with the clock standing at at.
+        when = at + (finish - at)
         if failed:
             self.errors += 1
             request.failed = True
-            request.done.fail(
+            done.trigger_at(
+                when,
                 DiskIOError(self.disk_id, block, is_write, detail="transient"),
-                delay=finish - now,
+                ok=False,
             )
         else:
-            request.done.succeed(request, delay=finish - now)
+            done.trigger_at(when, request)
         return request
 
     @property

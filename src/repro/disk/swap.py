@@ -22,7 +22,7 @@ from typing import List, Optional, Set, Tuple
 
 from repro.config import DiskParams
 from repro.faults import DiskIOError, FaultInjector
-from repro.sim.engine import Engine, Process
+from repro.sim.engine import Engine, Event
 
 from repro.disk.adapter import ScsiAdapter
 from repro.disk.device import DiskDevice
@@ -156,23 +156,45 @@ class StripedSwap:
         return self.params.disks - len(self._offline)
 
     # -- transfers --------------------------------------------------------
-    def transfer(self, pid: int, vpn: int, is_write: bool, purpose: str) -> Process:
-        """Start one page transfer; returns a Process to wait on.
+    def transfer(self, pid: int, vpn: int, is_write: bool, purpose: str) -> Event:
+        """Start one page transfer; returns an Event to wait on.
 
         ``purpose`` is one of ``"demand"``, ``"prefetch"``, ``"writeback"``
         and only affects accounting.  It is validated here, before any event
         is scheduled, so a bad caller fails immediately instead of
         mid-simulation after the I/O completed.
+
+        Without a fault plan the transfer is one adapter command and no
+        process: the command's completion releases its slot, books
+        :class:`SwapStats` and succeeds the returned event on the now-lane
+        (DESIGN.md §7.7).
         """
         if purpose not in _PURPOSES:
             raise ValueError(f"unknown transfer purpose {purpose!r}")
-        if self.faults is None:
-            run = self._run_direct(pid, vpn, is_write, purpose)
-        else:
-            run = self._run_faulted(pid, vpn, is_write, purpose)
-        # Constant per-purpose names: this path runs ~10^5 times per
-        # experiment and a per-request f-string shows up in profiles.
-        return self.engine.process(run, name=_PROC_NAMES[purpose])
+        engine = self.engine
+        if self.faults is not None:
+            # Constant per-purpose names: no per-request f-string.
+            return engine.process(
+                self._run_faulted(pid, vpn, is_write, purpose),
+                name=_PROC_NAMES[purpose],
+            )
+        n = self.params.disks
+        disk_index = (vpn + pid) % n
+        if self.obs is not None:
+            self._emit_issue(disk_index, purpose, is_write)
+        adapter = self.adapters[disk_index // self.params.disks_per_adapter]
+        command = adapter.command(self.disks[disk_index], vpn // n, is_write)
+        done = engine.event()
+        started = engine._now
+
+        def complete(command: Event) -> None:
+            self._complete(disk_index, purpose, is_write, engine._now - started)
+            # The caller wakes on the now-lane, not inside the disk's
+            # dispatch: the lane hop keeps same-instant wake order intact.
+            done.succeed(command._value)
+
+        command.callbacks.append(complete)
+        return done
 
     def _emit_issue(self, disk_index: int, purpose: str, is_write: bool) -> None:
         if self.obs is not None:
@@ -205,53 +227,6 @@ class StripedSwap:
             stats.writebacks += 1
             stats.writeback_time += elapsed
 
-    def _run_direct(self, pid: int, vpn: int, is_write: bool, purpose: str):
-        """The fault-free transfer path (the only path without a plan).
-
-        The placement arithmetic and per-purpose accounting are inlined:
-        this generator runs for every page of swap traffic, and the helper
-        calls it replaces were a measurable share of the I/O path.
-        """
-        n = self.params.disks
-        disk_index = (vpn + pid) % n
-        disk = self.disks[disk_index]
-        adapter = self.adapters[disk_index // self.params.disks_per_adapter]
-        engine = self.engine
-        started = engine._now
-        if self.obs is not None:
-            self._emit_issue(disk_index, purpose, is_write)
-        # adapter.transfer inlined (same slot/overhead/error accounting;
-        # the ownership check is skipped because disk and adapter derive
-        # from the same stripe index): one less generator frame on every
-        # resume of every page of swap traffic.
-        slots = adapter._slots
-        yield slots.acquire()
-        try:
-            adapter.commands += 1
-            yield engine.timeout(adapter._overhead_s)
-            request = disk.submit(vpn // n, is_write)
-            yield request.done
-        except DiskIOError:
-            adapter.errors += 1
-            raise
-        finally:
-            slots.release()
-        elapsed = engine._now - started
-        if self.obs is not None:
-            self._complete(disk_index, purpose, is_write, elapsed)
-            return request
-        stats = self.stats
-        if purpose == "demand":
-            stats.demand_reads += 1
-            stats.demand_read_time += elapsed
-        elif purpose == "prefetch":
-            stats.prefetch_reads += 1
-            stats.prefetch_read_time += elapsed
-        else:
-            stats.writebacks += 1
-            stats.writeback_time += elapsed
-        return request
-
     def _run_faulted(self, pid: int, vpn: int, is_write: bool, purpose: str):
         """Transfer with kernel-side error handling (chaos experiments).
 
@@ -272,17 +247,16 @@ class StripedSwap:
             disk = self.disks[disk_index]
             adapter = self._adapter_for(disk_index)
             self._emit_issue(disk_index, purpose, is_write)
-            command = engine.process(
-                adapter.transfer(disk, block, is_write),
-                name=f"cmd-{purpose}-{pid}:{vpn}",
-            )
+            command = adapter.command(disk, block, is_write)
             deadline = engine.timeout(params.request_timeout_s)
             error: Optional[DiskIOError] = None
             try:
                 yield engine.any_of([command, deadline])
             except DiskIOError as exc:
                 error = exc
-            if error is None and command.triggered and command.ok:
+            # processed, not triggered: the disk schedules the command's
+            # completion at its grant, long before it fires.
+            if error is None and command.processed and command.ok:
                 request = command.value
                 break
             if error is not None:
@@ -317,10 +291,12 @@ class StripedSwap:
         self._complete(disk_index, purpose, is_write, engine.now - started)
         return request
 
-    def read_page(self, pid: int, vpn: int, purpose: str = "demand") -> Process:
+    def read_page(self, pid: int, vpn: int, purpose: str = "demand") -> Event:
+        """Start a page read; returns the Event that fires when it is in."""
         return self.transfer(pid, vpn, is_write=False, purpose=purpose)
 
-    def write_page(self, pid: int, vpn: int) -> Process:
+    def write_page(self, pid: int, vpn: int) -> Event:
+        """Start a page writeback; returns the Event that fires when done."""
         return self.transfer(pid, vpn, is_write=True, purpose="writeback")
 
     # -- reporting --------------------------------------------------------

@@ -14,7 +14,8 @@ Public surface:
 - :class:`~repro.sim.engine.AnyOf` / :class:`~repro.sim.engine.AllOf` —
   condition events.
 - :class:`~repro.sim.sync.Lock`, :class:`~repro.sim.sync.Resource`,
-  :class:`~repro.sim.sync.Store` — synchronisation built on events.
+  :class:`~repro.sim.sync.Store` — synchronisation on the engine
+  (``Resource`` grants by callback, the others by event).
 - :class:`~repro.sim.stats.TimeBuckets` — the four-way execution-time
   breakdown used by Figure 7 of the paper.
 """

@@ -142,6 +142,25 @@ class Event:
             engine._cal_insert(engine._now + delay, self)
         return self
 
+    def trigger_at(self, time: float, value: Any = None, ok: bool = True) -> "Event":
+        """Schedule this event to fire at absolute ``time`` (not before now).
+
+        It succeeds with ``value``, or with ``ok=False`` fails with the
+        exception ``value``.  For a completion computed ahead of the clock
+        (a disk transfer whose command starts in the future), where
+        ``now + delay`` would round differently from the computed instant.
+        """
+        if self._state != _PENDING:
+            raise SimulationError("event already triggered")
+        engine = self.engine
+        if time < engine._now:
+            raise SimulationError(f"trigger time {time} is in the past (now={engine._now})")
+        self._state = _TRIGGERED
+        self._value = value
+        self._ok = ok
+        engine._cal_insert(time, self)
+        return self
+
     # -- engine internals --------------------------------------------------
     def _run_callbacks(self) -> None:
         callbacks = self.callbacks

@@ -10,14 +10,14 @@ prefetch-thread queues).
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, List, Optional
+from typing import Any, Callable, Deque, List, Optional, Tuple
 
 from repro.sim.engine import _TRIGGERED, Engine, Event, SimulationError
 
 # Event.succeed is inlined at the uncontended/non-blocking fast paths below
 # (state/value stores plus a now-lane append): the events are freshly made or
 # known-pending, so the succeed() guard is vacuous, and these paths run for
-# every lock acquisition, adapter slot grant, and queue hand-off.
+# every lock acquisition and queue hand-off.
 
 __all__ = ["Lock", "Resource", "Store"]
 
@@ -102,7 +102,14 @@ class Lock:
 
 
 class Resource:
-    """A counted resource with FIFO queuing (e.g. adapter command slots)."""
+    """A counted resource with FIFO queuing (e.g. adapter command slots).
+
+    Grants are callbacks, not events: ``acquire(grant, *args)`` calls
+    ``grant(*args)`` as soon as a unit is held — at once when one is free,
+    else inside the :meth:`release` that hands it over, in FIFO order.  A
+    grant therefore costs no engine dispatch, and grant order is exactly
+    call order among waiters.
+    """
 
     def __init__(self, engine: Engine, capacity: int, name: str = "resource") -> None:
         if capacity < 1:
@@ -111,9 +118,9 @@ class Resource:
         self.name = name
         self.capacity = capacity
         self._in_use = 0
-        self._waiters: Deque[Event] = deque()
+        # (grant, args, enqueued_at) per waiter.
+        self._waiters: Deque[Tuple[Callable[..., None], tuple, float]] = deque()
         self.total_wait_time = 0.0
-        self._wait_started: dict[int, float] = {}
 
     @property
     def in_use(self) -> int:
@@ -123,34 +130,23 @@ class Resource:
     def available(self) -> int:
         return self.capacity - self._in_use
 
-    def acquire(self) -> Event:
-        engine = self.engine
-        event = engine.event()
+    def acquire(self, grant: Callable[..., None], *args: Any) -> None:
         if self._in_use < self.capacity:
             self._in_use += 1
-            event._state = _TRIGGERED
-            event._value = self
-            event._ok = True
-            engine._lane.append(event)
+            grant(*args)
         else:
-            self._wait_started[id(event)] = self.engine.now
-            self._waiters.append(event)
-        return event
+            self._waiters.append((grant, args, self.engine._now))
 
     def release(self) -> None:
         if self._in_use <= 0:
             raise SimulationError(f"release of idle resource {self.name!r}")
-        self._in_use -= 1
         if self._waiters:
-            event = self._waiters.popleft()
-            now = self.engine._now
-            started = self._wait_started.pop(id(event), now)
-            self.total_wait_time += now - started
-            self._in_use += 1
-            event._state = _TRIGGERED
-            event._value = self
-            event._ok = True
-            self.engine._lane.append(event)
+            # The unit passes straight to the head waiter.
+            grant, args, enqueued = self._waiters.popleft()
+            self.total_wait_time += self.engine._now - enqueued
+            grant(*args)
+        else:
+            self._in_use -= 1
 
 
 class Store:

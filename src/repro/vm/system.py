@@ -314,6 +314,10 @@ class VmSystem:
         index = yield from self.allocate_blocking(task)
         aspace.attach(vpn, index)
         aspace.stats.allocations += 1
+        # In-flight marker: a touch that finds the page mid-read waits on it.
+        # It is succeeded only if someone waits — once in_transit[index] is
+        # cleared nothing can reach it, so an unwaited marker is dropped
+        # undispatched (DESIGN.md §7.7).
         inflight = engine.event()
         in_transit[index] = inflight
         flags[index] |= F_IN_TRANSIT
@@ -332,7 +336,8 @@ class VmSystem:
         yield io
         buckets.stall_io += engine._now - io_started
         in_transit[index] = None
-        inflight.succeed()
+        if inflight.callbacks:
+            inflight.succeed()
         fl = (flags[index] | F_SW_VALID | F_REFERENCED) & ~F_IN_TRANSIT
         if write:
             fl |= F_DIRTY
@@ -424,6 +429,7 @@ class VmSystem:
             )
         flags[index] |= F_FROM_PREFETCH | F_IN_TRANSIT
         engine = self.engine
+        # In-flight marker, retired like the hard-fault path's.
         inflight = engine.event()
         self._in_transit[index] = inflight
         io = self.swap.read_page(aspace.asid, vpn, purpose="prefetch")
@@ -440,7 +446,8 @@ class VmSystem:
             # of crashing the worker — if the page is really needed a
             # demand fault will surface the problem on the application.
             self._in_transit[index] = None
-            inflight.succeed()
+            if inflight.callbacks:
+                inflight.succeed()
             aspace.detach(vpn)
             flags[index] &= ~(F_PRESENT | F_IN_TRANSIT)
             self.frame_table.reset_identity(index)
@@ -456,7 +463,8 @@ class VmSystem:
         task.buckets.stall_io += engine._now - io_started
         self._in_transit[index] = None
         flags[index] &= ~F_IN_TRANSIT
-        inflight.succeed()
+        if inflight.callbacks:
+            inflight.succeed()
         # Deliberately NOT validated: sw_valid stays False so the first real
         # touch pays the cheap prefetch_validate cost instead of displacing
         # TLB entries now.

@@ -68,6 +68,34 @@ class TestEvent:
         engine.run()
         assert engine.now == 2.5
 
+    def test_trigger_at_fires_at_the_exact_instant(self, engine):
+        engine.run(until=0.001)
+        when = 0.0151
+        # A delay measured from the clock rounds: now + (when - now) != when.
+        relative = engine.event().succeed("delay", delay=when - engine.now)
+        absolute = engine.event().trigger_at(when, "at")
+        seen = []
+        for event in (relative, absolute):
+            event.add_callback(lambda e: seen.append((e.value, engine.now)))
+        engine.run()
+        assert seen == [("at", when), ("delay", 0.001 + (when - 0.001))]
+        assert seen[1][1] != when
+
+    def test_trigger_at_can_fail(self, engine):
+        error = ValueError("boom")
+        event = engine.event().trigger_at(1.0, error, ok=False)
+        engine.run()
+        assert not event.ok
+        assert event.value is error
+
+    def test_trigger_at_rejects_past_and_double_triggers(self, engine):
+        engine.run(until=1.0)
+        with pytest.raises(SimulationError):
+            engine.event().trigger_at(0.5)
+        event = engine.event().trigger_at(1.0)
+        with pytest.raises(SimulationError):
+            event.trigger_at(2.0)
+
 
 class TestTimeout:
     def test_fires_at_delay(self, engine):

@@ -16,7 +16,6 @@ seams where that could break:
   under every lane mode, with and without an active fault plan.
 """
 
-import hashlib
 import os
 import random
 from contextlib import contextmanager
@@ -39,7 +38,7 @@ from repro.vm.frames import (
 )
 
 from tests.helpers import drive
-from tests.test_golden_digests import GOLDEN
+from tests.test_golden_digests import GOLDEN, assert_matches_golden
 
 
 @contextmanager
@@ -235,13 +234,8 @@ class TestMidRunInterruption:
         assert _interrupted_world("1") == baseline
 
 
-def _digest(spec) -> str:
-    serialized = bench.serialize_result(run_experiment(spec))
-    return hashlib.sha256(serialized.encode("utf-8")).hexdigest()
-
-
 class TestLaneEquivalenceGolden:
-    """The frozen digests hold under every lane mode.
+    """The golden physics digest and dispatch count hold under every lane mode.
 
     ``grid_tiny`` spec 0 is EMBAR O — the only committed spec family whose
     live driver exercises the run-length ('T') path (hinted versions never
@@ -250,26 +244,30 @@ class TestLaneEquivalenceGolden:
 
     GOLDEN_EMBAR_O = GOLDEN["cases"]["grid_tiny"][0]
 
+    def _assert_golden(self):
+        result = run_experiment(self._spec())
+        assert_matches_golden(result, self.GOLDEN_EMBAR_O, "grid_tiny[0]")
+
     def _spec(self):
         return multiprogram_spec(tiny(), "EMBAR", "O")
 
     def test_lane_off_matches_golden(self):
         with lane_env("0"):
             assert fastlane.lane_mode() == fastlane.LANE_OFF
-            assert _digest(self._spec()) == self.GOLDEN_EMBAR_O
+            self._assert_golden()
 
     def test_pure_lane_matches_golden(self, monkeypatch):
         monkeypatch.setattr(fastlane, "np", None)
         with lane_env("1"):
             assert fastlane.lane_mode() == fastlane.LANE_PURE
-            assert _digest(self._spec()) == self.GOLDEN_EMBAR_O
+            self._assert_golden()
 
     def test_numpy_lane_matches_golden(self):
         if fastlane.np is None:
             pytest.skip("numpy not installed")
         with lane_env("1"):
             assert fastlane.lane_mode() == fastlane.LANE_NUMPY
-            assert _digest(self._spec()) == self.GOLDEN_EMBAR_O
+            self._assert_golden()
 
     def test_lanes_agree_under_fault_plan(self):
         # An active fault plan perturbs paging timing, which moves the

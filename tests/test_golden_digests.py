@@ -1,16 +1,18 @@
-"""Golden byte-identity: serialized results are pinned to committed digests.
+"""Golden contract: per-spec physics digests and dispatch counts.
 
-``tests/golden/serialized_digests.json`` holds the SHA-256 of
-``bench.serialize_result(run_experiment(spec))`` for every spec of every
-committed benchmark case, captured on the tree *before* the memory-policy
-seam (and before the heap engine backend was removed).  These tests re-run
-each case on the current tree under the default policy and compare digests
-— so the policy refactor, and any future engine or VM change, is held to
-the "byte-identical results" contract rather than a fuzzy tolerance.
+``tests/golden/serialized_digests.json`` pins two things for every spec of
+every committed benchmark case:
 
-This supersedes ``test_engine_equivalence.py``: the heap scheduler these
-goldens were originally A/B'd against is gone, and the frozen digests are
-now the single source of truth for event-order identity.
+- ``physics`` — the SHA-256 of ``bench.physics_text(run_experiment(spec))``:
+  simulated time, per-process buckets, VM / swap / run-time stats and
+  sweeps.  This is the equivalence contract.  It moves only with a
+  deliberate fidelity change.
+- ``engine_steps`` — the spec's engine dispatch count.  A change that adds
+  or removes events at equal physics moves only this pin, and re-pins it
+  with ``scripts/pin_golden_steps.py``.
+
+The tests assert both and say which one moved, so an event-count change is
+never mistaken for a physics change (or the reverse).
 """
 
 import hashlib
@@ -25,33 +27,48 @@ from repro.machine import run_experiment
 GOLDEN_PATH = Path(__file__).parent / "golden" / "serialized_digests.json"
 GOLDEN = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
 
-#: Only the cases frozen in the golden file: new bench cases (e.g. the
-#: global-clock mix) assert determinism elsewhere, not pre-refactor bytes.
 CASES = sorted(GOLDEN["cases"])
 
 
-def _digest(spec) -> str:
-    serialized = bench.serialize_result(run_experiment(spec))
-    return hashlib.sha256(serialized.encode("utf-8")).hexdigest()
+def physics_digest(result) -> str:
+    return hashlib.sha256(bench.physics_text(result).encode("utf-8")).hexdigest()
+
+
+def assert_matches_golden(result, pin, label: str) -> None:
+    """Compare one result to its pin; the message names what moved."""
+    assert physics_digest(result) == pin["physics"], (
+        f"{label}: PHYSICS moved — the physics digest diverged from the "
+        "golden pin (simulated results changed, not just the event count)"
+    )
+    assert result.engine_steps == pin["engine_steps"], (
+        f"{label}: DISPATCH COUNT moved ({result.engine_steps} vs "
+        f"{pin['engine_steps']} pinned) at equal physics — re-pin with "
+        "scripts/pin_golden_steps.py if the event change is deliberate"
+    )
 
 
 def test_golden_covers_committed_cases():
-    """Every golden case must still exist as a runnable bench case."""
-    for case in CASES:
-        assert case in bench.BENCH_CASES, f"golden case {case} disappeared"
+    """The pins and the bench cases name the same specs."""
+    assert CASES == sorted(bench.BENCH_CASES)
+
+
+def test_serialize_result_is_physics_plus_steps():
+    """One formatter: the service's text is the physics text plus one line."""
+    spec = bench.BENCH_CASES["grid_tiny"]()[0]
+    result = run_experiment(spec)
+    lines = bench.serialize_result(result).split("\n")
+    assert lines[2] == f"engine_steps={result.engine_steps}"
+    assert "\n".join(lines[:2] + lines[3:]) == bench.physics_text(result)
 
 
 @pytest.mark.parametrize("case", CASES)
 def test_serialized_results_match_golden(case):
     specs = bench.BENCH_CASES[case]()
-    expected = GOLDEN["cases"][case]
-    assert len(specs) == len(expected), (
-        f"{case}: spec count changed ({len(specs)} vs {len(expected)} "
-        "golden digests) — regenerate tests/golden/serialized_digests.json "
+    pins = GOLDEN["cases"][case]
+    assert len(specs) == len(pins), (
+        f"{case}: spec count changed ({len(specs)} vs {len(pins)} golden "
+        "pins) — regenerate tests/golden/serialized_digests.json "
         "deliberately if the case itself changed"
     )
     for index, spec in enumerate(specs):
-        assert _digest(spec) == expected[index], (
-            f"{case}[{index}]: serialized result diverged from the "
-            "pre-refactor golden digest"
-        )
+        assert_matches_golden(run_experiment(spec), pins[index], f"{case}[{index}]")

@@ -99,33 +99,42 @@ class TestResource:
 
     def test_acquire_up_to_capacity(self, engine):
         resource = Resource(engine, 2)
-
-        def proc():
-            yield resource.acquire()
-            yield resource.acquire()
-            return resource.available
-
-        assert engine.run_process(proc()) == 0
+        granted = []
+        for name in ("a", "b", "c"):
+            resource.acquire(granted.append, name)
+        # Grants run synchronously inside acquire(); the third waits.
+        assert granted == ["a", "b"]
+        assert resource.available == 0
 
     def test_blocks_beyond_capacity(self, engine):
         resource = Resource(engine, 1)
         progress = []
 
         def first():
-            yield resource.acquire()
+            resource.acquire(lambda: None)
             yield engine.timeout(5.0)
             resource.release()
 
         def second():
             yield engine.timeout(1.0)
-            yield resource.acquire()
-            progress.append(engine.now)
-            resource.release()
+            resource.acquire(lambda: progress.append(engine.now))
 
         engine.process(first())
         engine.process(second())
         engine.run()
+        # Granted inside first()'s release, at t=5, holding the unit on.
         assert progress == [5.0]
+        assert resource.in_use == 1
+
+    def test_waiters_granted_fifo_with_args(self, engine):
+        resource = Resource(engine, 1)
+        order = []
+        resource.acquire(order.append, "holder")
+        resource.acquire(order.append, "first")
+        resource.acquire(order.append, "second")
+        resource.release()
+        resource.release()
+        assert order == ["holder", "first", "second"]
 
     def test_release_idle_raises(self, engine):
         with pytest.raises(Exception):
@@ -135,18 +144,20 @@ class TestResource:
         resource = Resource(engine, 1)
 
         def first():
-            yield resource.acquire()
+            resource.acquire(lambda: None)
             yield engine.timeout(3.0)
             resource.release()
 
         def second():
-            yield resource.acquire()
-            resource.release()
+            yield engine.timeout(0.0)
+            # Queued at t=0; the grant hands the unit straight back.
+            resource.acquire(resource.release)
 
         engine.process(first())
         engine.process(second())
         engine.run()
         assert resource.total_wait_time == pytest.approx(3.0)
+        assert resource.in_use == 0
 
 
 class TestStore:

@@ -156,6 +156,68 @@ class TestPrefetch:
         # Only one read happened.
         assert kernel.swap.total_reads == 1
 
+    def test_untouched_prefetch_dispatches_no_inflight_marker(self, scale):
+        from repro.kernel import Kernel
+        from repro.sim.engine import Engine
+        from repro.sim.task import SimTask
+
+        def lone_prefetch(waiter):
+            engine = Engine()
+            kernel = Kernel.boot(engine, scale)
+            app = kernel.create_process("app")
+            app.aspace.map_segment("a", 200)
+            kernel.attach_paging_directed(app)
+            prefetch = engine.process(
+                kernel.vm.prefetch_page(SimTask(engine, "pf"), app.aspace, 0)
+            )
+            while not app.aspace.is_present(0):
+                engine.step()
+            marker = kernel.vm.frame_table.in_transit[app.aspace.pt[0]]
+            if waiter:
+                marker.add_callback(lambda _event: None)
+            while not prefetch.processed:
+                engine.step()
+            return engine.steps, marker
+
+        steps, marker = lone_prefetch(waiter=False)
+        waited_steps, waited_marker = lone_prefetch(waiter=True)
+        # Nobody waited: the marker was never scheduled, so never dispatched.
+        assert not marker.triggered
+        assert waited_marker.processed
+        assert waited_steps == steps + 1
+
+    def test_fault_on_inflight_prefetch_resumes_at_its_completion(
+        self, kernel, proc, scale
+    ):
+        from repro.sim.task import SimTask
+
+        engine = kernel.engine
+        prefetch = engine.process(
+            kernel.vm.prefetch_page(SimTask(engine, "pf"), proc.aspace, 0)
+        )
+        prefetched_at = []
+        prefetch.add_callback(lambda _event: prefetched_at.append(engine.now))
+        outcome = {}
+
+        def app():
+            yield engine.timeout(1e-6)
+            touched_at = engine.now
+            kind = yield from proc.touch(0)
+            outcome.update(kind=kind, touched_at=touched_at, returned_at=engine.now)
+
+        drive(engine, engine.process(app()))
+        done_at = prefetched_at[0]
+        assert outcome["kind"] == FaultKind.PREFETCH_VALIDATE
+        # The wait ends at the instant the prefetch's read completes ...
+        assert proc.task.buckets.stall_io == pytest.approx(
+            done_at - outcome["touched_at"], rel=1e-12
+        )
+        # ... and the cheap validate runs from there.
+        assert outcome["returned_at"] == pytest.approx(
+            done_at + scale.machine.prefetch_validate_s, rel=1e-12
+        )
+        assert kernel.swap.total_reads == 1
+
     def test_prefetch_rescues_from_free_list(self, kernel, proc):
         touch(kernel, proc, 0)
         frame = proc.aspace.frame_for(0)
