@@ -13,11 +13,7 @@ Throughput metrics reported per case:
 - ``events_per_s`` — engine events dispatched per wall second (the
   engine's raw dispatch rate);
 - ``sim_s_per_wall_s`` — simulated seconds produced per wall second (how
-  much paper-time a second of host time buys);
-- ``meta.ops_per_s`` — workload-driver ops consumed per wall second, with
-  the bulk-lane telemetry next to it (``lane``, ``bulk_pages``,
-  ``bulk_hit_rate``): how much of the run went down the vectorized
-  resident-run lane versus the per-page fallback.
+  much paper-time a second of host time buys).
 
 ``repro bench`` is the CLI front-end; ``benchmarks/perf`` holds the
 committed baseline and a smoke test.
@@ -255,40 +251,6 @@ class _RssMeter:
         return max(0.0, (peak_kb - self._base_kb) / 1024.0), alloc
 
 
-def _lane_meta(
-    before: Dict[str, int],
-    after: Dict[str, int],
-    repeats: int,
-    wall_s: float,
-) -> Dict[str, object]:
-    """Bulk-lane telemetry for one case, from counter deltas.
-
-    ``before``/``after`` are :func:`repro.vm.fastlane.snapshot_counters`
-    taken around the timed repeat loop; every repeat runs the identical
-    deterministic op stream, so dividing the delta by ``repeats`` gives
-    exact per-run counts.  ``bulk_hit_rate`` is the fraction of run pages
-    the bulk lane advanced (vs pages handed back to the per-page slow
-    path); a case whose workloads emit no run ops reports 0 ops through
-    the lane and a hit rate of 0.0.
-    """
-    from repro.vm import fastlane
-
-    runs = max(1, repeats)
-    delta = {key: (after[key] - before[key]) // runs for key in after}
-    bulk = delta["bulk_pages"]
-    slow = delta["slow_pages"]
-    return {
-        "lane": fastlane.lane_name(),
-        "driver_ops": delta["ops"],
-        "ops_per_s": round(delta["ops"] / wall_s, 1) if wall_s > 0 else 0.0,
-        "bulk_pages": bulk,
-        "bulk_slow_pages": slow,
-        "bulk_runs": delta["runs"],
-        "bulk_windows": delta["windows"],
-        "bulk_hit_rate": round(bulk / (bulk + slow), 4) if bulk + slow else 0.0,
-    }
-
-
 def _profile_call(fn: Callable[[], object], profile_top: int) -> str:
     profiler = cProfile.Profile()
     profiler.enable()
@@ -359,16 +321,12 @@ def _replay_standard_mix(
             started = time.perf_counter()
             live_results = [run_experiment(spec) for spec in specs]
             reexec_wall = min(reexec_wall, time.perf_counter() - started)
-        from repro.vm import fastlane
-
-        lane_before = fastlane.snapshot_counters()
         replay_wall = float("inf")
         replay_results: List[ExperimentResult] = []
         for _ in range(repeats):
             started = time.perf_counter()
             replay_results = [run_experiment(spec) for spec in replay_specs]
             replay_wall = min(replay_wall, time.perf_counter() - started)
-        lane_after = fastlane.snapshot_counters()
         check_wall = float("inf")
         checks_ok = False
         for _ in range(repeats):
@@ -404,9 +362,6 @@ def _replay_standard_mix(
         meta={
             **machine_metadata(),
             **alloc_meta,
-            # Lane telemetry belongs to the simulated replay pass (the
-            # headline trace check drives no workload ops).
-            **_lane_meta(lane_before, lane_after, repeats, replay_wall),
             "reexec_wall_s": round(reexec_wall, 4),
             "sim_replay_wall_s": round(replay_wall, 4),
             "trace_check_wall_s": round(check_wall, 4),
@@ -644,11 +599,8 @@ def run_case(
         raise KeyError(
             f"unknown bench case {name!r}; known: {sorted(all_case_names())}"
         ) from None
-    from repro.vm import fastlane
-
     specs = make_specs()
     meter = _RssMeter()
-    lane_before = fastlane.snapshot_counters()
     best = float("inf")
     engine_steps = 0
     sim_s = 0.0
@@ -666,7 +618,6 @@ def run_case(
             engine_steps += result.engine_steps
             sim_s += result.elapsed_s
         best = min(best, time.perf_counter() - started)
-    lane_after = fastlane.snapshot_counters()
     peak_rss_mb, alloc_meta = meter.finish()
     profile_text = None
     if profile:
@@ -689,11 +640,7 @@ def run_case(
         sim_s_per_wall_s=round(sim_s / best, 3),
         peak_rss_mb=round(peak_rss_mb, 2),
         repeats=max(1, repeats),
-        meta={
-            **machine_metadata(),
-            **alloc_meta,
-            **_lane_meta(lane_before, lane_after, repeats, best),
-        },
+        meta={**machine_metadata(), **alloc_meta},
     )
     return record, profile_text
 

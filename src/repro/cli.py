@@ -1009,8 +1009,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             profile_path.write_text(profile_text, encoding="utf-8")
             print(f"profile written: {profile_path}")
         meta = record.meta
-        ops_per_s = meta.get("ops_per_s", 0.0)
-        hit_rate = meta.get("bulk_hit_rate")
         pooled = "pool_workers" in meta
         rows.append(
             (
@@ -1018,10 +1016,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                 f"{record.wall_s:.3f}",
                 record.engine_steps,
                 f"{record.events_per_s:,.0f}",
-                "-" if not ops_per_s else f"{ops_per_s:,.0f}",
-                "-"
-                if not meta.get("bulk_runs")
-                else f"{hit_rate:.1%}",
                 f"{record.sim_s_per_wall_s:.2f}",
                 f"{record.peak_rss_mb:.1f}",
                 "-"
@@ -1045,8 +1039,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                 "wall s",
                 "events",
                 "events/s",
-                "ops/s",
-                "bulk hit",
                 "sim s / wall s",
                 "rss MB",
                 "reuse",
@@ -1055,8 +1047,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                 "vs baseline",
             ],
             rows,
-            title=f"repro bench (best of {args.repeats}, lane "
-            f"{records[0].meta.get('lane', '?') if records else '?'})",
+            title=f"repro bench (best of {args.repeats})",
         )
     )
     if args.update_baseline:
@@ -1078,8 +1069,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                         "sim_s": record.sim_s,
                         "specs": record.specs,
                         "events_per_s": record.events_per_s,
-                        "ops_per_s": record.meta.get("ops_per_s", 0.0),
-                        "bulk_hit_rate": record.meta.get("bulk_hit_rate", 0.0),
                         "sim_s_per_wall_s": record.sim_s_per_wall_s,
                         "peak_rss_mb": record.peak_rss_mb,
                     }

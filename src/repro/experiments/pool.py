@@ -22,15 +22,12 @@ of it:
   on every result frame as telemetry.
 
 Byte-identity is the contract: a spec executed here produces exactly the
-result the inline path produces, and ``REPRO_POOL=0`` switches every
-caller back to the legacy executor as the reference path.
+result the inline path produces; serial execution (``jobs=1``) is the
+reference path.
 
 Worker reuse raises a hygiene problem process churn used to hide: state a
-spec leaves behind (an env-var lane override, a leaked ``SIGALRM``
-handler) would flow into the next spec.  So every dispatched item carries
-the parent's env-knob profile, applied (plus
-:func:`repro.vm.fastlane.refresh_from_env`) before the spec runs, and the
-deadline timer is forcibly disarmed between items.
+spec leaves behind (a leaked ``SIGALRM`` timer or handler) would flow into
+the next spec, so the deadline timer is forcibly disarmed between items.
 
 Crash containment follows the sweep orchestrator's rule: when a worker
 dies mid-batch, the first unfinished item is the suspect — requeued once,
@@ -65,10 +62,8 @@ __all__ = [
     "EMPTY_POOL_CHAOS",
     "PoolChaos",
     "WarmPool",
-    "capture_env",
     "get_pool",
     "item_key",
-    "pool_enabled",
     "recv_frame",
     "send_frame",
     "shutdown_shared_pool",
@@ -77,42 +72,6 @@ __all__ = [
 
 # One requeue for a crash suspect, then blame it — same as the sweep.
 REQUEUE_LIMIT = 1
-
-_DISABLED_VALUES = {"0", "off", "false", "no"}
-
-
-def pool_enabled() -> bool:
-    """``REPRO_POOL`` gate: on by default, ``0``/``off``/``false``/``no``
-    selects the legacy per-grid executor as the reference path."""
-    return os.environ.get("REPRO_POOL", "1").strip().lower() not in _DISABLED_VALUES
-
-
-# -- env-knob hygiene -------------------------------------------------------
-#
-# The knobs that change *how* a spec executes without being part of the
-# spec.  (REPRO_ENGINE died with the heap backend in the policy-seam PR;
-# REPRO_POOL itself only selects the executor, never the physics, so it
-# deliberately does not travel.)
-
-ENV_KNOBS: Tuple[str, ...] = ("REPRO_FAST_LANE",)
-
-
-def capture_env() -> Dict[str, Optional[str]]:
-    """The dispatching process's knob profile, shipped with every item."""
-    return {knob: os.environ.get(knob) for knob in ENV_KNOBS}
-
-
-def _apply_env(profile: Optional[Dict[str, Optional[str]]]) -> None:
-    if profile is None:
-        return
-    for knob, value in profile.items():
-        if value is None:
-            os.environ.pop(knob, None)
-        else:
-            os.environ[knob] = value
-    from repro.vm import fastlane
-
-    fastlane.refresh_from_env()
 
 
 # -- chaos (worker-side fault injection, test-only) -------------------------
@@ -317,7 +276,6 @@ def worker_entry(
                 if key in chaos.hang_keys:
                     beats_stopped.set()  # a wedge the watchdog must catch
                     time.sleep(chaos.hang_s)
-            _apply_env(item.get("env"))
             _disarm_deadline()
             snap_before = machine_mod.template_counters()
             started = time.monotonic()
@@ -341,12 +299,6 @@ def worker_entry(
                 "snap_hits": snap_after["hits"] - snap_before["hits"],
                 "snap_misses": snap_after["misses"] - snap_before["misses"],
             }
-            try:
-                from repro.vm import fastlane
-
-                result_frame["lane"] = fastlane.lane_name()
-            except Exception:
-                result_frame["lane"] = "unknown"
             if status == "ok":
                 if cache_dir is None:
                     # Detach the spec: the dispatcher reattaches its own
@@ -540,21 +492,18 @@ class WarmPool:
         timeout_s: Optional[float] = None,
         retries: int = 0,
         batch_size: Optional[int] = None,
-        env: Optional[Dict[str, Optional[str]]] = None,
     ) -> List[Outcome]:
         """Run ``specs`` on warm workers; outcomes align with input order.
 
         Never raises for a spec's own sake: failures (error, timeout,
         crash) come back as :class:`ExperimentFailure` values in their
-        grid slots, exactly like the legacy executor.
+        grid slots, exactly like serial execution.
         """
         specs = list(specs)
         count = len(specs)
         if count == 0:
             return []
         keys = [item_key(spec) for spec in specs]
-        if env is None:
-            env = capture_env()
         if batch_size is None:
             batch_size = self._auto_batch(count)
         batch_size = max(1, int(batch_size))
@@ -619,7 +568,6 @@ class WarmPool:
                     "spec": specs[index],
                     "timeout_s": timeout_s,
                     "retries": retries,
-                    "env": env,
                 }
                 for index in batch
             ]

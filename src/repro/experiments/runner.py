@@ -4,9 +4,10 @@ Every figure in the paper is a grid of independent experiments (benchmark ×
 version × sleep time), each a pure function of its
 :class:`~repro.machine.ExperimentSpec`.  This module exploits both facts:
 
-- **Parallelism** — :func:`run_specs` fans a list of specs out over a
-  process pool (``jobs > 1``) while preserving input order.  With
-  ``jobs=1`` everything runs inline in this process, which keeps
+- **Parallelism** — :func:`run_specs` fans a list of specs out over the
+  shared warm-worker pool (:mod:`repro.experiments.pool`, ``jobs > 1``)
+  while preserving input order.  With ``jobs=1`` everything runs inline
+  in this process — the byte-identical reference path, which also keeps
   single-experiment debugging (and test monkeypatching) trivial.
 
 - **Caching** — specs are content-hashed (:func:`spec_key`) together with a
@@ -357,71 +358,6 @@ def execute_guarded(
 _execute_guarded = execute_guarded  # back-compat alias
 
 
-def _execute_indexed_guarded(item):
-    """Pool worker: (index, spec, timeout_s, retries) -> (index, outcome)."""
-    index, spec, timeout_s, retries = item
-    return index, execute_guarded(spec, timeout_s, retries)
-
-
-def _run_pool(
-    specs: Sequence[ExperimentSpec],
-    indexes: List[int],
-    results: List[Optional[Union[ExperimentResult, ExperimentFailure]]],
-    jobs: int,
-    timeout_s: Optional[float],
-    retries: int,
-) -> None:
-    """Fan ``indexes`` out over a process pool, containing worker deaths.
-
-    Guarded execution converts ordinary exceptions and timeouts into
-    values, so the only way a future can *raise* is the worker process
-    dying (segfault, OOM kill).  That breaks the whole pool; the specs
-    still unfinished are then re-run one per private single-worker pool,
-    which pins the blame: a spec that kills its own pool is the crasher
-    and fails alone, everything else completes normally.
-    """
-    # Local import: the futures machinery is only needed for jobs > 1.
-    from concurrent.futures import ProcessPoolExecutor, as_completed
-    from concurrent.futures.process import BrokenProcessPool
-
-    broken = False
-    try:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = {
-                pool.submit(
-                    _execute_indexed_guarded, (i, specs[i], timeout_s, retries)
-                ): i
-                for i in indexes
-            }
-            for future in as_completed(futures):
-                try:
-                    index, outcome = future.result()
-                except BrokenProcessPool:
-                    broken = True
-                    break  # every remaining future died with the pool
-                results[index] = outcome
-    except BrokenProcessPool:
-        broken = True
-    if not broken:
-        return
-    for index in indexes:
-        if results[index] is not None:
-            continue
-        try:
-            with ProcessPoolExecutor(max_workers=1) as solo:
-                _, outcome = solo.submit(
-                    _execute_indexed_guarded,
-                    (index, specs[index], timeout_s, retries),
-                ).result()
-            results[index] = outcome
-        except BrokenProcessPool:
-            results[index] = ExperimentFailure(
-                specs[index],
-                "crash",
-                "worker process died while running this spec",
-            )
-
-
 def run_specs(
     specs: Sequence[ExperimentSpec],
     jobs: int = 1,
@@ -473,21 +409,17 @@ def run_specs(
             for index in missing:
                 results[index] = execute_guarded(specs[index], timeout_s, retries)
         else:
-            # The warm pool is the default parallel executor; REPRO_POOL=0
-            # selects the legacy per-grid ProcessPoolExecutor as the
-            # byte-identical reference path.
+            # Parallel grids run on the shared warm pool; the serial loop
+            # above is the byte-identical reference path.
             from repro.experiments import pool as pool_mod
 
-            if pool_mod.pool_enabled():
-                outcomes = pool_mod.get_pool(jobs).run(
-                    [specs[index] for index in missing],
-                    timeout_s=timeout_s,
-                    retries=retries,
-                )
-                for index, outcome in zip(missing, outcomes):
-                    results[index] = outcome
-            else:
-                _run_pool(specs, missing, results, jobs, timeout_s, retries)
+            outcomes = pool_mod.get_pool(jobs).run(
+                [specs[index] for index in missing],
+                timeout_s=timeout_s,
+                retries=retries,
+            )
+            for index, outcome in zip(missing, outcomes):
+                results[index] = outcome
         if cache is not None:
             for index in missing:
                 store_cached(cache, keys[index], results[index])

@@ -757,7 +757,6 @@ class _Orchestrator:
         ctx = _mp_context()
         count = min(self.options.jobs, max(1, len(self.queue)))
         shards: List[_Shard] = []
-        env_profile = pool_mod.capture_env()
         telemetry = {
             "workers_spawned": 0,
             "dispatches": 0,
@@ -874,7 +873,6 @@ class _Orchestrator:
                             "key": key,
                             "spec": self.specs[index],
                             "timeout_s": self.options.timeout_s,
-                            "env": env_profile,
                         }
                         for index, attempt, key in batch
                     ]

@@ -17,8 +17,6 @@ from repro.kernel.paging_directed import PagingDirectedPm
 from repro.kernel.policy_module import PolicyRegistry
 from repro.sim.engine import Engine
 from repro.sim.task import SimTask
-from repro.vm import fastlane
-from repro.vm.frames import F_DIRTY, F_IN_TRANSIT, F_REFERENCED, F_SW_VALID
 from repro.vm.system import VmSystem
 
 __all__ = ["Kernel", "KernelProcess"]
@@ -94,157 +92,19 @@ class KernelProcess:
         run-length op — ``count`` sequential full-page touches, each charged
         ``s`` of compute.
 
-        Semantically identical to the historical per-page loop (charge,
-        flush-if-due, touch, flush-if-due per page; the fault path on a
-        miss), and byte-identical in simulated time: quantum flushes land
-        on the same checkpoints with bit-identical accumulated values.  The
-        difference is the cost model: with the bulk lane on, the resident
-        stretches between flush boundaries and faults are classified in
-        one pass (:meth:`VmSystem.touch_run`) and their compute charged as
-        one accumulated sum, so a fully-resident window costs O(1) engine
-        events and a handful of array ops.
-
-        Lane selection is per-run via :func:`repro.vm.fastlane.lane_mode`:
-        ``REPRO_FAST_LANE=0`` reproduces the per-page ``touch_fast`` loop,
-        no NumPy means the pure-Python slice scan.
+        Add-for-add identical to the unbatched stream (per page: charge,
+        flush-if-due, touch, flush-if-due; the fault path on a miss), so
+        quantum flushes land on the same checkpoints with bit-identical
+        accumulated values.  The batch is kept in a local mirror of
+        ``pending_user``, synced around every yield.
         """
-        counters = fastlane.COUNTERS
-        counters["runs"] += 1
-        mode = fastlane.lane_mode()
         quantum = self._quantum
         r = self._resident_touch_s
-        s = secs_per_page
-        aspace = self.aspace
-        task = self.task
-        buckets = task.buckets
-        timeout = self.engine.timeout
-        vm_fault = self.kernel.vm.fault
-        vpn = start
-        end = start + count
-        pending = self.pending_user
-        if mode == fastlane.LANE_NUMPY and count >= fastlane.NUMPY_MIN_RUN:
-            np = fastlane.np
-            touch_run = self.kernel.vm.touch_run
-            touch_fast = self._touch_fast
-            charge_plan = fastlane.charge_plan
-            while vpn < end:
-                limit = end - vpn
-                counters["windows"] += 1
-                # Flush plan for the window assuming every page hits: cum[k]
-                # is the pending value after the k-th add (bit-identical to
-                # the sequential adds), m the first add whose checkpoint
-                # reaches the quantum.
-                cum, m = charge_plan(pending, s, r, limit, quantum)
-                if m >= 2 * limit:
-                    window = limit
-                    crossing = 0
-                else:
-                    page, odd = divmod(m, 2)
-                    if odd:
-                        # Crossing at the post-touch checkpoint of `page`:
-                        # that page is touched before the flush.
-                        window = page + 1
-                        crossing = 2
-                    else:
-                        # Crossing right after `page`'s compute charge, before
-                        # its touch: the touch happens after the flush.
-                        window = page
-                        crossing = 1
-                hits = touch_run(aspace, vpn, window, write) if window else 0
-                counters["bulk_pages"] += hits
-                if hits < window:
-                    # A page needs the slow path before any flush checkpoint
-                    # fires.  Its compute charge lands first (and cannot
-                    # cross the quantum: the plan says the first crossing is
-                    # at or after `window`), then the fault flushes.
-                    counters["slow_pages"] += 1
-                    # _fault inlined (flush, then the kernel fault path).
-                    p = float(cum[2 * hits]) + s
-                    self.pending_user = 0.0
-                    if p > 0:
-                        yield timeout(p)
-                        buckets.user += p
-                    yield from vm_fault(task, aspace, vpn + hits, write)
-                    pending = 0.0
-                    vpn += hits + 1
-                    continue
-                if crossing == 0:
-                    pending = float(cum[2 * limit])
-                    vpn = end
-                    break
-                # flush() inlined: the checkpoint value crossed the quantum,
-                # which is positive, so the batch is always non-empty.
-                p = float(cum[m + 1])
-                self.pending_user = 0.0
-                yield timeout(p)
-                buckets.user += p
-                pending = 0.0
-                vpn += window
-                if crossing == 1:
-                    # Touch the charged-but-untouched page now, after the
-                    # flush — the world may have moved while we yielded.
-                    if touch_fast(aspace, vpn, write):
-                        counters["bulk_pages"] += 1
-                        pending += r
-                        if pending >= quantum:
-                            self.pending_user = 0.0
-                            yield timeout(pending)
-                            buckets.user += pending
-                            pending = 0.0
-                    else:
-                        counters["slow_pages"] += 1
-                        self.pending_user = 0.0
-                        if pending > 0:
-                            yield timeout(pending)
-                            buckets.user += pending
-                        yield from vm_fault(task, aspace, vpn, write)
-                        pending = 0.0
-                    vpn += 1
-            self.pending_user = pending
-            return
-        if mode != fastlane.LANE_OFF:
-            # Pure lane: the same per-page accounting with the hit test
-            # inlined to one page-table probe and one mask compare.
-            pt = aspace.pt
-            flags = self.kernel.vm._flags
-            mask = F_SW_VALID | F_IN_TRANSIT
-            bits = (F_REFERENCED | F_DIRTY) if write else F_REFERENCED
-            npt = len(pt)
-            bulk = 0
-            while vpn < end:
-                pending += s
-                if pending >= quantum:
-                    self.pending_user = 0.0
-                    yield timeout(pending)
-                    buckets.user += pending
-                    pending = 0.0
-                index = pt[vpn] if vpn < npt else -1
-                if index >= 0 and flags[index] & mask == F_SW_VALID:
-                    flags[index] |= bits
-                    bulk += 1
-                    pending += r
-                    if pending >= quantum:
-                        self.pending_user = 0.0
-                        yield timeout(pending)
-                        buckets.user += pending
-                        pending = 0.0
-                else:
-                    counters["slow_pages"] += 1
-                    self.pending_user = 0.0
-                    if pending > 0:
-                        yield timeout(pending)
-                        buckets.user += pending
-                    yield from vm_fault(task, aspace, vpn, write)
-                    pending = 0.0
-                    npt = len(pt)
-                vpn += 1
-            counters["bulk_pages"] += bulk
-            self.pending_user = pending
-            return
-        # Lane off: the historical per-page touch_fast loop, verbatim.
         touch_fast = self._touch_fast
-        while vpn < end:
-            pending += s
+        aspace = self.aspace
+        pending = self.pending_user
+        for vpn in range(start, start + count):
+            pending += secs_per_page
             if pending >= quantum:
                 self.pending_user = pending
                 yield from self.flush()
@@ -259,7 +119,6 @@ class KernelProcess:
                 self.pending_user = pending
                 yield from self._fault(vpn, write)
                 pending = self.pending_user
-            vpn += 1
         self.pending_user = pending
 
     def touch_now(self, vpn: int, write: bool = False):

@@ -507,7 +507,6 @@ class Machine:
             replay_columns_driver,
             replay_driver,
         )
-        from repro.vm import fastlane
 
         scale = self.scale
         trace = TraceWorkload(wspec.trace_path)
@@ -517,13 +516,11 @@ class Machine:
                 f"{trace.digest[:12]}… does not match the spec's "
                 f"{wspec.trace_digest[:12]}…"
             )
-        # Lane selection: the object-free column replayer, unless the fast
-        # lane is disabled or a trace.op observer is attached (observers
-        # are owed tuple-shaped ops, which only the legacy driver builds).
+        # The object-free column replayer, unless a trace.op observer is
+        # attached (observers are owed tuple-shaped ops, which only the
+        # tuple driver builds).
         bus = self.bus
-        use_columns = fastlane.lane_mode() != fastlane.LANE_OFF and not (
-            bus is not None and bus.wants("trace.op")
-        )
+        use_columns = bus is None or not bus.wants("trace.op")
         if use_columns:
             # Decode (and checksum-validate) before wiring.
             payload = trace.columns()

@@ -665,15 +665,12 @@ class JobManager:
             # worker, so interpreter startup is paid once per server, not
             # per job — and because pool workers run specs on their *main*
             # thread, the SIGALRM per-spec deadline works here, which it
-            # never could on a JobManager thread.  REPRO_POOL=0 restores
-            # the in-thread reference path.
+            # never could on a JobManager thread.
             from repro.experiments import pool as pool_mod
 
-            if pool_mod.pool_enabled():
-                return pool_mod.get_pool(self._pool_workers).run_one(
-                    spec, timeout_s=self._timeout_s, retries=self._retries
-                )
-            return execute_guarded(spec, timeout_s=self._timeout_s, retries=self._retries)
+            return pool_mod.get_pool(self._pool_workers).run_one(
+                spec, timeout_s=self._timeout_s, retries=self._retries
+            )
         # Trace scenarios run through the recorder so the op streams land
         # next to the job; the returned result is the normal live result.
         from repro.trace.record import record_experiment

@@ -862,7 +862,7 @@ def decode_columns(
 
     Same validation as :func:`decode_trace` (magic, CRC, structure, op
     count, trailing bytes) but the record stream lands in
-    :class:`ReplayColumns` arrays — the object-free replay fast lane's
+    :class:`ReplayColumns` arrays — the object-free replay driver's
     input — without building a tuple per op.
     """
     return _decode_with(

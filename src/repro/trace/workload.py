@@ -49,7 +49,7 @@ __all__ = [
 _OPS_CACHE: "OrderedDict[str, List[Tuple]]" = OrderedDict()
 _OPS_CACHE_LIMIT = 8
 
-#: Column cache for the object-free replay lane, same keying and bound.
+#: Column cache for the object-free replay driver, same keying and bound.
 _COLUMNS_CACHE: "OrderedDict[str, ReplayColumns]" = OrderedDict()
 
 
@@ -135,28 +135,27 @@ def replay_driver(process, runtime, ops, version, scale):
     """Process generator: play a recorded op stream against the kernel.
 
     This mirrors ``app_driver``'s dispatch exactly — same touch calls, same
-    quantum-flush boundaries, same batched-run resume logic — which is what
-    makes replayed metrics byte-identical to the live run's.  Fault
+    quantum-flush boundaries, same ``run_touches`` for batched runs — which
+    is what makes replayed metrics byte-identical to the live run's.  Fault
     annotations (``'f'`` ops) are documentation, not commands: faults
     re-emerge from the simulation itself, so they are skipped here.
+
+    The machine runs this tuple driver only when a ``trace.op`` observer
+    is attached (observers are owed tuple-shaped ops); otherwise
+    :func:`replay_columns_driver` replays the same stream.
     """
-    machine = scale.machine
     quantum = scale.time_quantum_s
     touch = process.touch
     charge = process.charge
+    run_touches = process.run_touches
     handle_prefetch = runtime.handle_prefetch
     handle_release = runtime.handle_release
-    touch_fast = process.kernel.vm.touch_fast
-    aspace = process.aspace
-    resident_touch_s = machine.resident_touch_s
     obs = process.kernel.obs
     if obs is not None and obs.wants("trace.op"):
         from repro.workloads.base import observed_ops
 
         ops = observed_ops(obs, process.name, ops)
-    nops = 0
     for op in ops:
-        nops += 1
         kind = op[0]
         if kind == "t":
             fault = touch(op[1], op[2])
@@ -169,37 +168,12 @@ def replay_driver(process, runtime, ops, version, scale):
             if process.pending_user >= quantum:
                 yield from process.flush()
         elif kind == "T":
-            vpn = op[1]
-            end = vpn + op[2]
-            write = op[3]
-            secs_per_page = op[4]
-            pending = process.pending_user
-            while vpn < end:
-                pending += secs_per_page
-                if pending >= quantum:
-                    process.pending_user = pending
-                    yield from process.flush()
-                    pending = 0.0
-                if touch_fast(aspace, vpn, write):
-                    pending += resident_touch_s
-                    if pending >= quantum:
-                        process.pending_user = pending
-                        yield from process.flush()
-                        pending = 0.0
-                else:
-                    process.pending_user = pending
-                    yield from process._fault(vpn, write)
-                    pending = process.pending_user
-                vpn += 1
-            process.pending_user = pending
+            yield from run_touches(op[1], op[2], op[3], op[4])
         elif kind == "p":
             handle_prefetch(op[1], op[2])
         elif kind == "r":
             handle_release(op[1], op[2], op[3])
         # 'f': fault annotation, replay ignores it.
-    from repro.vm import fastlane
-
-    fastlane.COUNTERS["ops"] += nops
     if version.release:
         runtime.flush_tag_filters()
     yield from process.flush()
@@ -213,13 +187,11 @@ def replay_columns_driver(process, runtime, cols: ReplayColumns, version, scale)
     ``app_driver``'s optimized stream (inlined touch hit test, local
     ``pending`` mirror, ``run_touches`` for batched runs), whose event
     stream is add-for-add identical to the per-op ``replay_driver``, so
-    replayed results stay byte-identical whichever lane runs.
+    replayed results stay byte-identical whichever driver runs.
 
-    The machine selects this driver only when no ``trace.op`` observer is
-    attached (observers are owed tuple-shaped ops) — see
-    ``Machine._prepare_trace``.
+    The machine selects this driver unless a ``trace.op`` observer is
+    attached — see ``Machine._prepare_trace``.
     """
-    from repro.vm import fastlane
     from repro.vm.frames import F_DIRTY, F_IN_TRANSIT, F_REFERENCED, F_SW_VALID
 
     machine = scale.machine
@@ -296,7 +268,6 @@ def replay_columns_driver(process, runtime, cols: ReplayColumns, version, scale)
             pending = process.pending_user
         # K_FAULT: annotation only; faults re-emerge from the simulation.
     process.pending_user = pending
-    fastlane.COUNTERS["ops"] += len(kinds)
     if version.release:
         runtime.flush_tag_filters()
     yield from process.flush()

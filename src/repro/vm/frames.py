@@ -66,8 +66,8 @@ F_ON_FREE_LIST = 1 << 7
 F_WIRED = 1 << 8
 # Mirror of ``in_transit[index] is not None``, kept in sync wherever the
 # event column is written.  Folding the in-flight test into the flags word
-# lets the touch fast path (and the bulk run classifier) decide hit/miss
-# with a single mask compare over one column instead of two list reads.
+# lets the touch fast path decide hit/miss with a single mask compare over
+# one column instead of two list reads.
 F_IN_TRANSIT = 1 << 9
 
 # reset_identity() clears the page-content bits but preserves the frame's

@@ -30,7 +30,6 @@ from repro.disk.swap import StripedSwap
 from repro.faults import DiskIOError
 from repro.sim.engine import Engine
 from repro.sim.task import SimTask
-from repro.vm import fastlane
 from repro.vm.fragmentation import DEFAULT_EXTENT_PAGES, measure_fragmentation
 from repro.vm.frames import (
     F_DIRTY,
@@ -148,38 +147,6 @@ class VmSystem:
             )
             return True
         return False
-
-    def touch_run(
-        self, aspace: AddressSpace, start: int, count: int, write: bool
-    ) -> int:
-        """Bulk fast path: touch the longest hit prefix of a page run.
-
-        Equivalent to calling :meth:`touch_fast` on ``start``,
-        ``start + 1``, ... in order and stopping at the first miss — same
-        hit test, same flag side effects on exactly the hit frames, and
-        the first page that needs the slow path (unmapped, I/O in flight,
-        invalidated, or release-pending) is left for the caller's fault
-        path.  Returns the number of leading hits (0..count).
-
-        Classification in one pass is exact because the simulation is
-        cooperative: nothing can change frame state between the touches of
-        a run that performs no yields.
-        """
-        pt = aspace.pt
-        end = start + count
-        npt = len(pt)
-        if end > npt:
-            end = npt
-        if end <= start:
-            return 0
-        return fastlane.touch_segment(
-            pt[start:end],
-            self._flags,
-            F_SW_VALID | F_IN_TRANSIT,
-            F_SW_VALID,
-            (F_REFERENCED | F_DIRTY) if write else F_REFERENCED,
-            True,
-        )
 
     # -- the slow path ------------------------------------------------------
     def fault(self, task: SimTask, aspace: AddressSpace, vpn: int, write: bool):

@@ -26,7 +26,6 @@ from repro.core.compiler.pipeline import compile_program
 from repro.core.runtime.layer import RuntimeLayer
 from repro.core.runtime.policies import VersionConfig
 from repro.kernel.kernel import Kernel, KernelProcess
-from repro.vm import fastlane
 from repro.vm.frames import F_DIRTY, F_IN_TRANSIT, F_REFERENCED, F_SW_VALID
 
 __all__ = [
@@ -143,8 +142,6 @@ def app_driver(
     bits_read = F_REFERENCED
     bits_write = F_REFERENCED | F_DIRTY
     resident_touch_s = machine.resident_touch_s
-    counters = fastlane.COUNTERS
-    nops = 0
     # The interpreter is deterministic, so invocation i produces the same op
     # stream on every repeat; materialise each stream once and replay the
     # list, which skips the whole interpreter (runner construction, loop
@@ -196,7 +193,6 @@ def app_driver(
             pending = process.pending_user
             npt = len(pt)
             for op in ops:
-                nops += 1
                 kind = op[0]
                 if kind == "t":
                     vpn = op[1]
@@ -227,9 +223,9 @@ def app_driver(
                         buckets.user += pending
                         pending = 0.0
                 elif kind == "T":
-                    # Run of sequential full-page touches: the bulk lane
-                    # (or its per-page fallback) replicates the unbatched
-                    # stream's checkpoints bit-for-bit.
+                    # Run of sequential full-page touches: run_touches
+                    # replicates the unbatched stream's checkpoints
+                    # bit-for-bit.
                     process.pending_user = pending
                     yield from run_touches(op[1], op[2], op[3], op[4])
                     pending = process.pending_user
@@ -243,7 +239,6 @@ def app_driver(
                     handle_release(op[1], op[2], op[3])
                     pending = process.pending_user
             process.pending_user = pending
-    counters["ops"] += nops
     if emit_release:
         runtime.flush_tag_filters()
     yield from process.flush()

@@ -1,10 +1,32 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.cli import build_parser, main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def test_import_loads_no_numpy():
+    """The simulator is standard-library Python: importing the CLI, which
+    reaches the machine, kernel, VM, trace, and orchestration layers, must
+    not pull NumPy into a fresh interpreter."""
+    probe = "import sys, repro.cli; print(sorted(m for m in sys.modules if m.startswith('numpy')))"
+    completed = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout.strip() == "[]"
 
 
 class TestParser:

@@ -1,10 +1,22 @@
-"""Tests for KernelProcess time batching, config presets, and the
-interactive task."""
+"""Tests for KernelProcess time batching, run-length touches, config
+presets, and the interactive task."""
+
+import random
 
 import pytest
 
 from repro.config import paper, small, tiny
 from repro.kernel import Kernel
+from repro.sim.engine import Engine
+from repro.sim.task import SimTask
+from repro.vm.frames import (
+    F_INVALIDATED,
+    F_PRESENT,
+    F_REFERENCED,
+    F_SW_VALID,
+    F_WIRED,
+    FREED_BY_DAEMON,
+)
 from repro.workloads.interactive import InteractiveTask
 
 from tests.helpers import drive
@@ -99,6 +111,161 @@ class TestKernelProcess:
         kernel.start()  # idempotent
         assert kernel.paging_daemon._process is not None
         assert kernel.releaser._process is not None
+
+
+def _per_page_reference(proc, crossings, start, count, write, secs_per_page):
+    """The unbatched stream a ``('T', ...)`` op stands for, page by page:
+    charge, flush-if-due, touch (the fault path on a miss), flush-if-due
+    after a hit.  ``crossings`` counts the flushes at each checkpoint."""
+    quantum = proc._quantum
+    for vpn in range(start, start + count):
+        proc.charge(secs_per_page)
+        crossings["pre_touch"] += proc.pending_user >= quantum
+        yield from proc.flush_if_due()
+        fault = proc.touch(vpn, write)
+        if fault is not None:
+            yield from fault
+        else:
+            crossings["post_touch"] += proc.pending_user >= quantum
+            yield from proc.flush_if_due()
+
+
+def _run_touch_world(seed, batched):
+    """One seeded world: some pages faulted in beforehand (a few of them
+    invalidated the way the paging daemon's reference-bit scan does), the
+    rest unmapped, a concurrent thief stealing resident pages while the
+    runs execute, and per-page compute costs that reach the quantum at
+    both the pre-touch and the post-touch checkpoint.  Returns the
+    observable end state, the reference's crossing counts, and the
+    address space's fault statistics."""
+    rng = random.Random(seed)
+    scale = tiny()
+    quantum = scale.time_quantum_s
+    r = scale.machine.resident_touch_s
+    engine = Engine()
+    kernel = Kernel.boot(engine, scale)
+    vm = kernel.vm
+    flags = vm.frame_table.flags
+    proc = kernel.create_process("victim")
+    aspace = proc.aspace
+    npages = rng.randrange(24, 80)
+    base = aspace.map_segment("a", npages).start
+    # Every random draw happens here, before either driver runs.
+    resident = [
+        (base + i, rng.random() < 0.5) for i in range(npages) if rng.random() < 0.6
+    ]
+    invalidated = [vpn for vpn, _ in resident if rng.random() < 0.2]
+    pre_pending = rng.random() * quantum
+    # After a flush, a charge of one quantum lands exactly *on* the
+    # pre-touch checkpoint and one of quantum - r exactly on the post-touch
+    # one (so ``>=`` vs ``>`` matters); (quantum - 1.5 r) / 2 crosses the
+    # post-touch checkpoint of every second page.
+    costs = (
+        1e-5, 3e-3, 7e-3, (quantum - 1.5 * r) / 2, quantum - r, quantum, 1.05 * quantum
+    )
+    runs = []
+    for _ in range(rng.randrange(2, 5)):
+        start = base + rng.randrange(npages)
+        count = rng.randrange(0, base + npages - start + 1)
+        runs.append((start, count, rng.random() < 0.5, rng.choice(costs)))
+    thefts = [(rng.uniform(0.0, 0.1), base + rng.randrange(npages)) for _ in range(6)]
+    crossings = {"pre_touch": 0, "post_touch": 0}
+    if batched:
+        run = proc.run_touches
+    else:
+        def run(*op):
+            return _per_page_reference(proc, crossings, *op)
+    outcome = {}
+
+    def thief():
+        task = SimTask(engine, "thief")
+        for delay, vpn in thefts:
+            yield engine.timeout(delay)
+            yield from task.lock_acquire(aspace.lock)
+            index = aspace.pt[vpn]
+            if (
+                index >= 0
+                and vm._in_transit[index] is None
+                and flags[index] & (F_PRESENT | F_WIRED) == F_PRESENT
+            ):
+                vm.free_frame(aspace, index, FREED_BY_DAEMON)
+            aspace.lock.release()
+
+    def main():
+        for vpn, write in resident:
+            yield from proc.touch_now(vpn, write)
+        for vpn in invalidated:
+            index = aspace.pt[vpn]
+            flags[index] = (flags[index] | F_INVALIDATED) & ~(
+                F_SW_VALID | F_REFERENCED
+            )
+        proc.charge(pre_pending)
+        engine.process(thief(), name="thief")
+        for op in runs:
+            yield from run(*op)
+        outcome["pending"] = proc.pending_user
+        yield from proc.flush()
+        outcome["now"] = engine.now
+        outcome["steps"] = engine.steps
+        outcome["buckets"] = repr(proc.task.buckets)
+        outcome["stats"] = repr(aspace.stats)
+        outcome["flags"] = list(flags)
+        outcome["pt"] = list(aspace.pt)
+
+    drive(engine, engine.process(main(), name="main"))
+    return outcome, crossings, aspace.stats
+
+
+class TestRunTouches:
+    @pytest.mark.parametrize("seed", range(16))
+    def test_matches_per_page_reference(self, seed):
+        """``run_touches`` is add-for-add the per-page stream it batches:
+        same simulated time, dispatch count, user time, fault mix, and
+        page state."""
+        batched, _, _ = _run_touch_world(seed, batched=True)
+        reference, _, _ = _run_touch_world(seed, batched=False)
+        assert batched == reference
+
+    def test_worlds_cover_every_branch(self):
+        """Guard the generator: across the seeded worlds the runs cross
+        the quantum at both checkpoints, and touch pages that are
+        unmapped, invalidated, and stolen mid-run."""
+        totals = dict.fromkeys(
+            ("pre_touch", "post_touch", "hard", "soft", "rescue", "stolen"), 0
+        )
+        for seed in range(16):
+            _, crossings, stats = _run_touch_world(seed, batched=False)
+            totals["pre_touch"] += crossings["pre_touch"]
+            totals["post_touch"] += crossings["post_touch"]
+            totals["hard"] += stats.hard_faults
+            totals["soft"] += stats.soft_faults
+            totals["rescue"] += stats.rescues
+            totals["stolen"] += stats.pages_stolen
+        assert all(totals.values()), totals
+
+    def test_run_length_spec_matches_golden(self, monkeypatch):
+        """EMBAR O (``grid_tiny`` spec 0) is the committed spec whose live
+        driver emits multi-page ('T') runs — hinted versions never batch.
+        Its run must go through ``run_touches`` and still hold its golden
+        physics digest and dispatch count."""
+        from repro.experiments.harness import multiprogram_spec
+        from repro.kernel.kernel import KernelProcess
+        from repro.machine import run_experiment
+
+        from tests.test_golden_digests import GOLDEN, assert_matches_golden
+
+        run_touches = KernelProcess.run_touches
+        run_pages = []
+
+        def spy(process, start, count, write, secs_per_page):
+            run_pages.append(count)
+            return run_touches(process, start, count, write, secs_per_page)
+
+        monkeypatch.setattr(KernelProcess, "run_touches", spy)
+        result = run_experiment(multiprogram_spec(tiny(), "EMBAR", "O"))
+        assert any(count > 1 for count in run_pages)
+        pin = GOLDEN["cases"]["grid_tiny"][0]
+        assert_matches_golden(result, pin, "grid_tiny[0]")
 
 
 class TestInteractiveTask:

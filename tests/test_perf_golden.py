@@ -22,6 +22,7 @@ from repro.config import tiny
 from repro.core.compiler.interp import expand_ops, nest_ops
 from repro.experiments.harness import multiprogram_spec
 from repro.experiments.runner import run_specs
+from repro.faults import FaultPlan
 from repro.machine import run_experiment
 from repro.workloads import BENCHMARKS
 
@@ -94,19 +95,43 @@ def test_hint_free_unit_stride_actually_batches():
     assert any(op[0] == "T" for op in ops)
 
 
-@pytest.mark.parametrize("workload", ["EMBAR", "MATVEC", "BUK"])
-@pytest.mark.parametrize("version", ["O", "B"])
+#: Disk latency spikes move paging timing, and with it the points where a
+#: quantum flush or a fault interrupts a run-length touch.
+_LATENCY_SPIKES = {
+    "seed": 7,
+    "disk": {"latency_spike_prob": 0.2, "latency_spike_multiplier": 4.0},
+}
+
+_BATCHING_CASES = [
+    (workload, version, None)
+    for workload in ("EMBAR", "MATVEC", "BUK")
+    for version in "OB"
+] + [("EMBAR", "O", _LATENCY_SPIKES)]
+
+
+@pytest.mark.parametrize(
+    "workload, version, faults",
+    _BATCHING_CASES,
+    ids=[
+        f"{version}-{workload}" + ("-latency-spikes" if faults else "")
+        for workload, version, faults in _BATCHING_CASES
+    ],
+)
 def test_experiment_metrics_identical_without_batching(
-    monkeypatch, workload, version
+    monkeypatch, workload, version, faults
 ):
     """Simulated results are byte-identical with the fast path disabled.
 
     EMBAR exercises the batched unit-stride ('T') path, BUK the
     indirect-reference path (chunk sampling and its cache), MATVEC the
     multi-reference affine loop.  Version O runs hint-free (maximally
-    batchable), B with the full hint machinery.
+    batchable), B with the full hint machinery.  EMBAR O also runs under
+    a latency-spike fault plan, which has no frozen digest, so batched
+    and unbatched are compared against each other.
     """
     spec = multiprogram_spec(tiny(), workload, version)
+    if faults is not None:
+        spec = spec.with_faults(FaultPlan.from_dict(faults))
     golden = serialize_result(run_experiment(spec))
 
     import repro.workloads.base as wbase

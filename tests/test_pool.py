@@ -1,7 +1,7 @@
 """The warm execution pool: wire fidelity, reuse hygiene, crash containment.
 
 Byte-identity is the bar throughout: anything the pool touches — codec,
-worker reuse, env knobs, deadlines, crash requeues — must leave results
+worker reuse, deadlines, crash requeues — must leave results
 indistinguishable from the inline path.
 """
 
@@ -11,10 +11,8 @@ import time
 import pytest
 
 from repro.bench import serialize_result
-from repro.experiments import pool as pool_mod
 from repro.experiments import wire
 from repro.experiments.pool import (
-    EMPTY_POOL_CHAOS,
     PoolChaos,
     WarmPool,
     item_key,
@@ -114,15 +112,13 @@ class TestWarmReuse:
         pooled = [serialize_result(r) for r in warm_pool.run(specs)]
         assert pooled == inline
 
-    def test_pool_on_off_grids_are_byte_identical(self, scale, monkeypatch):
+    def test_pool_on_off_grids_are_byte_identical(self, scale):
+        """``run_specs`` with ``jobs > 1`` dispatches to the shared warm
+        pool; ``jobs=1`` is the serial reference.  The grids must match."""
         specs = [_spec(scale, v) for v in "OR"]
-        monkeypatch.setenv("REPRO_POOL", "0")
-        assert not pool_mod.pool_enabled()
-        legacy = [serialize_result(r) for r in run_specs(specs, jobs=2)]
-        monkeypatch.delenv("REPRO_POOL")
-        assert pool_mod.pool_enabled()
+        serial = [serialize_result(r) for r in run_specs(specs, jobs=1)]
         pooled = [serialize_result(r) for r in run_specs(specs, jobs=2)]
-        assert pooled == legacy
+        assert pooled == serial
 
     def test_batched_sweep_matches_inline_digest(self, tmp_path):
         specs = synthetic_specs(60, fail_every=13)
@@ -138,60 +134,6 @@ class TestWarmReuse:
         )
         assert sharded.digest == inline.digest
         assert sharded.counts() == inline.counts()
-
-
-# -- env-knob hygiene across dispatches --------------------------------------
-
-
-def test_env_knob_flip_between_specs_on_one_worker():
-    """A worker must re-apply the dispatcher's knob profile per item:
-    before the fix, the first spec's lane leaked into every later spec
-    dispatched to that (reused) worker."""
-    ctx = pool_mod._mp_context()
-    parent, child = ctx.Pipe()
-    process = ctx.Process(
-        target=pool_mod.worker_entry,
-        args=(child, "w0", None, EMPTY_POOL_CHAOS),
-    )
-    process.start()
-    child.close()
-    try:
-        spec = SyntheticSpec(index=0)
-        item = {
-            "index": 0,
-            "attempt": 1,
-            "key": item_key(spec),
-            "spec": spec,
-            "timeout_s": None,
-            "retries": 0,
-            "env": {"REPRO_FAST_LANE": None},
-        }
-        pool_mod.send_frame(parent, {"frame": "batch", "items": [item]})
-        default_lane = pool_mod.recv_frame(parent)["lane"]
-        assert default_lane in ("numpy", "pure")
-
-        item = dict(item, env={"REPRO_FAST_LANE": "0"})
-        pool_mod.send_frame(parent, {"frame": "batch", "items": [item]})
-        assert pool_mod.recv_frame(parent)["lane"] == "off"
-
-        # Flip back: the override must not stick to the worker.
-        item = dict(item, env={"REPRO_FAST_LANE": None})
-        pool_mod.send_frame(parent, {"frame": "batch", "items": [item]})
-        assert pool_mod.recv_frame(parent)["lane"] == default_lane
-
-        pool_mod.send_frame(parent, {"frame": "stop"})
-    finally:
-        process.join(timeout=10)
-        if process.is_alive():
-            process.kill()
-            process.join(timeout=10)
-
-
-def test_capture_env_covers_only_live_knobs(monkeypatch):
-    monkeypatch.setenv("REPRO_FAST_LANE", "0")
-    assert pool_mod.capture_env() == {"REPRO_FAST_LANE": "0"}
-    monkeypatch.delenv("REPRO_FAST_LANE")
-    assert pool_mod.capture_env() == {"REPRO_FAST_LANE": None}
 
 
 # -- deadlines on persistent workers -----------------------------------------
@@ -295,18 +237,7 @@ def test_worker_dies_on_sigterm_despite_inherited_handler():
         signal.signal(signal.SIGTERM, previous)
 
 
-# -- knob and sizing edges ---------------------------------------------------
-
-
-def test_pool_enabled_values(monkeypatch):
-    for value in ("0", "off", "False", "NO"):
-        monkeypatch.setenv("REPRO_POOL", value)
-        assert not pool_mod.pool_enabled()
-    for value in ("1", "on", ""):
-        monkeypatch.setenv("REPRO_POOL", value)
-        assert pool_mod.pool_enabled()
-    monkeypatch.delenv("REPRO_POOL")
-    assert pool_mod.pool_enabled()
+# -- sizing edges -----------------------------------------------------------
 
 
 def test_rejects_nonpositive_workers():

@@ -200,6 +200,72 @@ def test_replay_is_byte_identical(tmp_path, version):
     assert hog.version == version
 
 
+@pytest.fixture(
+    scope="module",
+    params=[("EMBAR", "O"), ("MATVEC", "B")],
+    ids=["EMBAR-O", "MATVEC-B"],
+)
+def recorded_live(request, tmp_path_factory):
+    """A live run recorded once per case, with the spec that replays it.
+    EMBAR O carries run-length ('T') ops, MATVEC B prefetch/release hints."""
+    workload, version = request.param
+    spec = ExperimentSpec.multiprogram(tiny(), workload, version=version)
+    out = tmp_path_factory.mktemp(f"live-{workload}-{version}")
+    live, paths = record_experiment(spec, out / "live")
+    replay_spec = ExperimentSpec(
+        scale=tiny(),
+        processes=(
+            trace_process_spec(paths[workload]),
+            WorkloadProcessSpec(workload=INTERACTIVE),
+        ),
+    )
+    return workload, serialize_result(live), paths[workload], replay_spec
+
+
+@pytest.fixture
+def tuple_replays(monkeypatch):
+    """Names of the processes replayed through the tuple ``replay_driver``."""
+    import repro.trace.workload as trace_workload
+
+    tuple_driver = trace_workload.replay_driver
+    replayed = []
+
+    def spy(process, *args):
+        replayed.append(process.name)
+        return tuple_driver(process, *args)
+
+    monkeypatch.setattr(trace_workload, "replay_driver", spy)
+    return replayed
+
+
+def test_column_replay_matches_live(recorded_live, tuple_replays):
+    """A plain replay runs the object-free column driver and reproduces
+    the live result."""
+    _workload, live, _path, replay_spec = recorded_live
+    replayed = run_experiment(replay_spec)
+    assert tuple_replays == []
+    assert serialize_result(replayed) == live
+
+
+def test_rerecorded_replay_matches_live(
+    recorded_live, tuple_replays, tmp_path, capsys
+):
+    """Re-recording a replay subscribes the recorder to ``trace.op``, which
+    makes the machine replay through the tuple ``replay_driver``.  It must
+    reproduce the live result, and ``trace diff`` must find the
+    re-recorded trace identical to the original."""
+    from repro.cli import main
+
+    workload, live, path, replay_spec = recorded_live
+    rerecorded, rerecorded_paths = record_experiment(replay_spec, tmp_path / "again")
+    assert tuple_replays == [workload]
+    assert serialize_result(rerecorded) == live
+    capsys.readouterr()
+    diff = ["trace", "diff", str(path), str(rerecorded_paths[workload])]
+    assert main(diff) == 0
+    assert "op streams are identical" in capsys.readouterr().out
+
+
 def test_recording_does_not_perturb_the_run(tmp_path):
     spec = ExperimentSpec.multiprogram(tiny(), "EMBAR", version="R")
     plain = run_experiment(spec)
