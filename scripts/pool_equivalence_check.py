@@ -1,18 +1,22 @@
 #!/usr/bin/env python
 """CI check: the warm execution pool adds no behavior, only speed.
 
-Three phases, all under a dispatcher peak-RSS budget:
+Four phases, all under a dispatcher peak-RSS budget:
 
 1. **Grid parity** — a real experiment grid runs serially (``jobs=1``)
    and through the warm pool (``jobs=4``).  Every result must serialize
    byte-identically across the two.
 2. **Sweep scale** — a 1k-spec synthetic sweep (successes *and*
-   failures) runs inline, then sharded with batched dispatch
+   failures) runs inline, then on the pool with batched dispatch
    (``jobs=4, batch_size=8``); the merged digests must match.
-3. **Crash chaos** — the same sharded sweep with workers killed
-   mid-batch (``SweepChaos.crash_keys``) must converge to the same
+3. **Crash chaos** — the same pooled sweep with workers killed
+   mid-batch (``PoolChaos.crash_keys``) must converge to the same
    digest: only the blamed spec is retried, batchmates are requeued at
    the same attempt.
+4. **Hang chaos** — the same pooled sweep with workers wedged mid-batch
+   and their heartbeats silenced (``PoolChaos.hang_keys``) must converge
+   to the same digest: the ``hang_timeout_s`` watchdog kills each wedged
+   worker and the requeued spec succeeds.
 
 Exits non-zero with a diagnostic on any divergence.  Run from the repo
 root with ``PYTHONPATH=src``.
@@ -45,7 +49,8 @@ def check_rss(phase: str) -> None:
 
 
 def grid_parity() -> None:
-    from repro.bench import _grid_wide, serialize_result
+    from repro.bench import _grid_wide
+    from repro.digest import serialize_result
     from repro.experiments import pool as pool_mod
     from repro.experiments.runner import run_specs
 
@@ -92,7 +97,7 @@ def sweep_scale(root: Path) -> str:
     sharded = sweep_digest(
         root,
         "sharded",
-        SweepOptions(jobs=4, batch_size=8, heartbeat_s=0.1, fsync_journal=False),
+        SweepOptions(jobs=4, batch_size=8, fsync_journal=False),
     )
     if sharded != inline:
         fail(
@@ -104,26 +109,22 @@ def sweep_scale(root: Path) -> str:
 
 
 def sweep_chaos(root: Path, reference: str) -> None:
-    from repro.experiments.sweep import (
-        SweepChaos,
-        SweepOptions,
-        sweep_spec_key,
-        synthetic_specs,
-    )
+    from repro.experiments.pool import PoolChaos
+    from repro.experiments.runner import spec_key
+    from repro.experiments.sweep import SweepOptions, synthetic_specs
 
     specs = synthetic_specs(SWEEP_SPECS, fail_every=FAIL_EVERY)
     # Kill the worker on a handful of spread-out specs; max_attempt=1
     # models an environmental flake, so the requeued attempt succeeds
     # and the digest must not notice the crashes.
-    crash_keys = tuple(sweep_spec_key(specs[i]) for i in range(50, 1000, 200))
-    chaos = SweepChaos(crash_keys=crash_keys, max_attempt=1)
+    crash_keys = tuple(spec_key(specs[i]) for i in range(50, 1000, 200))
+    chaos = PoolChaos(crash_keys=crash_keys, max_attempt=1)
     digest = sweep_digest(
         root,
         "chaos",
         SweepOptions(
             jobs=4,
             batch_size=8,
-            heartbeat_s=0.1,
             retries=1,
             fsync_journal=False,
             chaos=chaos,
@@ -137,6 +138,36 @@ def sweep_chaos(root: Path, reference: str) -> None:
     check_rss("sweep chaos")
 
 
+def sweep_hang(root: Path, reference: str) -> None:
+    from repro.experiments.pool import PoolChaos
+    from repro.experiments.runner import spec_key
+    from repro.experiments.sweep import SweepOptions, synthetic_specs
+
+    specs = synthetic_specs(SWEEP_SPECS, fail_every=FAIL_EVERY)
+    # Wedge the worker on a few spread-out specs with its heartbeat
+    # silenced; the watchdog must kill it, and the requeued attempt
+    # (max_attempt=1: a flake) succeeds, so the digest must not notice.
+    hang_keys = tuple(spec_key(specs[i]) for i in range(150, 1000, 300))
+    chaos = PoolChaos(hang_keys=hang_keys, max_attempt=1)
+    digest = sweep_digest(
+        root,
+        "hang",
+        SweepOptions(
+            jobs=4,
+            batch_size=8,
+            hang_timeout_s=0.5,
+            fsync_journal=False,
+            chaos=chaos,
+        ),
+    )
+    if digest != reference:
+        fail(
+            f"hang-chaos pooled digest diverged from inline: "
+            f"{digest} != {reference}"
+        )
+    check_rss("sweep hang")
+
+
 def main() -> int:
     os.environ.setdefault("PYTHONPATH", "src")
     grid_parity()
@@ -144,10 +175,11 @@ def main() -> int:
         root = Path(tmp)
         reference = sweep_scale(root)
         sweep_chaos(root, reference)
+        sweep_hang(root, reference)
     print(
         "pool-equivalence-check: OK (warm pool and serial runs are "
-        "byte-identical; batched + crashed sweeps merge to the inline "
-        "digest)"
+        "byte-identical; batched, crashed and hung sweeps merge to the "
+        "inline digest)"
     )
     return 0
 

@@ -3,7 +3,7 @@
 
 Three phases:
 
-1. **Clean run** — a sharded synthetic sweep (successes *and* failures)
+1. **Clean run** — a pooled synthetic sweep (successes *and* failures)
    runs uninterrupted; its merged digest is the reference.
 2. **Kill/resume** — the same sweep starts in a subprocess, is SIGKILLed
    once real progress is journaled, and is then resumed in-process.  The
@@ -45,7 +45,7 @@ from repro.experiments.sweep import SweepOptions, run_sweep, synthetic_specs
 run_sweep(
     synthetic_specs({count}, fail_every={fail_every}, sleep_s={sleep_s}),
     sys.argv[1],
-    options=SweepOptions(jobs=2, heartbeat_s=0.05),
+    options=SweepOptions(jobs=2),
 )
 """
 
@@ -60,7 +60,7 @@ def clean_run(root: Path) -> tuple:
     report = run_sweep(
         specs,
         root / "clean",
-        options=SweepOptions(jobs=2, heartbeat_s=0.05, fsync_journal=False),
+        options=SweepOptions(jobs=2, fsync_journal=False),
     )
     print(f"clean run: {report.counts()} digest={report.digest[:16]}…")
     return report.digest, report.counts()
@@ -96,7 +96,7 @@ def kill_resume_run(root: Path) -> tuple:
     report = run_sweep(
         specs,
         state,
-        options=SweepOptions(jobs=2, heartbeat_s=0.05, fsync_journal=False),
+        options=SweepOptions(jobs=2, fsync_journal=False),
         resume=True,
     )
     status = sweep_status(state)

@@ -37,6 +37,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional
 
+from repro import digest
 from repro.config import small, tiny
 from repro.experiments.harness import multiprogram_spec
 from repro.ioutil import atomic_write_json
@@ -58,9 +59,7 @@ __all__ = [
     "bench_filename",
     "compare_to_baseline",
     "load_baseline",
-    "physics_text",
     "run_case",
-    "serialize_result",
     "write_record",
 ]
 
@@ -335,7 +334,7 @@ def _replay_standard_mix(
             check_wall = min(check_wall, time.perf_counter() - started)
         profile_text = _profile_call(check_all, profile_top) if profile else None
         byte_identical = all(
-            serialize_result(live) == serialize_result(replayed)
+            digest.serialize_result(live) == digest.serialize_result(replayed)
             for live, replayed in zip(live_results, replay_results)
         )
         if not byte_identical or not checks_ok:
@@ -704,48 +703,3 @@ def write_record(record: BenchRecord, out_dir=".") -> Path:
     path = Path(out_dir) / bench_filename(record.name)
     atomic_write_json(path, asdict(record))
     return path
-
-
-# -- canonical result serialization ----------------------------------------
-def serialize_result(result: ExperimentResult) -> str:
-    """A canonical, byte-stable string of everything the figures read.
-
-    Two runs of the same spec must produce identical strings; the
-    determinism regression test compares these directly.  It is
-    :func:`physics_text` plus an ``engine_steps=`` line after
-    ``elapsed_s=`` (the service's ``/serialized`` body carries it).
-    """
-    return _format_result(result, with_steps=True)
-
-
-def physics_text(result: ExperimentResult) -> str:
-    """:func:`serialize_result` without its ``engine_steps=`` line.
-
-    The physics a run's figures read — simulated time, per-process buckets,
-    VM / swap / run-time stats and sweeps — independent of how many engine
-    dispatches produced it.  The golden tests pin its digest separately
-    from the dispatch count, so an event-count change is judged at equal
-    physics.
-    """
-    return _format_result(result, with_steps=False)
-
-
-def _format_result(result: ExperimentResult, with_steps: bool) -> str:
-    # Dataclass reprs are stable and cover every field, so they are used
-    # for the nested stat objects.
-    parts = [f"scale={result.scale}", f"elapsed_s={result.elapsed_s!r}"]
-    if with_steps:
-        parts.append(f"engine_steps={result.engine_steps}")
-    parts += [f"vm={result.vm!r}", f"swap={sorted(result.swap.items())!r}"]
-    for process in result.processes:
-        parts.append(
-            "process "
-            f"name={process.name} workload={process.workload} "
-            f"version={process.version} completed={process.completed} "
-            f"interactive={process.interactive} "
-            f"sleep_time_s={process.sleep_time_s!r} "
-            f"buckets={process.buckets!r} stats={process.stats!r} "
-            f"worker_buckets={process.worker_buckets!r} "
-            f"runtime={process.runtime!r} sweeps={process.sweeps!r}"
-        )
-    return "\n".join(parts)

@@ -769,10 +769,7 @@ def _sweep_options_from(args: argparse.Namespace) -> SweepOptions:
         jobs=args.jobs,
         timeout_s=args.timeout,
         retries=args.retries,
-        backoff_base_s=args.backoff_base,
-        heartbeat_s=args.heartbeat,
         hang_timeout_s=args.hang_timeout,
-        shard_slo_s=args.shard_slo,
         max_failures=args.max_failures,
         batch_size=args.batch_size,
     )
@@ -1470,7 +1467,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--jobs",
             type=int,
             default=1,
-            help="worker shards (default 1: run inline, no subprocesses)",
+            help="warm-pool workers (default 1: run inline, no subprocesses)",
         )
         parser.add_argument(
             "--timeout",
@@ -1485,30 +1482,11 @@ def build_parser() -> argparse.ArgumentParser:
             help="extra attempts for a failing spec (default 0)",
         )
         parser.add_argument(
-            "--backoff-base",
-            type=float,
-            default=0.25,
-            help="base delay for exponential retry backoff (default 0.25s)",
-        )
-        parser.add_argument(
-            "--heartbeat",
-            type=float,
-            default=1.0,
-            help="worker heartbeat period in seconds (default 1.0)",
-        )
-        parser.add_argument(
             "--hang-timeout",
             type=float,
             default=None,
-            help="kill a shard whose heartbeat stalls this long while busy "
+            help="kill a worker whose heartbeat stalls this long while busy "
             "(default: off)",
-        )
-        parser.add_argument(
-            "--shard-slo",
-            type=float,
-            default=None,
-            help="per-shard wall-clock SLO: an idle shard past this budget "
-            "stops taking work (default: off)",
         )
         parser.add_argument(
             "--max-failures",
@@ -1520,12 +1498,12 @@ def build_parser() -> argparse.ArgumentParser:
             "--batch-size",
             type=int,
             default=1,
-            help="specs per dispatch to each worker shard (default 1)",
+            help="specs per dispatch to each worker (default 1)",
         )
 
     sweep_parser = commands.add_parser(
         "sweep",
-        help="checkpointed, resumable sharded sweeps over experiment grids",
+        help="checkpointed, resumable sweeps over experiment grids",
     )
     sweep_commands = sweep_parser.add_subparsers(dest="sweep_command", required=True)
 
@@ -1535,7 +1513,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_run_parser.add_argument(
         "--state-dir",
         required=True,
-        help="checkpoint directory (journal + per-shard result caches)",
+        help="checkpoint directory (journal + per-worker result caches)",
     )
     sweep_run_parser.add_argument(
         "--grid",

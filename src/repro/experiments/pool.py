@@ -1,12 +1,11 @@
-"""The warm-worker execution pool: persistent workers, batched dispatch.
+"""The warm-worker execution pool: the one executor behind every parallel surface.
 
 Every throughput surface in the repository — grid figures through
-:func:`~repro.experiments.runner.run_specs`, sharded sweeps
-(:mod:`repro.experiments.sweep`), and the service JobManager
-(:mod:`repro.service.jobs`) — used to pay per-grid process churn: spawn a
-pool, import ``repro`` in every worker, rebuild workload state per spec,
-pickle every result back, tear the pool down.  This module amortizes all
-of it:
+:func:`~repro.experiments.runner.run_specs`, sweeps with ``jobs > 1``
+(:mod:`repro.experiments.sweep`, on a private pool), and the service
+JobManager (:mod:`repro.service.jobs`) — runs here, and this module is the
+only code that spawns, feeds, watches and reaps worker processes.  It
+amortizes what per-grid process churn used to cost:
 
 - **Warm workers** — long-lived child processes that import once and stay
   resident.  A process-wide shared pool (:func:`get_pool`) survives across
@@ -20,6 +19,12 @@ of it:
 - **Snapshot/reset** — workers keep :mod:`repro.machine`'s workload
   template cache warm across same-family specs; hit/miss deltas ride back
   on every result frame as telemetry.
+- **Watchdog and store** — a pool built with ``hang_timeout_s`` has its
+  workers beat on the pipe and kills a busy worker whose beats stop (the
+  wedge ``SIGALRM`` cannot interrupt); a pool built with ``store_dir``
+  stores each success under ``<store_dir>/<worker>/<key>.pkl`` before its
+  result frame is sent, so a dispatcher killed between the two finds the
+  result on disk.  Without them workers send no beats and store nothing.
 
 Byte-identity is the contract: a spec executed here produces exactly the
 result the inline path produces; serial execution (``jobs=1``) is the
@@ -29,10 +34,11 @@ Worker reuse raises a hygiene problem process churn used to hide: state a
 spec leaves behind (a leaked ``SIGALRM`` timer or handler) would flow into
 the next spec, so the deadline timer is forcibly disarmed between items.
 
-Crash containment follows the sweep orchestrator's rule: when a worker
-dies mid-batch, the first unfinished item is the suspect — requeued once,
-alone, then failed with ``kind="crash"`` — and the rest requeue
-unblamed; finished items are never re-run.
+Crash containment: when a worker dies or hangs mid-batch, the first
+unfinished item is the suspect — requeued once, alone, then failed with
+``kind="crash"`` or ``kind="hang"`` — and the rest requeue unblamed;
+finished items are never re-run, and work that never reached a worker is
+never blamed.
 """
 
 from __future__ import annotations
@@ -45,33 +51,44 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from pathlib import Path
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro import machine as machine_mod
 from repro.experiments import wire
 from repro.experiments.runner import (
     ExperimentFailure,
-    _SpecTimeout,
-    call_with_deadline,
     execute_guarded,
     spec_key,
+    store_cached,
 )
-from repro.machine import ExperimentResult, ExperimentSpec
+from repro.machine import ExperimentResult
 
 __all__ = [
     "EMPTY_POOL_CHAOS",
     "PoolChaos",
     "WarmPool",
     "get_pool",
-    "item_key",
     "recv_frame",
     "send_frame",
     "shutdown_shared_pool",
     "worker_entry",
 ]
 
-# One requeue for a crash suspect, then blame it — same as the sweep.
+#: How many times a crash or hang suspect goes back to the queue before it
+#: fails.  The simulations are deterministic, so one requeue separates
+#: environmental flakes (OOM kill, stray signal) from specs that reliably
+#: take their worker down.
 REQUEUE_LIMIT = 1
+
+#: Workers beat this many times per ``hang_timeout_s``, so one late beat
+#: is never mistaken for a hang.
+BEATS_PER_HANG_TIMEOUT = 4
+
+_LOSS_MESSAGES = {
+    "crash": "worker process died while running this spec",
+    "hang": "worker heartbeat lost (hung beyond the SIGALRM deadline)",
+}
 
 
 # -- chaos (worker-side fault injection, test-only) -------------------------
@@ -79,9 +96,18 @@ REQUEUE_LIMIT = 1
 
 @dataclass(frozen=True)
 class PoolChaos:
-    """Same declarative shape as the sweep's chaos (the worker loop
-    duck-types across both): crash or hang a worker when it picks up one
-    of these keys, while the attempt number is ``<= max_attempt``."""
+    """Fault injection for the workers themselves, in the spirit of
+    :mod:`repro.faults`: declarative, deterministic, zero machinery when
+    empty.
+
+    ``crash_keys`` makes a worker die (``os._exit``) when it picks up one
+    of those specs; ``hang_keys`` makes it wedge with its heartbeat
+    silenced — exactly the beyond-SIGALRM hang the watchdog exists for.
+    Injection applies only while the item's attempt number is
+    ``<= max_attempt``, so ``max_attempt=1`` models an environmental flake
+    (the requeue succeeds) and the default models a poison spec (the
+    requeue fails too).
+    """
 
     crash_keys: Tuple[str, ...] = ()
     hang_keys: Tuple[str, ...] = ()
@@ -107,15 +133,6 @@ def recv_frame(conn) -> Dict[str, object]:
     return wire.decode(conn.recv_bytes())
 
 
-def item_key(spec) -> str:
-    """Content key for any pool item (experiment or sweep-synthetic)."""
-    if isinstance(spec, ExperimentSpec):
-        return spec_key(spec)
-    from repro.experiments.sweep import sweep_spec_key
-
-    return sweep_spec_key(spec)
-
-
 def _mp_context():
     methods = multiprocessing.get_all_start_methods()
     return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
@@ -134,90 +151,23 @@ def _disarm_deadline() -> None:
             pass
 
 
-def _execute_item(spec, timeout_s: Optional[float], retries: int):
-    """Warm-mode execution: ``("ok", result)`` or ``("failure", dict)``.
-
-    Experiments go through the runner's guarded primitive; synthetic sweep
-    cells get the same deadline/retry envelope (unlike the sweep's inline
-    path, which never bounds them — the sweep orchestrator preserves that
-    by dispatching in sweep mode, see :func:`worker_entry`).
-    """
-    if isinstance(spec, ExperimentSpec):
-        outcome = execute_guarded(spec, timeout_s, retries)
-        if isinstance(outcome, ExperimentFailure):
-            return "failure", {
-                "kind": outcome.kind,
-                "message": outcome.message,
-                "attempts": outcome.attempts,
-            }
-        return "ok", outcome
-
-    from repro.experiments.sweep import SyntheticSpec, _run_synthetic
-
-    if not isinstance(spec, SyntheticSpec):
-        return "failure", {
-            "kind": "error",
-            "message": f"unsupported spec type: {type(spec).__name__}",
-            "attempts": 1,
-        }
-    attempts = 0
-    while True:
-        attempts += 1
-        try:
-            result = call_with_deadline(lambda: _run_synthetic(spec), timeout_s)
-            return "ok", result
-        except _SpecTimeout:
-            failure = {
-                "kind": "timeout",
-                "message": f"exceeded the wall-clock budget of {timeout_s}s",
-                "attempts": attempts,
-            }
-        except Exception as exc:
-            failure = {"kind": "error", "message": str(exc), "attempts": attempts}
-        if attempts > retries:
-            return "failure", failure
-
-
-def _execute_sweep_item(cache_dir: str, namespace: str, key: str, spec, timeout_s):
-    """Sweep-mode execution: byte-for-byte the old shard behavior.
-
-    Delegates to the sweep's own ``_execute_any`` (so summaries — and
-    therefore journal lines and digests — cannot drift from the inline
-    path) and stores successful results in this shard's private cache
-    namespace *before* the result frame is sent, preserving the
-    kill/resume contract.
-    """
-    from repro.experiments import sweep as sweep_mod
-
-    status, result = sweep_mod._execute_any(spec, timeout_s)
-    if status == "ok":
-        root = sweep_mod.Path(cache_dir).parent
-        path_state = sweep_mod._State(
-            root=root,
-            journal=root / sweep_mod.JOURNAL_NAME,
-            events=root / sweep_mod.EVENTS_NAME,
-            cache=sweep_mod.Path(cache_dir),
-        )
-        sweep_mod._store_result(path_state, namespace, key, result)
-        return "ok", None
-    return "failure", result  # {"kind", "message"}
-
-
 def worker_entry(
     conn,
     name: str,
     heartbeat_s: Optional[float],
-    chaos,
+    chaos: PoolChaos,
+    store_dir: Optional[str],
 ) -> None:
-    """Persistent worker loop, shared by warm-pool workers and sweep shards.
+    """Persistent worker loop.
 
-    Pulls batch frames off the pipe, runs each item, pushes one result
-    frame per item.  With ``heartbeat_s`` set (sweep shards) a thread
-    beats on the pipe so the orchestrator's watchdog can see hangs; either
-    way the thread watches ``os.getppid()`` and exits if the parent dies,
-    so a SIGKILLed dispatcher never leaves orphans.  ``chaos`` is any
-    object with the :class:`PoolChaos` fields (the sweep passes its own
-    ``SweepChaos``).
+    Pulls batch frames off the pipe, runs each item through the guarded
+    executor, pushes one result frame per item.  With ``heartbeat_s`` set
+    a thread beats on the pipe so the dispatcher's watchdog can see hangs;
+    either way the thread watches ``os.getppid()`` and exits if the parent
+    dies, so a SIGKILLed dispatcher never leaves orphans.  With
+    ``store_dir`` set a success is stored under
+    ``<store_dir>/<name>/<key>.pkl`` before its result frame is sent, and
+    the frame carries no result.
     """
     # The fork copies the dispatcher's signal dispositions.  `repro serve`
     # installs a SIGTERM handler that merely sets an event — inherited by a
@@ -230,6 +180,7 @@ def worker_entry(
     if hasattr(signal, "SIGINT"):
         signal.signal(signal.SIGINT, signal.SIG_IGN)
     parent = os.getppid()
+    store = Path(store_dir) / name if store_dir is not None else None
     send_lock = threading.Lock()
     beats_stopped = threading.Event()
 
@@ -248,7 +199,7 @@ def worker_entry(
             if os.getppid() != parent:
                 os._exit(2)  # dispatcher died; do not linger as an orphan
             if heartbeat_s is not None:
-                if not _send({"frame": "heartbeat", "worker": name}):
+                if not _send({"frame": "heartbeat"}):
                     os._exit(2)
 
     threading.Thread(target=_beats, daemon=True).start()
@@ -263,13 +214,10 @@ def worker_entry(
             break
         if frame.get("frame") != "batch":
             continue
-        cache_dir = frame.get("cache_dir")
-        namespace = frame.get("namespace")
         for item in frame["items"]:
             index = item["index"]
-            attempt = item.get("attempt", 1)
+            attempt = item["attempt"]
             key = item["key"]
-            spec = item["spec"]
             if chaos.enabled and attempt <= chaos.max_attempt:
                 if key in chaos.crash_keys:
                     os._exit(3)  # stands in for a segfault / OOM kill
@@ -279,37 +227,32 @@ def worker_entry(
             _disarm_deadline()
             snap_before = machine_mod.template_counters()
             started = time.monotonic()
-            if cache_dir is not None:
-                status, payload = _execute_sweep_item(
-                    cache_dir, namespace, key, spec, item.get("timeout_s")
-                )
-            else:
-                status, payload = _execute_item(
-                    spec, item.get("timeout_s"), item.get("retries", 0)
-                )
+            outcome = execute_guarded(item["spec"], item["timeout_s"], item["retries"])
             elapsed = time.monotonic() - started
             snap_after = machine_mod.template_counters()
             result_frame: Dict[str, object] = {
                 "frame": "result",
-                "worker": name,
                 "index": index,
-                "attempt": attempt,
-                "status": status,
                 "elapsed_s": elapsed,
                 "snap_hits": snap_after["hits"] - snap_before["hits"],
                 "snap_misses": snap_after["misses"] - snap_before["misses"],
             }
-            if status == "ok":
-                if cache_dir is None:
-                    # Detach the spec: the dispatcher reattaches its own
-                    # object, so the frame carries only the result data.
-                    if isinstance(payload, ExperimentResult):
-                        payload.spec = None
-                    result_frame["result"] = payload
-                else:
-                    result_frame["stored"] = True
+            if isinstance(outcome, ExperimentFailure):
+                result_frame.update(
+                    status="failure",
+                    kind=outcome.kind,
+                    message=outcome.message,
+                    attempts=outcome.attempts,
+                )
+            elif store is not None:
+                store_cached(store, key, outcome)
+                result_frame["status"] = "ok"
             else:
-                result_frame.update(payload)
+                # Detach the spec: the dispatcher reattaches its own
+                # object, so the frame carries only the result data.
+                if isinstance(outcome, ExperimentResult):
+                    outcome.spec = None
+                result_frame.update(status="ok", result=outcome)
             if not _send(result_frame):
                 stop = True
                 break
@@ -323,14 +266,14 @@ def worker_entry(
 
 
 class _Worker:
-    __slots__ = ("name", "process", "conn", "dispatches", "specs_done")
+    __slots__ = ("name", "process", "conn", "dispatches", "last_beat")
 
     def __init__(self, name, process, conn) -> None:
         self.name = name
         self.process = process
         self.conn = conn
         self.dispatches = 0
-        self.specs_done = 0
+        self.last_beat = 0.0
 
 
 Outcome = Union[ExperimentResult, ExperimentFailure, object]
@@ -344,13 +287,30 @@ class WarmPool:
     read and written by the thread that holds its lease).  Workers are
     spawned lazily up to ``workers`` and returned warm; the pool grows on
     demand (:meth:`grow`) and never shrinks until :meth:`shutdown`.
+
+    ``hang_timeout_s`` turns on the heartbeat watchdog: workers beat
+    ``BEATS_PER_HANG_TIMEOUT`` times per timeout, and a worker with work
+    outstanding that is silent for ``hang_timeout_s`` is killed as hung.
+    ``store_dir`` makes every success land in
+    ``<store_dir>/<worker>/<key>.pkl`` before its result frame is sent.
     """
 
-    def __init__(self, workers: int, chaos: Optional[PoolChaos] = None) -> None:
+    def __init__(
+        self,
+        workers: int,
+        chaos: Optional[PoolChaos] = None,
+        hang_timeout_s: Optional[float] = None,
+        store_dir: Optional[os.PathLike] = None,
+    ) -> None:
         if workers < 1:
             raise ValueError(f"pool needs at least 1 worker, got {workers}")
         self._target = int(workers)
         self._chaos = chaos if chaos is not None else EMPTY_POOL_CHAOS
+        self._hang_timeout_s = hang_timeout_s
+        self._heartbeat_s = (
+            hang_timeout_s / BEATS_PER_HANG_TIMEOUT if hang_timeout_s is not None else None
+        )
+        self._store_dir = str(store_dir) if store_dir is not None else None
         self._ctx = _mp_context()
         self._cv = threading.Condition()
         self._idle: List[_Worker] = []
@@ -420,7 +380,7 @@ class WarmPool:
         parent_conn, child_conn = self._ctx.Pipe()
         process = self._ctx.Process(
             target=worker_entry,
-            args=(child_conn, name, None, self._chaos),
+            args=(child_conn, name, self._heartbeat_s, self._chaos, self._store_dir),
             daemon=True,
             name=f"repro-{name}",
         )
@@ -465,15 +425,14 @@ class WarmPool:
             self._stop_worker(worker)
 
     def _discard(self, worker: _Worker) -> None:
-        """Drop a dead worker's lease so a replacement may be spawned."""
+        """Kill a dead, hung or abandoned worker and drop its lease so a
+        replacement may be spawned."""
         try:
             worker.conn.close()
         except OSError:
             pass
-        worker.process.join(timeout=0.5)
-        if worker.process.is_alive():
-            worker.process.terminate()
-            worker.process.join(timeout=1.0)
+        worker.process.kill()
+        worker.process.join(timeout=5.0)
         with self._cv:
             self._alive -= 1
             self._cv.notify()
@@ -492,18 +451,27 @@ class WarmPool:
         timeout_s: Optional[float] = None,
         retries: int = 0,
         batch_size: Optional[int] = None,
+        on_outcome: Optional[Callable[..., bool]] = None,
     ) -> List[Outcome]:
         """Run ``specs`` on warm workers; outcomes align with input order.
 
         Never raises for a spec's own sake: failures (error, timeout,
-        crash) come back as :class:`ExperimentFailure` values in their
-        grid slots, exactly like serial execution.
+        crash, hang) come back as :class:`ExperimentFailure` values in
+        their grid slots, exactly like serial execution.  With
+        ``store_dir`` a success comes back as ``None``: it is in the store.
+
+        ``on_outcome(index, outcome, attempt, worker, elapsed_s)`` hears
+        each terminal outcome as it arrives, and each crash or hang
+        suspect as it goes back to the queue (with ``requeued=True`` and
+        the failure it would otherwise have been).  A true return stops
+        the run: nothing more is dispatched, workers with work outstanding
+        are killed, and slots that never finished come back as ``None``.
         """
         specs = list(specs)
         count = len(specs)
         if count == 0:
             return []
-        keys = [item_key(spec) for spec in specs]
+        keys = [spec_key(spec) for spec in specs]
         if batch_size is None:
             batch_size = self._auto_batch(count)
         batch_size = max(1, int(batch_size))
@@ -524,8 +492,22 @@ class WarmPool:
         inflight: Dict[_Worker, List[int]] = {}
         results: List[Optional[Outcome]] = [None] * count
         done = 0
+        stopped = False
 
-        def _fill(worker: _Worker) -> bool:
+        def _tell(index, outcome, worker, elapsed_s=None, requeued=False) -> None:
+            nonlocal stopped
+            if on_outcome is not None and on_outcome(
+                index, outcome, attempts[index], worker.name, elapsed_s, requeued=requeued
+            ):
+                stopped = True
+
+        def _land(index, outcome, worker, elapsed_s=None) -> None:
+            nonlocal done
+            results[index] = outcome
+            done += 1
+            _tell(index, outcome, worker, elapsed_s)
+
+        def _fill(worker: _Worker) -> None:
             """Top the worker up to two batches of outstanding items.
 
             Keeping a second batch buffered in the pipe is what removes
@@ -538,7 +520,7 @@ class WarmPool:
             while pending and len(inflight.get(worker, ())) < 2 * batch_size:
                 if pending[0] in solo:
                     if inflight.get(worker):
-                        return True  # suspects need an empty worker
+                        return  # suspects need an empty worker
                     batch = [pending.popleft()]
                 else:
                     batch = []
@@ -549,15 +531,16 @@ class WarmPool:
                     ):
                         batch.append(pending.popleft())
                     if not batch:
-                        return True  # head of queue is a suspect
+                        return  # head of queue is a suspect
                 if not _dispatch(worker, batch):
-                    inflight.setdefault(worker, []).extend(batch)
-                    _handle_crash(worker)
-                    return False
+                    # The worker died before this batch reached it: the
+                    # batch goes back unblamed, at the same attempt.
+                    pending.extendleft(reversed(batch))
+                    _lose(worker, "crash")
+                    return
                 inflight.setdefault(worker, []).extend(batch)
                 if batch[0] in solo:
-                    return True  # nothing may ride along with a suspect
-            return True
+                    return  # nothing may ride along with a suspect
 
         def _dispatch(worker: _Worker, batch: List[int]) -> bool:
             items = [
@@ -575,6 +558,8 @@ class WarmPool:
                 send_frame(worker.conn, {"frame": "batch", "items": items})
             except (BrokenPipeError, OSError):
                 return False
+            if not inflight.get(worker):
+                worker.last_beat = time.monotonic()  # the watchdog starts now
             with self._tlock:
                 self._counters["dispatches"] += 1
                 if worker.dispatches > 0:
@@ -586,8 +571,14 @@ class WarmPool:
             worker.dispatches += 1
             return True
 
-        def _handle_crash(worker: _Worker) -> None:
-            nonlocal done
+        def _lose(worker: _Worker, reason: str) -> None:
+            """A worker died (``crash``) or stopped beating (``hang``).
+
+            Results stream back in dispatch order, so the first
+            unfinished item is what the worker was running: the suspect,
+            requeued once and alone, then failed with ``kind=reason``.
+            Its batchmates never started and requeue unblamed.
+            """
             batch = inflight.pop(worker, [])
             with self._tlock:
                 self._counters["crashes"] += 1
@@ -595,104 +586,102 @@ class WarmPool:
             self._discard(worker)
             if batch:
                 suspect = batch[0]
+                pending.extendleft(reversed(batch[1:]))
                 crash_counts[suspect] = crash_counts.get(suspect, 0) + 1
-                for index in reversed(batch[1:]):
-                    pending.appendleft(index)  # unblamed, same attempt
+                failure = ExperimentFailure(
+                    specs[suspect],
+                    reason,
+                    _LOSS_MESSAGES[reason],
+                    attempts=attempts[suspect],
+                )
                 if crash_counts[suspect] > REQUEUE_LIMIT:
-                    results[suspect] = ExperimentFailure(
-                        specs[suspect],
-                        "crash",
-                        "worker process died while running this spec",
-                        attempts=attempts[suspect],
-                    )
-                    done += 1
+                    _land(suspect, failure, worker)
                 else:
+                    _tell(suspect, failure, worker, requeued=True)
                     attempts[suspect] += 1
                     solo.add(suspect)
                     pending.appendleft(suspect)
-            if pending or inflight:
+            if (pending or inflight) and not stopped:
                 replacement = self._try_checkout()
                 if replacement is None and not leased:
                     replacement = self._checkout()
                 if replacement is not None:
                     leased.append(replacement)
 
+        def _receive(worker: _Worker, frame: Dict[str, object]) -> None:
+            index = frame["index"]
+            batch = inflight.get(worker, [])
+            if index in batch:
+                batch.remove(index)
+            if not batch:
+                inflight.pop(worker, None)
+            if frame["status"] == "ok":
+                outcome = frame.get("result")
+                if isinstance(outcome, ExperimentResult):
+                    outcome.spec = specs[index]
+            else:
+                outcome = ExperimentFailure(
+                    specs[index],
+                    frame["kind"],
+                    frame["message"],
+                    attempts=frame["attempts"],
+                )
+            with self._tlock:
+                self._counters["specs_done"] += 1
+                self._counters["snapshot_hits"] += frame.get("snap_hits", 0)
+                self._counters["snapshot_misses"] += frame.get("snap_misses", 0)
+            _land(index, outcome, worker, frame["elapsed_s"])
+
         def _absorb(worker: _Worker) -> None:
-            """Drain every frame the worker has ready; EOF means crash."""
-            nonlocal done
+            """Drain every frame the worker has ready; EOF means crash.
+            Any frame, result or heartbeat, proves the worker alive."""
             try:
-                while True:
+                while not stopped:
                     frame = recv_frame(worker.conn)
-                    if frame.get("frame") != "result":
-                        continue
-                    index = frame["index"]
-                    batch = inflight.get(worker, [])
-                    if index in batch:
-                        batch.remove(index)
-                    if not batch:
-                        inflight.pop(worker, None)
-                    if frame["status"] == "ok":
-                        payload = frame.get("result")
-                        if isinstance(payload, ExperimentResult):
-                            payload.spec = specs[index]
-                        results[index] = payload
-                    else:
-                        results[index] = ExperimentFailure(
-                            specs[index],
-                            frame.get("kind", "error"),
-                            frame.get("message", ""),
-                            attempts=frame.get("attempts", attempts[index]),
-                        )
-                    done += 1
-                    worker.specs_done += 1
-                    with self._tlock:
-                        self._counters["specs_done"] += 1
-                        self._counters["snapshot_hits"] += frame.get("snap_hits", 0)
-                        self._counters["snapshot_misses"] += frame.get(
-                            "snap_misses", 0
-                        )
+                    worker.last_beat = time.monotonic()
+                    if frame.get("frame") == "result":
+                        _receive(worker, frame)
                     if not worker.conn.poll():
                         return
             except (EOFError, OSError, wire.WireError):
-                _handle_crash(worker)
+                _lose(worker, "crash")
 
         from multiprocessing.connection import wait as conn_wait
 
         try:
-            while done < count:
+            while done < count and not stopped:
                 for worker in list(leased):
-                    if pending and worker in leased:
+                    if pending and worker in leased and not stopped:
                         _fill(worker)
                 if not inflight:
-                    if done < count and not pending:
-                        # Every remaining item crashed out; nothing left.
-                        break
+                    if not pending:
+                        break  # unreachable: each item is pending, in flight or done
                     continue
-                ready = conn_wait([w.conn for w in inflight], timeout=1.0)
+                ready = conn_wait(
+                    [w.conn for w in inflight], timeout=self._heartbeat_s or 1.0
+                )
                 by_conn = {w.conn: w for w in inflight}
                 for conn in ready:
                     worker = by_conn.get(conn)
                     if worker is not None:
                         _absorb(worker)
+                if self._hang_timeout_s is not None:
+                    now = time.monotonic()
+                    for worker in list(inflight):
+                        if stopped:
+                            break
+                        if now - worker.last_beat > self._hang_timeout_s:
+                            _lose(worker, "hang")
         finally:
             for worker in list(leased):
                 if worker in inflight:
-                    # Mid-batch abandon (an exception above): the worker
-                    # may still be executing — do not reuse its pipe.
+                    # Abandoned mid-batch (stopped, or an exception above):
+                    # the worker may still be executing — do not reuse its pipe.
                     leased.remove(worker)
                     self._discard(worker)
                 else:
                     self._checkin(worker)
-
-        for index in range(count):
-            if results[index] is None:
-                results[index] = ExperimentFailure(
-                    specs[index],
-                    "crash",
-                    "worker process died while running this spec",
-                    attempts=attempts[index],
-                )
-        return results  # type: ignore[return-value]
+        return results
 
     def run_one(
         self,

@@ -36,6 +36,7 @@ import os
 import pickle
 import signal
 import threading
+import time
 import traceback
 from dataclasses import dataclass
 from pathlib import Path
@@ -48,6 +49,8 @@ __all__ = [
     "CacheEntry",
     "ExperimentFailure",
     "ExperimentGridError",
+    "SyntheticResult",
+    "SyntheticSpec",
     "cache_entries",
     "call_with_deadline",
     "code_version",
@@ -79,17 +82,59 @@ def code_version() -> str:
     return _code_version
 
 
-def spec_key(spec: ExperimentSpec) -> str:
+def spec_key(spec: Union[ExperimentSpec, SyntheticSpec]) -> str:
     """Content hash identifying one experiment under the current code.
 
     ``ExperimentSpec`` is a tree of frozen dataclasses of primitives
     (including its :class:`~repro.faults.FaultPlan`), so its ``repr`` is a
-    complete, deterministic serialisation.
+    complete, deterministic serialisation.  A :class:`SyntheticSpec` runs
+    no simulation, so its key leaves the code version out.
     """
     digest = hashlib.sha256()
-    digest.update(code_version().encode())
+    if isinstance(spec, SyntheticSpec):
+        digest.update(b"synthetic/")
+    else:
+        digest.update(code_version().encode())
     digest.update(repr(spec).encode())
     return digest.hexdigest()
+
+
+# -- synthetic cells --------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class SyntheticSpec:
+    """A no-op spec for exercising sweeps and the pool themselves at scale.
+
+    Executes in microseconds (optionally sleeping ``sleep_s`` to model a
+    slow cell, or failing deterministically with ``fail=True``), so a
+    10k-spec sweep stresses the journal, the workers, and the watchdog —
+    not the simulator.
+    """
+
+    index: int
+    payload: str = "noop"
+    sleep_s: float = 0.0
+    fail: bool = False
+
+
+@dataclass
+class SyntheticResult:
+    """What a :class:`SyntheticSpec` produces; cached like a real result."""
+
+    key: str
+    index: int
+    value: int
+    from_cache: bool = False
+
+
+def _run_synthetic(spec: SyntheticSpec) -> SyntheticResult:
+    if spec.sleep_s > 0:
+        time.sleep(spec.sleep_s)
+    if spec.fail:
+        raise RuntimeError(f"synthetic failure (spec {spec.index})")
+    key = spec_key(spec)
+    return SyntheticResult(key=key, index=spec.index, value=int(key[:8], 16))
 
 
 # -- failures ---------------------------------------------------------------
@@ -150,7 +195,9 @@ def _cache_path(cache_dir: Path, key: str) -> Path:
     return cache_dir / f"{key}.pkl"
 
 
-def load_cached(cache_dir: Path, key: str) -> Optional[ExperimentResult]:
+def load_cached(
+    cache_dir: Path, key: str
+) -> Optional[Union[ExperimentResult, SyntheticResult]]:
     """Load one cached result, or ``None`` (missing, corrupt, or stale)."""
     path = _cache_path(Path(cache_dir), key)
     try:
@@ -158,7 +205,7 @@ def load_cached(cache_dir: Path, key: str) -> Optional[ExperimentResult]:
             result = pickle.load(handle)
     except (OSError, pickle.UnpicklingError, EOFError, AttributeError):
         return None  # missing, corrupt, or stale entry: just re-run
-    if not isinstance(result, ExperimentResult):
+    if not isinstance(result, (ExperimentResult, SyntheticResult)):
         return None
     result.from_cache = True
     return result
@@ -166,7 +213,7 @@ def load_cached(cache_dir: Path, key: str) -> Optional[ExperimentResult]:
 
 def store_cached(cache_dir: Path, key: str, result: object) -> None:
     """Persist one success under ``key``; failures are silently refused."""
-    if not isinstance(result, ExperimentResult):
+    if not isinstance(result, (ExperimentResult, SyntheticResult)):
         # Failures (or a slot that never produced anything) must not be
         # persisted: a cached failure would satisfy every future lookup.
         return
@@ -316,29 +363,26 @@ def call_with_deadline(fn, timeout_s: Optional[float]):
                 continue
 
 
-def _run_with_deadline(spec: ExperimentSpec, timeout_s: Optional[float]):
-    """Run one experiment under :func:`call_with_deadline`."""
-    return call_with_deadline(lambda: run_experiment(spec), timeout_s)
-
-
 def execute_guarded(
-    spec: ExperimentSpec,
+    spec: Union[ExperimentSpec, SyntheticSpec],
     timeout_s: Optional[float] = None,
     retries: int = 0,
-) -> Union[ExperimentResult, ExperimentFailure]:
+) -> Union[ExperimentResult, SyntheticResult, ExperimentFailure]:
     """Run one spec; never raises — failures come back as values.
 
     Returning (not raising) is what keeps a pool worker alive and the rest
-    of the grid unharmed when one configuration is broken.  This is the
-    execution primitive the sharded sweep orchestrator
-    (:mod:`repro.experiments.sweep`) layers its own retry/backoff and
-    watchdog machinery on top of.
+    of the grid unharmed when one configuration is broken.  ``retries``
+    re-runs a failing spec at once: the simulations are deterministic, so
+    a retry only absorbs environmental flakes and waiting before it would
+    only delay the same error.  This is the one retry mechanism: inline
+    sweeps, pool workers, :func:`run_specs` and the service all use it.
     """
+    run = _run_synthetic if isinstance(spec, SyntheticSpec) else run_experiment
     attempts = 0
     while True:
         attempts += 1
         try:
-            result = _run_with_deadline(spec, timeout_s)
+            result = call_with_deadline(lambda: run(spec), timeout_s)
             result.from_cache = False
             return result
         except _SpecTimeout:

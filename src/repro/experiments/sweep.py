@@ -1,39 +1,29 @@
-"""Resilient sweep orchestration: sharded, checkpointed, crash-tolerant grids.
+"""Resilient sweeps: a checkpoint journal and a merged report over the warm pool.
 
 The paper's results are sweeps — every figure is a grid of memory sizes ×
 benchmarks × policies — and the fault layer multiplies that grid by fault
 seeds.  :func:`~repro.experiments.runner.run_specs` executes such a grid in
-one fragile pass: kill the process and every non-cached cell is lost, and a
-single pathological spec can stall the whole run.  This module layers a
-durable orchestrator on top of the runner's guarded-execution primitive:
+one fragile pass: kill the process and every non-cached cell is lost.
+This module makes the grid durable; it owns no executor of its own:
 
 - **Checkpoint journal** — every per-spec outcome (success, structured
   failure, quarantine) is appended to ``<state_dir>/journal.jsonl`` via the
   single-write append contract of :mod:`repro.ioutil`; successes land in a
-  content-addressed cache under ``<state_dir>/cache/<shard>/``.  A sweep
+  content-addressed cache under ``<state_dir>/cache/<namespace>/``.  A sweep
   SIGKILLed mid-flight resumes from the journal and produces merged
   results byte-identical to an uninterrupted run (simulations are
   deterministic; the digest covers every slot in input order).
 
-- **Sharded execution** — worker processes ("shards") are fed over private
-  pipes by the orchestrator, which dispatches to whichever shard is idle:
-  a pull model that load-balances exactly like a work-stealing queue while
-  keeping every queue endpoint single-reader/single-writer, so killing one
-  worker can never deadlock another's queue.  Each shard writes results
-  into its own cache namespace, so two shards never contend on a rename.
-
-- **Containment beyond the runner's** — the per-spec ``SIGALRM`` deadline
-  catches tight Python loops; the orchestrator adds a heartbeat watchdog
-  for what SIGALRM cannot interrupt (a worker wedged in C code or an
-  uninterruptible syscall): a busy shard whose beats stop for
-  ``hang_timeout_s`` is killed, its spec requeued once, then quarantined
-  as a poison spec.  Worker deaths (segfault, OOM kill) get the same
-  requeue-once-then-quarantine treatment.  Retryable failures back off
-  exponentially with *deterministic* jitter (derived from the spec key, so
-  schedules replay).  Per-shard wall-clock SLOs stop a shard from claiming
-  new work once its budget is spent; a ``max_failures`` budget lets a
-  sweep degrade gracefully into failure slots and aborts — resumably —
-  only when the budget is exhausted.
+- **One executor** — ``jobs=1`` runs each cell inline through the runner's
+  guarded executor, the serial reference.  ``jobs > 1`` runs on a private
+  :class:`~repro.experiments.pool.WarmPool` sized ``min(jobs, pending)``:
+  each worker stores its successes in its own cache namespace before
+  replying, the pool's heartbeat watchdog (``hang_timeout_s``) catches
+  what ``SIGALRM`` cannot, and a dispatcher-side callback journals each
+  outcome as it arrives.  A spec whose worker crashed or hung on both of
+  its attempts is journaled as ``quarantined`` so resume never retries it.
+  A ``max_failures`` budget lets a sweep degrade gracefully into failure
+  slots and aborts — resumably — only when the budget is exhausted.
 
 ``repro sweep run|resume|status`` is the CLI surface;
 :mod:`repro.experiments.ensemble` builds Monte Carlo fault ensembles on
@@ -45,37 +35,41 @@ from __future__ import annotations
 import hashlib
 import itertools
 import os
-import pickle
-import time
-from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
+from repro import digest as digest_mod
 from repro.config import SimScale, paper, small, tiny
 from repro.faults import EMPTY_PLAN, FaultPlan
-from repro.ioutil import append_journal_line, atomic_open, atomic_write_json, read_journal
-from repro.machine import ExperimentResult, ExperimentSpec, SpecError
+from repro.ioutil import append_journal_line, atomic_write_json, read_journal
+from repro.machine import ExperimentSpec, SpecError
 from repro.obs import Bus, JsonlSink, Sink, WallClock
-from repro.experiments import wire
-from repro.experiments.runner import execute_guarded, spec_key
+from repro.experiments.runner import (
+    ExperimentFailure,
+    SyntheticResult,
+    SyntheticSpec,
+    execute_guarded,
+    load_cached,
+    spec_key,
+    store_cached,
+)
+
+if TYPE_CHECKING:
+    from repro.experiments.pool import PoolChaos
 
 __all__ = [
-    "EMPTY_CHAOS",
     "SweepAborted",
-    "SweepChaos",
     "SweepError",
     "SweepOptions",
     "SweepOutcome",
     "SweepReport",
     "SyntheticResult",
     "SyntheticSpec",
-    "backoff_delay",
     "collect_report",
     "expand_grid",
     "run_sweep",
     "specs_from_meta",
-    "sweep_spec_key",
     "sweep_status",
     "synthetic_specs",
 ]
@@ -84,12 +78,6 @@ JOURNAL_NAME = "journal.jsonl"
 META_NAME = "meta.json"
 EVENTS_NAME = "events.jsonl"
 CACHE_DIRNAME = "cache"
-
-#: How many times a crashed/hung spec goes back to the queue before it is
-#: quarantined as poison.  The paper's simulations are deterministic, so
-#: one requeue distinguishes environmental flakes (OOM kill, stray signal)
-#: from specs that reliably take their worker down.
-REQUEUE_LIMIT = 1
 
 _SCALES = {"tiny": tiny, "small": small, "paper": paper}
 
@@ -113,38 +101,6 @@ class SweepAborted(SweepError):
 # -- synthetic specs --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SyntheticSpec:
-    """A no-op spec for exercising the orchestrator itself at scale.
-
-    Executes in microseconds (optionally sleeping ``sleep_s`` to model a
-    slow cell, or failing deterministically with ``fail=True``), so a
-    10k-spec sweep stresses the journal, the shards, and the watchdog —
-    not the simulator.
-    """
-
-    index: int
-    payload: str = "noop"
-    sleep_s: float = 0.0
-    fail: bool = False
-
-
-@dataclass
-class SyntheticResult:
-    """What a :class:`SyntheticSpec` produces; cached like a real result."""
-
-    key: str
-    index: int
-    value: int
-    from_cache: bool = False
-
-
-# Synthetic cells ride the pool's zero-pickle wire frames like any other
-# spec; registering here keeps the wire registry free of a sweep import.
-wire.register(SyntheticSpec)
-wire.register(SyntheticResult)
-
-
 def synthetic_specs(
     count: int, fail_every: int = 0, sleep_s: float = 0.0
 ) -> List[SyntheticSpec]:
@@ -164,57 +120,6 @@ def synthetic_specs(
 AnySpec = Union[ExperimentSpec, SyntheticSpec]
 
 
-def sweep_spec_key(spec: AnySpec) -> str:
-    """Content key for any sweep cell (experiment or synthetic)."""
-    if isinstance(spec, SyntheticSpec):
-        digest = hashlib.sha256()
-        digest.update(b"synthetic/")
-        digest.update(repr(spec).encode())
-        return digest.hexdigest()
-    return spec_key(spec)
-
-
-def _run_synthetic(spec: SyntheticSpec) -> SyntheticResult:
-    if spec.sleep_s > 0:
-        time.sleep(spec.sleep_s)
-    if spec.fail:
-        raise RuntimeError(f"synthetic failure (spec {spec.index})")
-    key = sweep_spec_key(spec)
-    return SyntheticResult(key=key, index=spec.index, value=int(key[:8], 16))
-
-
-# -- chaos (orchestrator-level fault injection, test-only) ------------------
-
-
-@dataclass(frozen=True)
-class SweepChaos:
-    """Fault injection for the orchestrator itself, in the spirit of
-    :mod:`repro.faults`: declarative, deterministic, zero machinery when
-    empty.
-
-    ``crash_keys`` makes a worker die (``os._exit``) when it picks up one
-    of those specs; ``hang_keys`` makes it wedge with its heartbeat thread
-    silenced — exactly the beyond-SIGALRM hang the watchdog exists for.
-    Injection applies only while the task's attempt number is
-    ``<= max_attempt``, so ``max_attempt=1`` models an environmental flake
-    (the requeue succeeds) and the default models a poison spec (the
-    requeue fails too, forcing quarantine).  Chaos is honored only inside
-    shard workers — never inline — so it cannot take the orchestrator down.
-    """
-
-    crash_keys: Tuple[str, ...] = ()
-    hang_keys: Tuple[str, ...] = ()
-    max_attempt: int = 10**9
-    hang_s: float = 3600.0
-
-    @property
-    def enabled(self) -> bool:
-        return bool(self.crash_keys or self.hang_keys)
-
-
-EMPTY_CHAOS = SweepChaos()
-
-
 # -- options and outcomes ---------------------------------------------------
 
 
@@ -223,21 +128,21 @@ class SweepOptions:
     """Everything that shapes a sweep's execution (not its results).
 
     None of these fields participates in the merged digest: a sweep run
-    with 1 shard and one run with 8 merge byte-identically.
+    with 1 worker and one run with 8 merge byte-identically.
+    ``hang_timeout_s`` turns on the pool's heartbeat watchdog (workers
+    beat at a fixed fraction of it); ``chaos`` injects worker crashes and
+    hangs for tests and is honored only by pool workers, never inline.
     """
 
     jobs: int = 1
     batch_size: int = 1
     timeout_s: Optional[float] = None
     retries: int = 0
-    backoff_base_s: float = 0.25
-    heartbeat_s: float = 1.0
     hang_timeout_s: Optional[float] = None
-    shard_slo_s: Optional[float] = None
     max_failures: Optional[int] = None
     progress_every: int = 50
     fsync_journal: bool = True
-    chaos: SweepChaos = EMPTY_CHAOS
+    chaos: Optional["PoolChaos"] = None
 
     def validate(self) -> None:
         if self.jobs < 1:
@@ -248,36 +153,26 @@ class SweepOptions:
             raise SweepError(f"retries must be >= 0, got {self.retries}")
         if self.timeout_s is not None and self.timeout_s <= 0:
             raise SweepError(f"timeout_s must be positive, got {self.timeout_s}")
-        if self.backoff_base_s < 0:
-            raise SweepError(f"backoff_base_s must be >= 0, got {self.backoff_base_s}")
-        if self.heartbeat_s <= 0:
-            raise SweepError(f"heartbeat_s must be positive, got {self.heartbeat_s}")
         if self.hang_timeout_s is not None and self.hang_timeout_s <= 0:
             raise SweepError(
                 f"hang_timeout_s must be positive, got {self.hang_timeout_s}"
             )
-        if self.shard_slo_s is not None and self.shard_slo_s <= 0:
-            raise SweepError(f"shard_slo_s must be positive, got {self.shard_slo_s}")
         if self.max_failures is not None and self.max_failures < 0:
             raise SweepError(f"max_failures must be >= 0, got {self.max_failures}")
-
-
-def backoff_delay(key: str, attempt: int, base_s: float) -> float:
-    """Exponential backoff with deterministic jitter for one retry.
-
-    ``base_s * 2**(attempt-1) * (1 + j)`` where ``j ∈ [0, 1)`` is derived
-    from ``(key, attempt)`` via SHA-256 — the same spec retries on the
-    same schedule in every run, so retry storms de-synchronize *and*
-    replays stay reproducible (no wall-clock entropy).
-    """
-    digest = hashlib.sha256(f"{key}/backoff/{attempt}".encode()).digest()
-    jitter = int.from_bytes(digest[:4], "big") / 2**32
-    return base_s * (2 ** max(0, attempt - 1)) * (1.0 + jitter)
+        if self.progress_every < 1:
+            raise SweepError(
+                f"progress_every must be >= 1, got {self.progress_every}"
+            )
 
 
 @dataclass
 class SweepOutcome:
-    """One journal-backed terminal outcome, aligned to its spec's slot."""
+    """One journal-backed terminal outcome, aligned to its spec's slot.
+
+    ``attempts``, ``shard`` and ``elapsed_s`` say how a result was
+    obtained and stay out of the merged digest: only *what* was obtained
+    counts.
+    """
 
     index: int
     key: str
@@ -291,17 +186,6 @@ class SweepOutcome:
     @property
     def failed(self) -> bool:
         return self.status != "ok"
-
-    def digest_line(self) -> str:
-        """The canonical per-slot string the merged digest hashes.
-
-        Excludes attempts/shard/elapsed on purpose: how a result was
-        obtained (which shard, how many retries, how long it took) must
-        not perturb the merged identity — only *what* was obtained.
-        """
-        if self.status == "ok":
-            raise SweepError("digest_line for a success needs the cached result")
-        return f"failure key={self.key} kind={self.kind} message={self.message}"
 
 
 @dataclass
@@ -326,6 +210,19 @@ class SweepReport:
         for outcome in self.outcomes:
             out[outcome.status] += 1
         return out
+
+    def load_result(self, outcome: SweepOutcome) -> Optional[object]:
+        """The cached result of an ``ok`` outcome, or ``None`` if pruned.
+
+        Looks in the namespace the journal names first, then in every
+        other namespace (a result stored twice, or adopted on resume).
+        """
+        cache = Path(self.state_dir) / CACHE_DIRNAME
+        result = load_cached(cache / (outcome.shard or "main"), outcome.key)
+        if result is None:
+            found = _find_cached(cache, outcome.key)
+            result = found[1] if found is not None else None
+        return result
 
 
 # -- state directory --------------------------------------------------------
@@ -398,43 +295,16 @@ def _open_state(
     return state
 
 
-def _namespace_dir(state: _State, namespace: str) -> Path:
-    return state.cache / namespace
-
-
-def _store_result(state: _State, namespace: str, key: str, result: object) -> None:
-    # Mirrors the runner's cache contract: successes only, atomic rename.
-    if not isinstance(result, (ExperimentResult, SyntheticResult)):
-        return
-    path = _namespace_dir(state, namespace) / f"{key}.pkl"
-    with atomic_open(path, "wb") as handle:
-        pickle.dump(result, handle, protocol=pickle.HIGHEST_PROTOCOL)
-
-
-def _load_result(state: _State, namespace: str, key: str) -> Optional[object]:
-    path = _namespace_dir(state, namespace) / f"{key}.pkl"
-    try:
-        with path.open("rb") as handle:
-            result = pickle.load(handle)
-    except (OSError, pickle.UnpicklingError, EOFError, AttributeError):
-        return None
-    if not isinstance(result, (ExperimentResult, SyntheticResult)):
-        return None
-    if isinstance(result, ExperimentResult):
-        result.from_cache = True
-    return result
-
-
-def _find_cached(state: _State, key: str) -> Optional[Tuple[str, object]]:
-    """Search every shard namespace for ``key`` (newest layout first)."""
-    if not state.cache.is_dir():
+def _find_cached(cache: Path, key: str) -> Optional[Tuple[str, object]]:
+    """Search every namespace under ``cache`` for ``key``."""
+    if not cache.is_dir():
         return None
     try:
-        namespaces = sorted(p.name for p in state.cache.iterdir() if p.is_dir())
+        namespaces = sorted(p.name for p in cache.iterdir() if p.is_dir())
     except FileNotFoundError:
         return None
     for namespace in namespaces:
-        result = _load_result(state, namespace, key)
+        result = load_cached(cache / namespace, key)
         if result is not None:
             return namespace, result
     return None
@@ -488,108 +358,25 @@ def _load_journal_outcomes(state: _State) -> Dict[int, SweepOutcome]:
     return outcomes
 
 
-# -- execution primitives ---------------------------------------------------
-
-
-def _execute_any(spec: AnySpec, timeout_s: Optional[float]) -> Tuple[str, object]:
-    """Run one cell once.  Returns ``(status, result-or-summary)``.
-
-    ``("ok", result)`` on success; ``("failure", {"kind", "message"})``
-    otherwise.  Never raises — same contract as the runner's guarded
-    execution, which this wraps for real experiments.
-    """
-    if isinstance(spec, SyntheticSpec):
-        try:
-            return "ok", _run_synthetic(spec)
-        except Exception as exc:  # deterministic synthetic failure
-            return "failure", {"kind": "error", "message": str(exc)}
-    outcome = execute_guarded(spec, timeout_s, retries=0)
-    if isinstance(outcome, ExperimentResult):
-        return "ok", outcome
-    return "failure", {"kind": outcome.kind, "message": outcome.message}
-
-
-# -- shard workers ----------------------------------------------------------
-#
-# Shards are warm-pool workers (:func:`repro.experiments.pool.worker_entry`)
-# dispatched in *sweep mode*: each batch frame carries this sweep's cache
-# dir and the shard's namespace, so results land in the shard's private
-# cache namespace *before* the result frame is sent — an orchestrator
-# killed between the two finds the result on resume, exactly as before.
-# The worker executes through this module's ``_execute_any``, which keeps
-# sharded summaries (and therefore journal lines and digests) byte-equal
-# to the inline path.  Specs and result summaries travel as canonical-JSON
-# wire frames (:mod:`repro.experiments.wire`), not pickles, and up to
-# ``SweepOptions.batch_size`` cells ride one pipe round-trip.
-
-
-def _mp_context():
-    import multiprocessing
-
-    methods = multiprocessing.get_all_start_methods()
-    return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
-
-
-class _Shard:
-    """Orchestrator-side bookkeeping for one worker process."""
-
-    __slots__ = (
-        "name",
-        "process",
-        "conn",
-        "busy",
-        "current",  # in-flight [(index, attempt, key), ...], dispatch order
-        "last_beat",
-        "started_at",
-        "stopped",
-    )
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.process = None
-        self.conn = None
-        self.busy = False
-        self.current: List[Tuple[int, int, str]] = []
-        self.last_beat = 0.0
-        self.started_at = 0.0
-        self.stopped = False
-
-
-# -- the orchestrator -------------------------------------------------------
-
-
-class _Orchestrator:
-    """One run/resume pass: owns the journal, the shards, and the queue."""
+class _Journal:
+    """One run/resume pass: journals each outcome as it lands."""
 
     def __init__(
         self,
-        specs: Sequence[AnySpec],
         keys: Sequence[str],
         state: _State,
         options: SweepOptions,
-        bus: Optional[Bus],
+        bus: Bus,
     ) -> None:
-        self.specs = specs
         self.keys = keys
         self.state = state
         self.options = options
         self.bus = bus
         self.outcomes: Dict[int, SweepOutcome] = {}
-        self.attempts_used: Dict[int, int] = {}
-        self.crash_counts: Dict[int, int] = {}
-        self.queue: deque = deque()  # (index, attempt) ready now
-        self.delayed: List[Tuple[float, int, int]] = []  # (eligible_at, index, attempt)
-        self.in_flight = 0
         self.failure_count = 0
         self.aborting = False
         self.done_since_progress = 0
 
-    # -- events ------------------------------------------------------------
-    def emit(self, kind: str, payload: Optional[Dict[str, object]] = None) -> None:
-        if self.bus is not None:
-            self.bus.emit(kind, payload)
-
-    # -- terminal outcomes -------------------------------------------------
     def record(self, outcome: SweepOutcome) -> None:
         self.outcomes[outcome.index] = outcome
         _journal_outcome(self.state, outcome, self.options.fsync_journal)
@@ -598,7 +385,7 @@ class _Orchestrator:
             budget = self.options.max_failures
             if budget is not None and self.failure_count > budget and not self.aborting:
                 self.aborting = True
-                self.emit(
+                self.bus.emit(
                     "sweep.abort",
                     {"failures": self.failure_count, "budget": budget},
                 )
@@ -614,390 +401,125 @@ class _Orchestrator:
         self.done_since_progress += 1
         if self.done_since_progress >= self.options.progress_every:
             self.done_since_progress = 0
-            self.emit(
+            self.bus.emit(
                 "sweep.progress",
-                {"done": len(self.outcomes), "total": len(self.specs)},
+                {"done": len(self.outcomes), "total": len(self.keys)},
             )
 
-    def handle_completion(
-        self, shard: str, index: int, attempt: int, summary: Dict[str, object]
-    ) -> None:
+    def land(
+        self,
+        index: int,
+        outcome: object,
+        attempt: int,
+        worker: str,
+        elapsed_s: Optional[float] = None,
+        requeued: bool = False,
+    ) -> bool:
+        """Journal one spec's outcome; True once the failure budget is spent.
+
+        The pool's ``crash``/``hang`` failures mean the worker was lost
+        while running this spec: the first loss requeues it (an event, not
+        a journal record), the second quarantines it.
+        """
         key = self.keys[index]
-        self.attempts_used[index] = attempt
-        if summary["status"] == "ok":
+        if not isinstance(outcome, ExperimentFailure):
             self.record(
                 SweepOutcome(
                     index=index,
                     key=key,
                     status="ok",
                     attempts=attempt,
-                    shard=shard,
-                    elapsed_s=summary.get("elapsed_s"),  # type: ignore[arg-type]
+                    shard=worker,
+                    elapsed_s=elapsed_s,
                 )
             )
-            return
-        kind = str(summary.get("kind", "error"))
-        message = str(summary.get("message", ""))
-        if attempt <= self.options.retries:
-            delay = backoff_delay(key, attempt, self.options.backoff_base_s)
-            self.emit(
+        elif outcome.kind not in ("crash", "hang"):
+            self.record(
+                SweepOutcome(
+                    index=index,
+                    key=key,
+                    status="failure",
+                    kind=outcome.kind,
+                    message=outcome.message,
+                    attempts=outcome.attempts,
+                )
+            )
+        elif requeued:
+            self.bus.emit(
                 "sweep.requeue",
-                {
-                    "key": key,
-                    "shard": shard,
-                    "reason": kind,
-                    "attempt": attempt,
-                    "delay_s": round(delay, 6),
-                },
+                {"key": key, "shard": worker, "reason": outcome.kind, "attempt": attempt},
             )
-            self.push_delayed(index, attempt + 1, delay)
-            return
-        self.record(
-            SweepOutcome(
-                index=index,
-                key=key,
-                status="failure",
-                kind=kind,
-                message=message,
-                attempts=attempt,
-            )
-        )
-
-    def handle_worker_loss(self, shard_name: str, index: int, attempt: int, reason: str) -> None:
-        """A shard died (``crash``) or was shot by the watchdog (``hang``)."""
-        key = self.keys[index]
-        self.attempts_used[index] = attempt
-        self.crash_counts[index] = self.crash_counts.get(index, 0) + 1
-        if self.crash_counts[index] <= REQUEUE_LIMIT:
-            delay = backoff_delay(key, attempt, self.options.backoff_base_s)
-            self.emit(
-                "sweep.requeue",
-                {
-                    "key": key,
-                    "shard": shard_name,
-                    "reason": reason,
-                    "attempt": attempt,
-                    "delay_s": round(delay, 6),
-                },
-            )
-            self.push_delayed(index, attempt + 1, delay)
-            return
-        self.emit(
-            "sweep.quarantine", {"key": key, "shard": shard_name, "reason": reason}
-        )
-        detail = (
-            "worker process died while running this spec"
-            if reason == "crash"
-            else "worker heartbeat lost (hung beyond the SIGALRM deadline)"
-        )
-        self.record(
-            SweepOutcome(
-                index=index,
-                key=key,
-                status="quarantined",
-                kind=reason,
-                message=f"{detail}; requeued {REQUEUE_LIMIT}x, then quarantined",
-                attempts=attempt,
-            )
-        )
-
-    # -- queue -------------------------------------------------------------
-    def push_delayed(self, index: int, attempt: int, delay_s: float) -> None:
-        import heapq
-
-        if delay_s <= 0:
-            self.queue.append((index, attempt))
         else:
-            heapq.heappush(self.delayed, (time.monotonic() + delay_s, index, attempt))
-
-    def promote_due(self) -> None:
-        import heapq
-
-        now = time.monotonic()
-        while self.delayed and self.delayed[0][0] <= now:
-            _, index, attempt = heapq.heappop(self.delayed)
-            self.queue.append((index, attempt))
-
-    def next_wakeup(self) -> float:
-        if self.delayed:
-            return max(0.01, min(0.25, self.delayed[0][0] - time.monotonic()))
-        return 0.25
-
-    @property
-    def outstanding(self) -> int:
-        return len(self.queue) + len(self.delayed) + self.in_flight
-
-    # -- inline path -------------------------------------------------------
-    def run_inline(self) -> None:
-        """Serial execution in this process (``jobs=1``, or the drain path
-        after every shard stopped on its SLO).  Chaos is never injected
-        inline — it exists to kill *workers*."""
-        while (self.queue or self.delayed) and not self.aborting:
-            self.promote_due()
-            if not self.queue:
-                time.sleep(self.next_wakeup())
-                continue
-            index, attempt = self.queue.popleft()
-            key = self.keys[index]
-            status, result = _execute_any(self.specs[index], self.options.timeout_s)
-            if status == "ok":
-                _store_result(self.state, "main", key, result)
-                self.handle_completion("main", index, attempt, {"status": "ok"})
-            else:
-                summary: Dict[str, object] = {"status": "failure"}
-                summary.update(result)  # type: ignore[arg-type]
-                self.handle_completion("main", index, attempt, summary)
-
-    # -- sharded path ------------------------------------------------------
-    def run_sharded(self) -> None:
-        from multiprocessing.connection import wait as conn_wait
-
-        from repro.experiments import pool as pool_mod
-
-        ctx = _mp_context()
-        count = min(self.options.jobs, max(1, len(self.queue)))
-        shards: List[_Shard] = []
-        telemetry = {
-            "workers_spawned": 0,
-            "dispatches": 0,
-            "specs_dispatched": 0,
-            "max_batch": 0,
-        }
-
-        def spawn(shard: _Shard) -> None:
-            parent_conn, child_conn = ctx.Pipe()
-            process = ctx.Process(
-                target=pool_mod.worker_entry,
-                args=(
-                    child_conn,
-                    shard.name,
-                    self.options.heartbeat_s,
-                    self.options.chaos,
-                ),
-                daemon=True,
+            self.bus.emit(
+                "sweep.quarantine", {"key": key, "shard": worker, "reason": outcome.kind}
             )
-            process.start()
-            child_conn.close()
-            telemetry["workers_spawned"] += 1
-            shard.process = process
-            shard.conn = parent_conn
-            shard.busy = False
-            shard.current = []
-            shard.stopped = False
-            now = time.monotonic()
-            shard.last_beat = now
-            shard.started_at = now
+            self.record(
+                SweepOutcome(
+                    index=index,
+                    key=key,
+                    status="quarantined",
+                    kind=outcome.kind,
+                    message=(
+                        f"{outcome.message}; requeued {outcome.attempts - 1}x, "
+                        "then quarantined"
+                    ),
+                    attempts=outcome.attempts,
+                )
+            )
+        return self.aborting
 
-        for i in range(count):
-            shard = _Shard(f"shard-{i:02d}")
-            spawn(shard)
-            shards.append(shard)
-
-        def slo_spent(shard: _Shard) -> bool:
-            slo = self.options.shard_slo_s
-            return slo is not None and (time.monotonic() - shard.started_at) > slo
-
-        def stop_shard(shard: _Shard) -> None:
-            if shard.stopped:
+    def run_inline(self, specs: Sequence[AnySpec], pending: Sequence[int]) -> None:
+        """``jobs=1``: each cell in this process, cached before journaled."""
+        cache = self.state.cache / "main"
+        for index in pending:
+            outcome = execute_guarded(
+                specs[index], self.options.timeout_s, self.options.retries
+            )
+            store_cached(cache, self.keys[index], outcome)  # refuses failures
+            if self.land(index, outcome, 1, "main"):
                 return
-            shard.stopped = True
-            try:
-                pool_mod.send_frame(shard.conn, {"frame": "stop"})
-            except (BrokenPipeError, OSError):
-                pass
 
-        def kill_shard(shard: _Shard) -> None:
-            if shard.process is not None and shard.process.is_alive():
-                shard.process.kill()
-                shard.process.join(timeout=5)
-            try:
-                shard.conn.close()
-            except OSError:
-                pass
+    def run_pooled(self, specs: Sequence[AnySpec], pending: Sequence[int]) -> None:
+        """``jobs > 1``: a private warm pool, one worker per pending spec
+        up to ``jobs``, storing into ``cache/<worker>/``."""
+        from repro.experiments.pool import WarmPool  # jobs=1 never pays the import
 
-        def lose_shard(shard: _Shard, reason: str) -> None:
-            """Common path for crash (EOF/death) and hang (watchdog kill).
+        options = self.options
+        workers = min(options.jobs, len(pending))
+        pool = WarmPool(
+            workers,
+            chaos=options.chaos,
+            hang_timeout_s=options.hang_timeout_s,
+            store_dir=self.state.cache,
+        )
 
-            With batching, only the *first* unfinished item is the suspect
-            (results stream back in dispatch order, so the head of
-            ``current`` is what the worker was executing) and goes through
-            the requeue-once-then-quarantine accounting; the rest of the
-            batch never started and requeues unblamed at the same attempt.
-            """
-            kill_shard(shard)
-            if shard.current:
-                index, attempt, _key = shard.current[0]
-                self.in_flight -= len(shard.current)
-                for rest_index, rest_attempt, _k in reversed(shard.current[1:]):
-                    self.queue.appendleft((rest_index, rest_attempt))
-                self.handle_worker_loss(shard.name, index, attempt, reason)
-            shard.busy = False
-            shard.current = []
-            # Respawn into the same namespace unless the sweep is winding
-            # down or the shard already spent its SLO.
-            if not self.aborting and self.outstanding > 0 and not slo_spent(shard):
-                spawn(shard)
-            else:
-                shard.stopped = True
+        def land(position: int, *args, **kwargs) -> bool:
+            return self.land(pending[position], *args, **kwargs)
 
         try:
-            while self.outstanding > 0 and not self.aborting:
-                self.promote_due()
-                # Dispatch to idle shards.
-                for shard in shards:
-                    if not self.queue:
-                        break
-                    if shard.stopped or shard.busy:
-                        continue
-                    if slo_spent(shard):
-                        self.emit(
-                            "sweep.shard_slo",
-                            {
-                                "shard": shard.name,
-                                "elapsed_s": round(
-                                    time.monotonic() - shard.started_at, 3
-                                ),
-                                "slo_s": self.options.shard_slo_s,
-                            },
-                        )
-                        stop_shard(shard)
-                        continue
-                    batch: List[Tuple[int, int, str]] = []
-                    while self.queue and len(batch) < self.options.batch_size:
-                        index, attempt = self.queue.popleft()
-                        batch.append((index, attempt, self.keys[index]))
-                    items = [
-                        {
-                            "index": index,
-                            "attempt": attempt,
-                            "key": key,
-                            "spec": self.specs[index],
-                            "timeout_s": self.options.timeout_s,
-                        }
-                        for index, attempt, key in batch
-                    ]
-                    try:
-                        pool_mod.send_frame(
-                            shard.conn,
-                            {
-                                "frame": "batch",
-                                "cache_dir": str(self.state.cache),
-                                "namespace": shard.name,
-                                "items": items,
-                            },
-                        )
-                    except (BrokenPipeError, OSError):
-                        for index, attempt, _key in reversed(batch):
-                            self.queue.appendleft((index, attempt))
-                        lose_shard(shard, "crash")
-                        continue
-                    shard.busy = True
-                    shard.current = batch
-                    shard.last_beat = time.monotonic()
-                    self.in_flight += len(batch)
-                    telemetry["dispatches"] += 1
-                    telemetry["specs_dispatched"] += len(batch)
-                    telemetry["max_batch"] = max(telemetry["max_batch"], len(batch))
-
-                live = [s for s in shards if not s.stopped and s.conn is not None]
-                if not live:
-                    # Every shard stopped (SLO) or died unrecoverably:
-                    # drain the remainder inline so the sweep completes.
-                    self.run_inline()
-                    break
-
-                ready = conn_wait([s.conn for s in live], timeout=self.next_wakeup())
-                for conn in ready:
-                    shard = next(s for s in live if s.conn is conn)
-                    try:
-                        while conn.poll():
-                            message = pool_mod.recv_frame(conn)
-                            kind = message.get("frame")
-                            if kind == "heartbeat":
-                                shard.last_beat = time.monotonic()
-                                self.emit("sweep.heartbeat", {"shard": shard.name})
-                            elif kind == "result":
-                                index = message["index"]
-                                attempt = message["attempt"]
-                                shard.current = [
-                                    entry
-                                    for entry in shard.current
-                                    if entry[0] != index
-                                ]
-                                shard.busy = bool(shard.current)
-                                shard.last_beat = time.monotonic()
-                                self.in_flight -= 1
-                                summary: Dict[str, object] = {
-                                    "status": message["status"],
-                                    "elapsed_s": message.get("elapsed_s"),
-                                }
-                                if message["status"] != "ok":
-                                    summary["kind"] = message.get("kind", "error")
-                                    summary["message"] = message.get("message", "")
-                                self.handle_completion(
-                                    message.get("worker", shard.name),
-                                    index,
-                                    attempt,
-                                    summary,
-                                )
-                                if not shard.busy and slo_spent(shard):
-                                    self.emit(
-                                        "sweep.shard_slo",
-                                        {
-                                            "shard": shard.name,
-                                            "elapsed_s": round(
-                                                time.monotonic() - shard.started_at, 3
-                                            ),
-                                            "slo_s": self.options.shard_slo_s,
-                                        },
-                                    )
-                                    stop_shard(shard)
-                    except (EOFError, OSError, pool_mod.wire.WireError):
-                        lose_shard(shard, "crash")
-
-                # Watchdog: a busy shard whose heartbeats stopped is hung.
-                hang_after = self.options.hang_timeout_s
-                if hang_after is not None:
-                    now = time.monotonic()
-                    for shard in shards:
-                        if (
-                            not shard.stopped
-                            and shard.busy
-                            and now - shard.last_beat > hang_after
-                        ):
-                            lose_shard(shard, "hang")
+            pool.run(
+                [specs[index] for index in pending],
+                timeout_s=options.timeout_s,
+                retries=options.retries,
+                batch_size=options.batch_size,
+                on_outcome=land,
+            )
         finally:
-            for shard in shards:
-                stop_shard(shard)
-            deadline = time.monotonic() + 5.0
-            for shard in shards:
-                if shard.process is not None:
-                    shard.process.join(timeout=max(0.1, deadline - time.monotonic()))
-                    if shard.process.is_alive():
-                        shard.process.kill()
-                        shard.process.join(timeout=5)
-                try:
-                    shard.conn.close()
-                except (OSError, AttributeError):
-                    pass
+            pool.shutdown()
             # Pool telemetry for `sweep status --json`: how well dispatch
-            # batching amortized the pipe, and how warm the shards ran.
-            dispatches = telemetry["dispatches"]
+            # batching amortized the pipe, and how warm the workers ran.
+            telemetry = pool.telemetry()
             try:
                 append_journal_line(
                     self.state.journal,
                     {
                         "event": "pool",
-                        "workers": count,
+                        "workers": workers,
                         "workers_spawned": telemetry["workers_spawned"],
-                        "batch_size": self.options.batch_size,
-                        "dispatches": dispatches,
+                        "batch_size": options.batch_size,
+                        "dispatches": telemetry["dispatches"],
                         "specs_dispatched": telemetry["specs_dispatched"],
-                        "specs_per_dispatch": round(
-                            telemetry["specs_dispatched"] / dispatches, 3
-                        )
-                        if dispatches
-                        else 0.0,
+                        "specs_per_dispatch": round(telemetry["specs_per_dispatch"], 3),
                         "max_batch": telemetry["max_batch"],
                     },
                     fsync=False,
@@ -1007,14 +529,6 @@ class _Orchestrator:
 
 
 # -- digest / report --------------------------------------------------------
-
-
-def _result_digest_line(key: str, result: object) -> str:
-    if isinstance(result, ExperimentResult):
-        from repro.bench import serialize_result
-
-        return f"ok key={key}\n{serialize_result(result)}"
-    return f"ok key={key} synthetic={result!r}"
 
 
 def _build_report(
@@ -1028,35 +542,29 @@ def _build_report(
     Results are loaded one at a time and dropped after hashing, so a
     10k-spec sweep's report holds outcome rows, never 10k results.
     """
+    report = SweepReport(outcomes=[], digest="", state_dir=state.root, aborted=aborted)
     digest = hashlib.sha256()
-    ordered: List[SweepOutcome] = []
     for index in range(len(keys)):
         outcome = outcomes.get(index)
         if outcome is None:
             continue  # incomplete (aborted) sweep: digest covers what ran
-        ordered.append(outcome)
+        report.outcomes.append(outcome)
         if outcome.status == "ok":
-            namespace = outcome.shard or "main"
-            result = _load_result(state, namespace, outcome.key)
+            result = report.load_result(outcome)
             if result is None:
-                found = _find_cached(state, outcome.key)
-                if found is None:
-                    raise SweepError(
-                        f"journal says spec {index} ({outcome.key[:12]}…) "
-                        "succeeded but its cached result is missing; the "
-                        "cache was pruned out from under the journal"
-                    )
-                _namespace, result = found
-            digest.update(_result_digest_line(outcome.key, result).encode())
+                raise SweepError(
+                    f"journal says spec {index} ({outcome.key[:12]}…) "
+                    "succeeded but its cached result is missing; the "
+                    "cache was pruned out from under the journal"
+                )
+            line = digest_mod.outcome_line(outcome.key, result)
         else:
-            digest.update(outcome.digest_line().encode())
-        digest.update(b"\n")
-    return SweepReport(
-        outcomes=ordered,
-        digest=digest.hexdigest(),
-        state_dir=state.root,
-        aborted=aborted,
-    )
+            line = digest_mod.digest_failure_line(
+                outcome.key, str(outcome.kind), str(outcome.message)
+            )
+        digest.update(line.encode())
+    report.digest = digest.hexdigest()
+    return report
 
 
 # -- public API -------------------------------------------------------------
@@ -1072,8 +580,8 @@ def run_sweep(
 ) -> SweepReport:
     """Run (or resume) a checkpointed sweep over ``specs``.
 
-    Every terminal outcome is journaled before the next dispatch, so the
-    orchestrator can be SIGKILLed at any instant and
+    Every terminal outcome is journaled as it lands, after its result is
+    cached, so the sweep can be SIGKILLed at any instant and
     ``run_sweep(..., resume=True)`` continues from the checkpoint — merged
     results (and :attr:`SweepReport.digest`) are byte-identical to an
     uninterrupted run.  ``sinks`` receive ``sweep.*`` events on a
@@ -1084,27 +592,25 @@ def run_sweep(
     specs = list(specs)
     if not specs:
         raise SweepError("a sweep needs at least one spec")
-    keys = [sweep_spec_key(spec) for spec in specs]
+    keys = [spec_key(spec) for spec in specs]
     state = _open_state(state_dir, keys, resume=resume, describe=describe)
 
     all_sinks: List[Sink] = [JsonlSink(state.events)]
     all_sinks.extend(sinks)
-    bus = Bus(WallClock(), all_sinks)
-
-    orch = _Orchestrator(specs, keys, state, options, bus)
-    orch.outcomes = _load_journal_outcomes(state)
-    orch.failure_count = sum(1 for o in orch.outcomes.values() if o.failed)
+    journal = _Journal(keys, state, options, Bus(WallClock(), all_sinks))
+    journal.outcomes = _load_journal_outcomes(state)
+    journal.failure_count = sum(1 for o in journal.outcomes.values() if o.failed)
 
     pending: List[int] = []
     for index, key in enumerate(keys):
-        if index in orch.outcomes:
+        if index in journal.outcomes:
             continue
         # A worker may have cached the result right before the previous
-        # orchestrator died without journaling it: adopt, don't re-run.
-        found = _find_cached(state, key)
+        # dispatcher died without journaling it: adopt, don't re-run.
+        found = _find_cached(state.cache, key)
         if found is not None:
             namespace, _result = found
-            orch.record(
+            journal.record(
                 SweepOutcome(
                     index=index,
                     key=key,
@@ -1116,22 +622,19 @@ def run_sweep(
             continue
         pending.append(index)
 
-    orch.emit(
+    journal.bus.emit(
         "sweep.start",
         {"total": len(specs), "pending": len(pending)},
     )
-    for index in pending:
-        orch.queue.append((index, 1))
-
-    if orch.queue and not orch.aborting:
+    if pending and not journal.aborting:
         if options.jobs <= 1:
-            orch.run_inline()
+            journal.run_inline(specs, pending)
         else:
-            orch.run_sharded()
+            journal.run_pooled(specs, pending)
 
-    report = _build_report(state, keys, orch.outcomes, aborted=orch.aborting)
+    report = _build_report(state, keys, journal.outcomes, aborted=journal.aborting)
     counts = report.counts()
-    orch.emit(
+    journal.bus.emit(
         "sweep.done",
         {
             "total": len(specs),
@@ -1140,8 +643,8 @@ def run_sweep(
             "quarantined": counts["quarantined"],
         },
     )
-    if orch.aborting:
-        raise SweepAborted(orch.failure_count, options.max_failures or 0)
+    if journal.aborting:
+        raise SweepAborted(journal.failure_count, options.max_failures or 0)
     return report
 
 
@@ -1150,7 +653,7 @@ def collect_report(
 ) -> SweepReport:
     """Build the merged report for an existing checkpoint without running."""
     specs = list(specs)
-    keys = [sweep_spec_key(spec) for spec in specs]
+    keys = [spec_key(spec) for spec in specs]
     state = _open_state(state_dir, keys, resume=True)
     outcomes = _load_journal_outcomes(state)
     return _build_report(state, keys, outcomes, aborted=False)
@@ -1190,7 +693,7 @@ def sweep_status(state_dir: os.PathLike) -> Dict[str, object]:
             aborted = True
         elif event == "pool":
             # Last record wins: one per run/resume pass; a resumed sweep's
-            # status reflects its most recent sharded pass.
+            # status reflects its most recent pooled pass.
             pool = {k: v for k, v in record.items() if k != "event"}
     return {
         "state_dir": str(root),

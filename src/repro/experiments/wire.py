@@ -37,10 +37,9 @@ version skew to paper over.
 
 from __future__ import annotations
 
-import importlib
 import json
 from dataclasses import fields, is_dataclass
-from typing import Any, Dict, Tuple, Type
+from typing import Any, Dict, Type
 
 __all__ = ["WireError", "decode", "encode", "register"]
 
@@ -51,11 +50,6 @@ class WireError(ValueError):
 
 _REGISTRY: Dict[str, Type] = {}
 _BY_CLASS: Dict[Type, str] = {}
-
-# Modules that register additional classes on import (kept lazy to avoid
-# import cycles: sweep imports the pool which imports this module).
-_LAZY_PROVIDERS: Tuple[str, ...] = ("repro.experiments.sweep",)
-_lazy_loaded = False
 _core_loaded = False
 
 
@@ -91,7 +85,7 @@ def _register_core() -> None:
         SimScale,
     )
     from repro.core.runtime.layer import RuntimeStats
-    from repro.experiments.runner import ExperimentFailure
+    from repro.experiments.runner import ExperimentFailure, SyntheticResult, SyntheticSpec
     from repro.faults import DiskFailure, DiskFaultSpec, FaultPlan, HintFaultSpec
     from repro.machine import (
         ExperimentResult,
@@ -131,6 +125,9 @@ def _register_core() -> None:
         RuntimeStats,
         SweepSample,
         ExperimentFailure,
+        # Synthetic sweep cells.
+        SyntheticSpec,
+        SyntheticResult,
     ):
         register(cls)
 
@@ -142,17 +139,6 @@ def _ensure_registry() -> None:
     if not _core_loaded:
         _core_loaded = True
         _register_core()
-
-
-def _load_lazy_providers() -> None:
-    """Import modules that register extra wire classes (e.g. sweep's
-    synthetic spec), exactly once."""
-    global _lazy_loaded
-    if _lazy_loaded:
-        return
-    _lazy_loaded = True
-    for module in _LAZY_PROVIDERS:
-        importlib.import_module(module)
 
 
 def _enc(value: Any) -> Any:
@@ -173,11 +159,6 @@ def _enc(value: Any) -> Any:
         return out
     cls = type(value)
     name = _BY_CLASS.get(cls)
-    if name is None and is_dataclass(value):
-        # The class may come from a lazy provider that registered a
-        # subclass-by-name; try loading providers once before failing.
-        _load_lazy_providers()
-        name = _BY_CLASS.get(cls)
     if name is not None:
         return {
             "!": name,
@@ -198,9 +179,6 @@ def _dec(value: Any) -> Any:
         if marker == "t":
             return tuple(_dec(item) for item in value["v"])
         cls = _REGISTRY.get(marker)
-        if cls is None:
-            _load_lazy_providers()
-            cls = _REGISTRY.get(marker)
         if cls is None:
             raise WireError(f"unknown wire class: {marker!r}")
         values = [_dec(item) for item in value["f"]]

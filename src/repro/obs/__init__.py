@@ -48,21 +48,17 @@ Fault-injection vocabulary (emitted only under a :mod:`repro.faults` plan):
 - ``fault.hint`` — a compiler hint was corrupted at the run-time layer
   (``process``, ``op``, ``mode`` ∈ drop/spurious/mistime, ``pages``).
 
-Sweep-orchestrator vocabulary (emitted by :mod:`repro.experiments.sweep`
-on a wall-clock bus — :class:`WallClock` stands in for the engine — and
-logged to ``<state_dir>/events.jsonl`` via :class:`JsonlSink`):
+Sweep vocabulary (emitted by :mod:`repro.experiments.sweep` on a
+wall-clock bus — :class:`WallClock` stands in for the engine — and logged
+to ``<state_dir>/events.jsonl`` via :class:`JsonlSink`):
 
-- ``sweep.start`` / ``sweep.done`` — one orchestrator pass over a sweep
+- ``sweep.start`` / ``sweep.done`` — one run or resume pass over a sweep
   (``total``, ``pending``; done adds ``ok``/``failed``/``quarantined``);
 - ``sweep.progress`` — periodic completion counter (``done``, ``total``);
-- ``sweep.heartbeat`` — a shard's liveness beat was observed (``shard``);
-- ``sweep.requeue`` — a spec went back to the queue after a crash, hang,
-  or retryable failure (``key``, ``shard``, ``reason``, ``attempt``,
-  ``delay_s``);
+- ``sweep.requeue`` — a spec went back to the queue after its worker
+  crashed or hung (``key``, ``shard``, ``reason``, ``attempt``);
 - ``sweep.quarantine`` — a poison spec was retired after its requeue
   budget (``key``, ``shard``, ``reason``);
-- ``sweep.shard_slo`` — a shard exceeded its wall-clock SLO and stopped
-  claiming work (``shard``, ``elapsed_s``, ``slo_s``);
 - ``sweep.abort`` — the ``max_failures`` budget was exhausted
   (``failures``, ``budget``).
 """

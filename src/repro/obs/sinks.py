@@ -36,7 +36,7 @@ class WallClock:
 class JsonlSink(Sink):
     """Appends every event as one JSON line to ``path``.
 
-    Built for low-rate orchestrator events (``sweep.*`` heartbeats and
+    Built for low-rate orchestrator events (``sweep.*`` requeues and
     progress): each event is one durable single-write append, so a killed
     sweep leaves a readable event log up to the final instant.  Do not
     attach it to per-op simulation buses — one ``open``/``write`` per

@@ -20,11 +20,11 @@ contracts, all inherited from earlier layers rather than reinvented:
    result and is counted as a ``cache_hit`` in the job's metadata, which
    is how the dedupe is observable from the outside.
 
-3. **Byte-stable digests.**  A job's digest is the sha256 over the same
-   ``ok key=...\\n<serialized result>`` lines the sweep orchestrator
-   hashes, in submission order, so a service job, a ``repro sweep`` over
-   the same grid, and the in-process :func:`run_direct` path all agree
-   byte for byte when they ran the same specs.
+3. **Byte-stable digests.**  A job's digest is the sha256 over the
+   :mod:`repro.digest` lines a sweep hashes, in submission order, so a
+   service job, a ``repro sweep`` over the same grid, and the in-process
+   :func:`run_direct` path all agree byte for byte when they ran the same
+   specs.
 
 State layout under the manager's ``state_dir``::
 
@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
-from repro.bench import serialize_result
+from repro.digest import digest_failure_line, digest_ok_line, outcome_line, serialize_result
 from repro.experiments.runner import (
     ExperimentFailure,
     execute_guarded,
@@ -66,37 +66,12 @@ __all__ = [
     "JobError",
     "JobManager",
     "JobRecord",
-    "digest_failure_line",
-    "digest_ok_line",
     "run_direct",
 ]
 
 
 class JobError(RuntimeError):
     """A job operation that cannot proceed (unknown id, not finished, ...)."""
-
-
-# -- the shared digest wire format ------------------------------------------
-#
-# One line per spec, in submission order, each terminated by "\n".  The ok
-# line embeds the canonical serialized result, which is what makes the
-# digest a statement about result *bytes*, not just completion.  This is
-# exactly the line format repro.experiments.sweep hashes for its merged
-# digest, so a job over grid specs and a sweep over the same grid agree.
-
-
-def digest_ok_line(key: str, serialized: str) -> str:
-    return f"ok key={key}\n{serialized}\n"
-
-
-def digest_failure_line(key: str, kind: str, message: str) -> str:
-    return f"failure key={key} kind={kind} message={message}\n"
-
-
-def _outcome_line(key: str, outcome: Union[ExperimentResult, ExperimentFailure]) -> str:
-    if isinstance(outcome, ExperimentFailure):
-        return digest_failure_line(key, outcome.kind, outcome.message)
-    return digest_ok_line(key, serialize_result(outcome))
 
 
 def run_direct(
@@ -124,7 +99,7 @@ def run_direct(
             if cache_dir is not None:
                 store_cached(cache_dir, key, outcome)
         outcomes.append(outcome)
-        digest.update(_outcome_line(key, outcome).encode("utf-8"))
+        digest.update(outcome_line(key, outcome).encode("utf-8"))
     return outcomes, digest.hexdigest()
 
 
@@ -135,8 +110,8 @@ def run_direct(
 class JobChaos:
     """Declarative, test-only fault injection for the job manager.
 
-    Mirrors the sweep orchestrator's ``SweepChaos``: tests describe the
-    crash instead of racing a real ``SIGKILL``.  ``die_after_specs`` stops
+    Mirrors the pool's ``PoolChaos``: tests describe the crash instead of
+    racing a real ``SIGKILL``.  ``die_after_specs`` stops
     the manager cold after that many spec journal lines have been written
     this session — no terminal record, no event flush — which is exactly
     the on-disk state a killed server leaves behind.

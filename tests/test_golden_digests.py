@@ -3,7 +3,7 @@
 ``tests/golden/serialized_digests.json`` pins two things for every spec of
 every committed benchmark case:
 
-- ``physics`` — the SHA-256 of ``bench.physics_text(run_experiment(spec))``:
+- ``physics`` — the SHA-256 of ``digest.physics_text(run_experiment(spec))``:
   simulated time, per-process buckets, VM / swap / run-time stats and
   sweeps.  This is the equivalence contract.  It moves only with a
   deliberate fidelity change.
@@ -21,7 +21,7 @@ from pathlib import Path
 
 import pytest
 
-from repro import bench
+from repro import bench, digest
 from repro.machine import run_experiment
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "serialized_digests.json"
@@ -31,7 +31,7 @@ CASES = sorted(GOLDEN["cases"])
 
 
 def physics_digest(result) -> str:
-    return hashlib.sha256(bench.physics_text(result).encode("utf-8")).hexdigest()
+    return hashlib.sha256(digest.physics_text(result).encode("utf-8")).hexdigest()
 
 
 def assert_matches_golden(result, pin, label: str) -> None:
@@ -56,9 +56,9 @@ def test_serialize_result_is_physics_plus_steps():
     """One formatter: the service's text is the physics text plus one line."""
     spec = bench.BENCH_CASES["grid_tiny"]()[0]
     result = run_experiment(spec)
-    lines = bench.serialize_result(result).split("\n")
+    lines = digest.serialize_result(result).split("\n")
     assert lines[2] == f"engine_steps={result.engine_steps}"
-    assert "\n".join(lines[:2] + lines[3:]) == bench.physics_text(result)
+    assert "\n".join(lines[:2] + lines[3:]) == digest.physics_text(result)
 
 
 @pytest.mark.parametrize("case", CASES)

@@ -17,7 +17,7 @@ import functools
 
 import pytest
 
-from repro.bench import serialize_result
+from repro.digest import serialize_result
 from repro.config import tiny
 from repro.core.compiler.interp import expand_ops, nest_ops
 from repro.experiments.harness import multiprogram_spec

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import bench
+from repro import digest
 from repro.config import tiny
 from repro.experiments.compare import compare_policies, format_policy_table
 from repro.experiments.harness import multiprogram_spec
@@ -166,8 +166,8 @@ def test_paging_directed_beats_global_clock_on_hinted_build():
 @pytest.mark.parametrize("policy", ["global-clock", "user-mode"])
 def test_competitor_policies_deterministic(policy):
     spec = _spec(policy=policy)
-    first = bench.serialize_result(run_experiment(spec))
-    second = bench.serialize_result(run_experiment(spec))
+    first = digest.serialize_result(run_experiment(spec))
+    second = digest.serialize_result(run_experiment(spec))
     assert first == second
 
 

@@ -10,7 +10,7 @@ import os
 
 import pytest
 
-from repro import bench
+from repro import digest
 from repro.config import tiny
 from repro.experiments.harness import multiprogram_spec
 from repro.machine import run_experiment
@@ -45,8 +45,8 @@ def test_policy_completes_standard_hog(policy):
 @pytest.mark.parametrize("policy", POLICIES)
 def test_policy_is_deterministic(policy):
     spec = _spec(policy)
-    first = bench.serialize_result(run_experiment(spec))
-    second = bench.serialize_result(run_experiment(spec))
+    first = digest.serialize_result(run_experiment(spec))
+    second = digest.serialize_result(run_experiment(spec))
     assert first == second
 
 

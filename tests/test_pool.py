@@ -10,12 +10,11 @@ import time
 
 import pytest
 
-from repro.bench import serialize_result
+from repro.digest import serialize_result
 from repro.experiments import wire
 from repro.experiments.pool import (
     PoolChaos,
     WarmPool,
-    item_key,
 )
 from repro.experiments.runner import (
     ExperimentFailure,
@@ -128,9 +127,7 @@ class TestWarmReuse:
         sharded = run_sweep(
             specs,
             tmp_path / "sharded",
-            options=SweepOptions(
-                jobs=2, batch_size=4, heartbeat_s=0.1, fsync_journal=False
-            ),
+            options=SweepOptions(jobs=2, batch_size=4, fsync_journal=False),
         )
         assert sharded.digest == inline.digest
         assert sharded.counts() == inline.counts()
@@ -175,7 +172,7 @@ class TestDeadlineReuse:
 class TestCrashContainment:
     def test_flaky_crash_requeues_and_converges(self):
         specs = [SyntheticSpec(index=i) for i in range(6)]
-        chaos = PoolChaos(crash_keys=(item_key(specs[2]),), max_attempt=1)
+        chaos = PoolChaos(crash_keys=(spec_key(specs[2]),), max_attempt=1)
         pool = WarmPool(2, chaos=chaos)
         try:
             outcomes = pool.run(specs, batch_size=3)
@@ -187,7 +184,7 @@ class TestCrashContainment:
 
     def test_poison_spec_fails_alone_batchmates_survive(self):
         specs = [SyntheticSpec(index=i) for i in range(6)]
-        chaos = PoolChaos(crash_keys=(item_key(specs[2]),))  # crashes forever
+        chaos = PoolChaos(crash_keys=(spec_key(specs[2]),))  # crashes forever
         pool = WarmPool(2, chaos=chaos)
         try:
             outcomes = pool.run(specs, batch_size=3)
@@ -203,7 +200,7 @@ class TestCrashContainment:
         # Crash on the LAST item of a batch: the first two results of
         # that batch are already home and must not be re-executed.
         specs = [SyntheticSpec(index=i) for i in range(3)]
-        chaos = PoolChaos(crash_keys=(item_key(specs[2]),), max_attempt=1)
+        chaos = PoolChaos(crash_keys=(spec_key(specs[2]),), max_attempt=1)
         pool = WarmPool(1, chaos=chaos)
         try:
             outcomes = pool.run(specs, batch_size=3)
@@ -212,6 +209,26 @@ class TestCrashContainment:
             # Items 0 and 1 complete once on the first pass; only the
             # suspect re-runs. A naive requeue would re-execute all 3.
             assert telemetry["specs_done"] == 3
+        finally:
+            pool.shutdown()
+
+    def test_send_to_dead_worker_blames_nothing(self):
+        # A worker that died while idle never received the batch, so the
+        # batch requeues unblamed: the flaky spec's first real attempt is
+        # attempt 1, its injected crash fires, and the pool counts both
+        # losses.  Blaming the unsent batch would skip that attempt.
+        a, b = SyntheticSpec(index=0), SyntheticSpec(index=1)
+        chaos = PoolChaos(crash_keys=(spec_key(a),), max_attempt=1)
+        pool = WarmPool(1, chaos=chaos)
+        try:
+            pool.run([SyntheticSpec(index=2)])
+            idle = pool._idle[0]
+            idle.process.kill()
+            idle.process.join(timeout=5.0)
+            assert not idle.process.is_alive()
+            outcomes = pool.run([a, b], batch_size=2)
+            assert all(isinstance(o, SyntheticResult) for o in outcomes)
+            assert pool.telemetry()["crashes"] == 2
         finally:
             pool.shutdown()
 

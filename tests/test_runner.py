@@ -129,7 +129,7 @@ def _assert_alarm_pristine(handler):
 
 
 class TestDeadlineHygiene:
-    """``_run_with_deadline`` must restore the caller's SIGALRM state on
+    """``execute_guarded`` must restore the caller's SIGALRM state on
     *every* exit path — success, timeout, and error (a leaked handler or
     armed timer fires into unrelated code minutes later)."""
 

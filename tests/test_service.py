@@ -1,10 +1,15 @@
 """Tests for the experiment service: dedupe, restart adoption, HTTP API."""
 
 import json
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
+from repro.experiments.sweep import SweepOptions, expand_grid, run_sweep
 from repro.scenarios import builtin_registry, compile_scenario
 from repro.service import (
     ExperimentServer,
@@ -30,6 +35,37 @@ SWEEP_DOC = {
     "scale": "tiny",
     "sweep": {"axes": {"benchmark": ["MATVEC"], "version": ["O", "B"]}},
 }
+
+
+def test_import_loads_no_bench_or_profiler():
+    """The server's job layer reaches the digest lines without the bench
+    module and the profiler it imports."""
+    probe = (
+        "import sys, repro.service.jobs; "
+        "print(sorted(m for m in ('repro.bench', 'cProfile') if m in sys.modules))"
+    )
+    completed = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout.strip() == "[]"
+
+
+def test_one_digest_four_ways(tmp_path):
+    """A sweep inline and on the pool, a direct run and a service job over
+    the same grid hash the same digest lines."""
+    specs = expand_grid({"scale": "tiny", "axes": SWEEP_DOC["sweep"]["axes"]})
+    inline = run_sweep(specs, tmp_path / "inline", SweepOptions(fsync_journal=False))
+    pooled = run_sweep(specs, tmp_path / "pooled", SweepOptions(jobs=2, fsync_journal=False))
+    _outcomes, direct = run_direct(compile_scenario(dict(SWEEP_DOC)))
+    with JobManager(tmp_path / "state", workers=1) as manager:
+        snap = manager.submit(document=dict(SWEEP_DOC))
+        served = manager.wait(snap["id"], timeout=180).digest
+    assert inline.digest == pooled.digest == direct == served
 
 
 def wait_all(manager, snapshots, timeout=180):

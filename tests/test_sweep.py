@@ -1,4 +1,4 @@
-"""The resilient sweep orchestrator: journal, shards, chaos, kill/resume."""
+"""Resilient sweeps: journal, the warm pool, chaos, kill/resume."""
 
 import os
 import signal
@@ -10,17 +10,16 @@ import time
 import pytest
 
 from repro.experiments import sweep as sweep_mod
+from repro.experiments.pool import PoolChaos
+from repro.experiments.runner import spec_key
 from repro.experiments.sweep import (
     SweepAborted,
-    SweepChaos,
     SweepError,
     SweepOptions,
-    backoff_delay,
     collect_report,
     expand_grid,
     run_sweep,
     specs_from_meta,
-    sweep_spec_key,
     sweep_status,
     synthetic_specs,
 )
@@ -29,10 +28,8 @@ from repro.machine import ExperimentSpec, SpecError
 
 
 def _quick(jobs=1, **kwargs):
-    """Options tuned for tests: no fsync stalls, tight heartbeats."""
-    kwargs.setdefault("heartbeat_s", 0.05)
+    """Options tuned for tests: no fsync stalls."""
     kwargs.setdefault("fsync_journal", False)
-    kwargs.setdefault("backoff_base_s", 0.0)
     return SweepOptions(jobs=jobs, **kwargs)
 
 
@@ -71,25 +68,6 @@ class TestJournal:
             read_journal(journal)
 
 
-# -- backoff -----------------------------------------------------------------
-
-
-class TestBackoff:
-    def test_deterministic(self):
-        assert backoff_delay("k", 2, 0.25) == backoff_delay("k", 2, 0.25)
-
-    def test_exponential_envelope(self):
-        # base * 2^(n-1) <= delay < base * 2^n (jitter in [0, 1)).
-        for attempt in (1, 2, 3, 4):
-            delay = backoff_delay("key", attempt, 0.25)
-            floor = 0.25 * 2 ** (attempt - 1)
-            assert floor <= delay < 2 * floor
-
-    def test_jitter_desynchronizes_keys(self):
-        delays = {backoff_delay(f"key-{i}", 1, 1.0) for i in range(8)}
-        assert len(delays) == 8
-
-
 # -- synthetic specs and grid expansion --------------------------------------
 
 
@@ -99,7 +77,7 @@ class TestSpecs:
         assert [s.fail for s in specs] == [
             False, False, True, False, False, True, False, False, True, False,
         ]
-        assert len({sweep_spec_key(s) for s in specs}) == 10
+        assert len({spec_key(s) for s in specs}) == 10
 
     def test_synthetic_rejects_empty(self):
         with pytest.raises(SweepError):
@@ -125,8 +103,8 @@ class TestSpecs:
             "faults": {"disk": {"io_error_prob": 0.01}},
             "axes": {"benchmark": ["MATVEC"], "fault_seed": [1, 2]},
         }
-        first = [sweep_spec_key(s) for s in expand_grid(dict(grid))]
-        second = [sweep_spec_key(s) for s in expand_grid(dict(grid))]
+        first = [spec_key(s) for s in expand_grid(dict(grid))]
+        second = [spec_key(s) for s in expand_grid(dict(grid))]
         assert first == second
         assert len(set(first)) == 2  # the seed axis discriminates
 
@@ -157,17 +135,17 @@ class TestInlineSweep:
         run_sweep(specs, tmp_path / "s", options=_quick())
         cached = {p.stem for p in (tmp_path / "s" / "cache").rglob("*.pkl")}
         for spec in specs:
-            key = sweep_spec_key(spec)
+            key = spec_key(spec)
             assert (key in cached) == (not spec.fail)
 
     def test_resume_skips_completed_work(self, tmp_path, monkeypatch):
         specs = synthetic_specs(8)
         first = run_sweep(specs, tmp_path / "s", options=_quick())
         # Everything is journaled: a resume must not execute a single cell.
-        def forbidden(spec, timeout_s):
+        def forbidden(spec, timeout_s, retries):
             raise AssertionError("resume re-ran a completed spec")
 
-        monkeypatch.setattr(sweep_mod, "_execute_any", forbidden)
+        monkeypatch.setattr(sweep_mod, "execute_guarded", forbidden)
         resumed = run_sweep(specs, tmp_path / "s", options=_quick(), resume=True)
         assert resumed.digest == first.digest
 
@@ -180,10 +158,10 @@ class TestInlineSweep:
         lines = journal.read_bytes().splitlines(keepends=True)
         journal.write_bytes(b"".join(lines[:-1]))
 
-        def forbidden(spec, timeout_s):
+        def forbidden(spec, timeout_s, retries):
             raise AssertionError("adoptable cached result was re-run")
 
-        monkeypatch.setattr(sweep_mod, "_execute_any", forbidden)
+        monkeypatch.setattr(sweep_mod, "execute_guarded", forbidden)
         resumed = run_sweep(specs, tmp_path / "s", options=_quick(), resume=True)
         assert resumed.digest == first.digest
         adopted = [o for o in resumed.outcomes if o.attempts == 0]
@@ -226,15 +204,16 @@ class TestInlineSweep:
                 synthetic_specs(3), tmp_path / "void", options=_quick(), resume=True
             )
 
-    def test_max_failures_aborts_then_resumes(self, tmp_path):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_max_failures_aborts_then_resumes(self, tmp_path, jobs):
         specs = synthetic_specs(10, fail_every=1)  # every spec fails
         with pytest.raises(SweepAborted):
-            run_sweep(specs, tmp_path / "s", options=_quick(max_failures=2))
+            run_sweep(specs, tmp_path / "s", options=_quick(jobs, max_failures=2))
         status = sweep_status(tmp_path / "s")
         assert status["aborted"] is True
         assert status["done"] < 10
         # Raising the budget resumes to completion; failures stay failures.
-        report = run_sweep(specs, tmp_path / "s", options=_quick(), resume=True)
+        report = run_sweep(specs, tmp_path / "s", options=_quick(jobs), resume=True)
         assert report.counts()["failure"] == 10
         baseline = run_sweep(specs, tmp_path / "b", options=_quick())
         assert report.digest == baseline.digest
@@ -264,8 +243,8 @@ class TestInlineSweep:
             describe={"synthetic": {"count": 5, "fail_every": 2, "sleep_s": 0.0}},
         )
         rebuilt = specs_from_meta(tmp_path / "s")
-        assert [sweep_spec_key(s) for s in rebuilt] == [
-            sweep_spec_key(s) for s in specs
+        assert [spec_key(s) for s in rebuilt] == [
+            spec_key(s) for s in specs
         ]
 
     def test_specs_from_meta_requires_description(self, tmp_path):
@@ -274,7 +253,7 @@ class TestInlineSweep:
             specs_from_meta(tmp_path / "s")
 
 
-# -- sharded execution and chaos ---------------------------------------------
+# -- pooled execution and chaos ----------------------------------------------
 
 
 class TestShardedSweep:
@@ -289,8 +268,8 @@ class TestShardedSweep:
 
     def test_worker_crash_requeues_once_then_recovers(self, tmp_path):
         specs = synthetic_specs(8)
-        flaky = sweep_spec_key(specs[3])
-        chaos = SweepChaos(crash_keys=(flaky,), max_attempt=1)  # flake, not poison
+        flaky = spec_key(specs[3])
+        chaos = PoolChaos(crash_keys=(flaky,), max_attempt=1)  # flake, not poison
         report = run_sweep(
             specs, tmp_path / "s", options=_quick(jobs=2, chaos=chaos)
         )
@@ -301,8 +280,8 @@ class TestShardedSweep:
 
     def test_poison_crash_is_quarantined(self, tmp_path):
         specs = synthetic_specs(6)
-        poison = sweep_spec_key(specs[2])
-        chaos = SweepChaos(crash_keys=(poison,))  # crashes on every attempt
+        poison = spec_key(specs[2])
+        chaos = PoolChaos(crash_keys=(poison,))  # crashes on every attempt
         report = run_sweep(
             specs, tmp_path / "s", options=_quick(jobs=2, chaos=chaos)
         )
@@ -319,8 +298,8 @@ class TestShardedSweep:
 
     def test_hung_worker_is_shot_and_quarantined(self, tmp_path):
         specs = synthetic_specs(6)
-        wedged = sweep_spec_key(specs[1])
-        chaos = SweepChaos(hang_keys=(wedged,))  # heartbeat silenced + sleep
+        wedged = spec_key(specs[1])
+        chaos = PoolChaos(hang_keys=(wedged,))  # heartbeat silenced + sleep
         report = run_sweep(
             specs,
             tmp_path / "s",
@@ -333,8 +312,8 @@ class TestShardedSweep:
 
     def test_hang_flake_recovers_on_requeue(self, tmp_path):
         specs = synthetic_specs(4)
-        wedged = sweep_spec_key(specs[0])
-        chaos = SweepChaos(hang_keys=(wedged,), max_attempt=1)
+        wedged = spec_key(specs[0])
+        chaos = PoolChaos(hang_keys=(wedged,), max_attempt=1)
         report = run_sweep(
             specs,
             tmp_path / "s",
@@ -356,7 +335,7 @@ _KILL_SCRIPT = textwrap.dedent(
     run_sweep(
         specs,
         state_dir,
-        options=SweepOptions(jobs=2, heartbeat_s=0.05),
+        options=SweepOptions(jobs=2),
     )
     """
 )
@@ -412,11 +391,10 @@ class TestOptions:
             {"jobs": 0},
             {"retries": -1},
             {"timeout_s": 0},
-            {"heartbeat_s": 0},
+            {"batch_size": 0},
             {"hang_timeout_s": 0},
-            {"shard_slo_s": 0},
+            {"progress_every": 0},
             {"max_failures": -1},
-            {"backoff_base_s": -0.1},
         ],
     )
     def test_rejects_bad_options(self, kwargs, tmp_path):

@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from repro.bench import serialize_result
+from repro.digest import serialize_result
 from repro.config import tiny
 from repro.ioutil import atomic_open, atomic_write_json, atomic_write_text
 from repro.machine import (
