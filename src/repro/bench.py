@@ -395,8 +395,8 @@ def _churn_engine():
     — with over half the queue being dead timers.  Experiment specs never
     reach this regime, which is exactly why the case exists: it is the
     canary for scheduler costs that scale with queue *population* rather
-    than dispatch count (a fixed-cadence calendar rebuild, for example, is
-    invisible to ``standard_mix`` and an order of magnitude here).
+    than dispatch count: the heap's O(log n) push and pop are invisible at
+    ``standard_mix``'s occupancy and show up here first.
 
     Delays come from a per-process LCG so the case is deterministic and
     needs no RNG import.
@@ -447,7 +447,6 @@ def _engine_churn(
         meta={
             **machine_metadata(),
             **alloc_meta,
-            "engine_backend": "calendar",
             "processes": _CHURN_PROCS,
             "rounds": _CHURN_ROUNDS,
         },

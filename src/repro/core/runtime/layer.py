@@ -155,7 +155,7 @@ class RuntimeLayer:
         stats.release_pages_hinted += n
         # Filter 1: the bitmap check — drop pages not in memory.
         bits = self._bits
-        pages = tuple(v for v in vpns if v in bits)
+        pages = tuple(filter(bits.__contains__, vpns))
         stats.release_filtered_bitmap += n - len(pages)
         # Filter 2: the one-behind tag filter.  Record this request; handle
         # the previously recorded one only if it names different pages.

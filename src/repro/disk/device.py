@@ -57,7 +57,7 @@ class DiskDevice:
     Rather than simulating the platter with a process, the device keeps a
     ``busy_until`` horizon: a request arriving at time *t* starts at
     ``max(t, busy_until)`` and completes after its service time.  This is
-    exact for a FIFO queue and costs one calendar event per request.
+    exact for a FIFO queue and costs one scheduled event per request.
     """
 
     def __init__(

@@ -79,7 +79,8 @@ class StripedSwap:
             )
             for i in range(params.disks)
         ]
-        per_adapter = params.disks_per_adapter
+        # A property on the frozen params; computed once, not per command.
+        self._per_adapter = per_adapter = params.disks_per_adapter
         self.adapters: List[ScsiAdapter] = [
             ScsiAdapter(
                 engine,
@@ -115,7 +116,7 @@ class StripedSwap:
         return disk_index, block
 
     def _adapter_for(self, disk_index: int) -> ScsiAdapter:
-        return self.adapters[disk_index // self.params.disks_per_adapter]
+        return self.adapters[disk_index // self._per_adapter]
 
     # -- degraded-stripe placement ----------------------------------------
     def _check_scheduled_failures(self) -> None:
@@ -182,7 +183,7 @@ class StripedSwap:
         disk_index = (vpn + pid) % n
         if self.obs is not None:
             self._emit_issue(disk_index, purpose, is_write)
-        adapter = self.adapters[disk_index // self.params.disks_per_adapter]
+        adapter = self.adapters[disk_index // self._per_adapter]
         command = adapter.command(self.disks[disk_index], vpn // n, is_write)
         done = engine.event()
         started = engine._now

@@ -86,15 +86,18 @@ def spec_key(spec: Union[ExperimentSpec, SyntheticSpec]) -> str:
     """Content hash identifying one experiment under the current code.
 
     ``ExperimentSpec`` is a tree of frozen dataclasses of primitives
-    (including its :class:`~repro.faults.FaultPlan`), so its ``repr`` is a
-    complete, deterministic serialisation.  A :class:`SyntheticSpec` runs
-    no simulation, so its key leaves the code version out.
+    (including its :class:`~repro.faults.FaultPlan`), so the ``repr`` of its
+    canonical form is a complete, deterministic serialisation in which a
+    scale-derived default and its explicit value agree.  A
+    :class:`SyntheticSpec` runs no simulation, so its key leaves the code
+    version out.
     """
     digest = hashlib.sha256()
     if isinstance(spec, SyntheticSpec):
         digest.update(b"synthetic/")
     else:
         digest.update(code_version().encode())
+        spec = spec.canonical()
     digest.update(repr(spec).encode())
     return digest.hexdigest()
 

@@ -62,11 +62,11 @@ class SharedPage:
         """Recompute the two reserved words (called on memory activity)."""
         self.refreshes += 1
         current = self._aspace._resident
-        free = self._freelist._free_count
         self.current_usage = current
-        self.upper_limit = min(
-            self._maxrss, current + free - self._min_freemem
-        )
+        # Equation 1, with the min() builtin call unrolled.
+        limit = current + self._freelist._free_count - self._min_freemem
+        maxrss = self._maxrss
+        self.upper_limit = maxrss if maxrss < limit else limit
         obs = self._vm.obs
         if obs is not None and obs.wants("kernel.shared_page"):
             obs.emit(

@@ -142,6 +142,14 @@ class WorkloadProcessSpec:
         """Does this process's completion end the experiment?"""
         return not self.is_interactive or self.sweeps is not None
 
+    def resolved(self, scale: SimScale) -> "WorkloadProcessSpec":
+        """This process with its scale-derived defaults filled in: an
+        interactive task's ``sleep_time_s=None`` is the scale's
+        intermediate sleep."""
+        if self.is_interactive and self.sleep_time_s is None:
+            return replace(self, sleep_time_s=scale.intermediate_sleep_s)
+        return self
+
     def validate(self) -> None:
         if self.is_interactive:
             if self.sweeps is not None and self.sweeps <= 0:
@@ -208,6 +216,15 @@ class ExperimentSpec:
             validate_policy(self.policy)
         except PolicyError as exc:
             raise SpecError(f"invalid policy: {exc}") from exc
+
+    def canonical(self) -> "ExperimentSpec":
+        """This spec with every scale-derived default resolved.
+
+        Specs that simulate the same physics have equal canonical forms,
+        so the runner keys this form (:func:`~repro.experiments.runner.spec_key`).
+        """
+        processes = tuple(p.resolved(self.scale) for p in self.processes)
+        return replace(self, processes=processes)
 
     def with_scale_overrides(self, **kwargs) -> "ExperimentSpec":
         """Copy with top-level :class:`SimScale` fields replaced."""
@@ -589,11 +606,7 @@ class Machine:
         """Attach one instance of the paper's interactive task."""
         wspec.validate()
         scale = self.scale
-        sleep = (
-            wspec.sleep_time_s
-            if wspec.sleep_time_s is not None
-            else scale.intermediate_sleep_s
-        )
+        sleep = wspec.resolved(scale).sleep_time_s
         attached = _Attached(wspec, self._unique_name(wspec.name or "interactive"))
         task = InteractiveTask(self.kernel, scale, sleep, name=attached.name)
         attached.interactive = task

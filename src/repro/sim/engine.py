@@ -11,23 +11,23 @@ Determinism matters here: the experiments in :mod:`repro.experiments` compare
 runs of the same workload under four different hint policies, and any
 nondeterminism in the engine would show up as noise in the reproduced tables.
 
-The scheduler is a calendar queue (Brown 1988) specialised for this
-simulator's event mix.  Events triggered *at the current time* — every lock
-grant, store put, and zero-delay timeout, roughly half of all events — skip
-the calendar entirely and go on a plain FIFO *now-lane* deque: no tuple
-allocation, no sequence number, O(1) push and pop.  Future events go into
-time-bucketed days; bucket count resizes by occupancy and bucket width is
-resampled from observed inter-event gaps.  Section 7 of DESIGN.md proves
-the dispatch order (calendar entries due now, then the now-lane, then the
-next calendar day) is exactly a binary heap's ``(time, sequence)`` order —
-the previous ``heapq`` backend it replaced byte-identically
-(``tests/test_golden_digests.py`` pins the serialized results it froze).
+The scheduler is a binary heap of ``(time, sequence, event)`` entries for
+events strictly in the future, plus two FIFO deques.  Events triggered *at
+the current time* — every lock grant, store put, and zero-delay timeout,
+roughly half of all events — skip the heap and go on the *now-lane*: no
+tuple, no sequence number, O(1) push and pop.  Popping a heap entry moves
+every other entry at the same instant onto the *due* deque, which drains
+before the lane.  Section 7.5 of DESIGN.md proves that this dispatch order
+is exactly ``(time, sequence)`` order with sequence numbers issued at
+schedule time; ``tests/test_golden_digests.py`` pins the serialized results
+it produces and ``tests/test_properties.py`` checks it against a reference
+scheduler.
 """
 
 from __future__ import annotations
 
-from bisect import insort
 from collections import deque
+from heapq import heappop, heappush
 from sys import getrefcount
 from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
 
@@ -63,6 +63,9 @@ class Interrupt(Exception):
 _PENDING = 0
 _TRIGGERED = 1  # scheduled on the queue, callbacks not yet run
 _PROCESSED = 2  # callbacks have run
+
+#: Delays and times must compare below this; NaN and infinity never do.
+_INF = float("inf")
 
 
 class Event:
@@ -110,36 +113,34 @@ class Event:
         """Schedule this event to fire successfully after ``delay``."""
         if self._state != _PENDING:
             raise SimulationError("event already triggered")
-        self._state = _TRIGGERED
-        self._value = value
-        self._ok = True
         # Inlined scheduling: succeed() runs for every lock hand-off and
         # resource grant, so an extra call costs at ~10^5 events per run.
+        # A float-dust delay (now + delay == now) goes on the lane, which
+        # is exactly where (time, sequence) order puts an event at `now`.
         engine = self.engine
         if delay == 0.0:
             engine._lane.append(self)
+        elif 0.0 < delay < _INF:
+            now = engine._now
+            time = now + delay
+            if time > now:
+                engine._sequence = sequence = engine._sequence + 1
+                heappush(engine._heap, (time, sequence, self))
+            else:
+                engine._lane.append(self)
         else:
-            if delay < 0:
-                raise SimulationError(f"negative delay: {delay}")
-            engine._cal_insert(engine._now + delay, self)
+            raise SimulationError(f"delay must be finite and >= 0, got {delay}")
+        self._state = _TRIGGERED
+        self._value = value
+        self._ok = True
         return self
 
     def fail(self, exception: BaseException, delay: float = 0.0) -> "Event":
         """Schedule this event to fire with an exception after ``delay``."""
-        if self._state != _PENDING:
-            raise SimulationError("event already triggered")
         if not isinstance(exception, BaseException):
             raise SimulationError("fail() requires an exception instance")
-        if delay < 0:
-            raise SimulationError(f"negative delay: {delay}")
-        self._state = _TRIGGERED
-        self._value = exception
+        self.succeed(exception, delay)
         self._ok = False
-        engine = self.engine
-        if delay == 0.0:
-            engine._lane.append(self)
-        else:
-            engine._cal_insert(engine._now + delay, self)
         return self
 
     def trigger_at(self, time: float, value: Any = None, ok: bool = True) -> "Event":
@@ -153,23 +154,22 @@ class Event:
         if self._state != _PENDING:
             raise SimulationError("event already triggered")
         engine = self.engine
-        if time < engine._now:
-            raise SimulationError(f"trigger time {time} is in the past (now={engine._now})")
+        now = engine._now
+        if now < time < _INF:
+            engine._sequence = sequence = engine._sequence + 1
+            heappush(engine._heap, (time, sequence, self))
+        elif time == now:
+            engine._lane.append(self)
+        else:
+            raise SimulationError(
+                f"trigger time {time} is not a finite time at or after now={now}"
+            )
         self._state = _TRIGGERED
         self._value = value
         self._ok = ok
-        engine._cal_insert(time, self)
         return self
 
-    # -- engine internals --------------------------------------------------
-    def _run_callbacks(self) -> None:
-        callbacks = self.callbacks
-        self.callbacks = None
-        self._state = _PROCESSED
-        if callbacks:
-            for callback in callbacks:
-                callback(self)
-
+    # -- callbacks ---------------------------------------------------------
     def add_callback(self, callback: Callable[["Event"], None]) -> None:
         """Run ``callback(event)`` when the event is processed.
 
@@ -188,12 +188,8 @@ class Timeout(Event):
     __slots__ = ()
 
     def __init__(self, engine: "Engine", delay: float, value: Any = None) -> None:
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay: {delay}")
         super().__init__(engine)
-        self._state = _TRIGGERED
-        self._value = value
-        engine._push(self, delay)
+        self.succeed(value, delay)
 
 
 class _Condition(Event):
@@ -389,24 +385,14 @@ class Process(Event):
 #: engine doesn't pin memory.
 _TIMEOUT_POOL_LIMIT = 128
 
-#: Calendar-queue shape bounds: bucket counts are powers of two in
-#: [_CAL_MIN_BUCKETS, _CAL_MAX_BUCKETS]; bucket widths never drop below
-#: _CAL_MIN_WIDTH seconds (guards against zero/denormal gap samples).
-_CAL_MIN_BUCKETS = 16
-_CAL_MAX_BUCKETS = 1 << 15
-_CAL_MIN_WIDTH = 1e-9
-
-#: Width resampling cadence, counted in calendar pops (deterministic, so
-#: runs stay bit-reproducible): once shortly after startup, then periodically.
-_CAL_WARMUP_POPS = 64
-_CAL_RESAMPLE_POPS = 1024
+#: Awaited by the loops that run until the queue drains: never triggered.
+_NEVER = Event(None)
 
 
 class Engine:
-    """The event loop: a virtual clock plus a calendar-queue scheduler."""
+    """The event loop: a virtual clock plus a binary-heap scheduler."""
 
     def __init__(self) -> None:
-        self.backend = "calendar"
         self._now = 0.0
         self._sequence = 0
         self.active_process: Optional[Process] = None
@@ -417,7 +403,7 @@ class Engine:
         self._want_switch = False
         self._want_dispatch = False
         #: Free pools of processed, unreferenced events (see :meth:`timeout`
-        #: and :meth:`event`); refilled by the run loops' refcount guard.
+        #: and :meth:`event`); refilled by the run loop's refcount guard.
         self._timeout_pool: List[Timeout] = []
         self._event_pool: List[Event] = []
         # Events already due at the current time, in (time, sequence)
@@ -427,24 +413,9 @@ class Engine:
         # _due (their sequence numbers are necessarily larger) and before
         # advancing the clock.
         self._lane: deque = deque()
-        # The calendar proper: only events strictly in the future.
-        width = 1e-3
-        self._width = width
-        self._inv_width = 1.0 / width
-        self._buckets: List[list] = [[] for _ in range(_CAL_MIN_BUCKETS)]
-        self._mask = _CAL_MIN_BUCKETS - 1
-        self._cal_count = 0
-        self._day = 0  # absolute day number int(time * _inv_width)
-        self._grow_at = 2 * _CAL_MIN_BUCKETS
-        # Deterministic width resampling: pop-count thresholds, so the
-        # bucket width tracks the workload's inter-event gap through
-        # phase changes even when the entry count never crosses a
-        # grow/shrink threshold.
-        self._pops = 0
-        self._resample_at = _CAL_WARMUP_POPS
-        # Cached minimum entry so peek + pop after a scan are O(1);
-        # consumed by pop, maintained by inserts and resizes.
-        self._cache: Optional[tuple] = None
+        # Events strictly in the future: a heap of (time, sequence, event).
+        # Sequence numbers are unique, so two events are never compared.
+        self._heap: List[Tuple[float, int, Event]] = []
 
     # -- clock -----------------------------------------------------------
     @property
@@ -470,11 +441,9 @@ class Engine:
     def event(self) -> Event:
         pool = self._event_pool
         if pool:
-            event = pool.pop()
             # Recycled events keep their (cleared) callback list, so the
             # common path allocates nothing at all.
-            if event.callbacks is None:
-                event.callbacks = []
+            event = pool.pop()
             event._state = _PENDING
             return event
         return Event(self)
@@ -485,23 +454,29 @@ class Engine:
         Timeouts are by far the most-allocated event (every compute charge,
         flush, and daemon sleep creates one).  The dominant case carries no
         value, so processed value-less Timeouts that nothing else references
-        (checked via the refcount guard in the run loops) are reset and
-        reused instead of reallocated.
+        (checked via the refcount guard in the run loop) are reset and
+        reused instead of reallocated.  Scheduling is :meth:`Event.succeed`'s,
+        inlined.
         """
         pool = self._timeout_pool
-        if pool and value is None:
-            if delay < 0:
-                raise SimulationError(f"negative timeout delay: {delay}")
+        if not pool or value is not None:
+            return Timeout(self, delay, value)
+        if delay == 0.0:
             timeout = pool.pop()
-            if timeout.callbacks is None:
-                timeout.callbacks = []
-            timeout._state = _TRIGGERED
-            if delay == 0.0:
-                self._lane.append(timeout)
+            self._lane.append(timeout)
+        elif 0.0 < delay < _INF:
+            timeout = pool.pop()
+            now = self._now
+            time = now + delay
+            if time > now:
+                self._sequence = sequence = self._sequence + 1
+                heappush(self._heap, (time, sequence, timeout))
             else:
-                self._cal_insert(self._now + delay, timeout)
-            return timeout
-        return Timeout(self, delay, value)
+                self._lane.append(timeout)
+        else:
+            raise SimulationError(f"delay must be finite and >= 0, got {delay}")
+        timeout._state = _TRIGGERED
+        return timeout
 
     def process(self, generator: ProcessGenerator, name: str = "") -> Process:
         return Process(self, generator, name=name)
@@ -512,270 +487,91 @@ class Engine:
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)
 
-    # -- scheduling --------------------------------------------------------
-    def _push(self, event: Event, delay: float) -> None:
-        if delay < 0:
-            raise SimulationError(f"negative delay: {delay}")
-        if delay == 0.0:
-            self._lane.append(event)
-        else:
-            self._cal_insert(self._now + delay, event)
-
-    # -- calendar internals ------------------------------------------------
-    def _cal_insert(self, time: float, event: Event) -> None:
-        """Insert a strictly-future event into the calendar.
-
-        Entries are ``(time, sequence, day, event)`` tuples; ``day`` is the
-        absolute day number ``int(time * inv_width)``, fixed at insert so
-        float boundary rounding can never disagree between insert and scan.
-        Buckets stay sorted by (time, sequence) — sequence numbers are
-        unique, so ``insort`` never compares two Event objects — which makes
-        the pop path O(1): a day's minimum is always ``bucket[0]``, because
-        any other entry sharing the bucket belongs to a later year and
-        therefore a later time.
-        """
-        if time <= self._now:
-            # Float-dust delays (now + delay == now) degrade to the now-lane,
-            # which is exactly the heap's ordering for an event at `now`.
-            self._lane.append(event)
-            return
-        self._sequence += 1
-        day = int(time * self._inv_width)
-        entry = (time, self._sequence, day, event)
-        bucket = self._buckets[day & self._mask]
-        insort(bucket, entry)
-        count = self._cal_count + 1
-        self._cal_count = count
-        cache = self._cache
-        if cache is not None and time < cache[0]:
-            self._cache = entry
-        if count > self._grow_at:
-            self._cal_resize()
-
-    def _cal_scan(self) -> tuple:
-        """Find (and cache) the minimum calendar entry; count must be > 0.
-
-        Walks day windows from the current day cursor.  A day's entries are
-        the sorted prefix of its bucket (anything else in the bucket belongs
-        to a later year), so each day costs one list check.  If a whole year
-        passes with no hit the queue is sparse relative to its width:
-        resample the width (when there are enough entries to sample) or fall
-        back to a direct minimum over the bucket heads.
-        """
-        buckets = self._buckets
-        mask = self._mask
-        day = self._day
-        for _ in range(mask + 1):
-            bucket = buckets[day & mask]
-            if bucket and bucket[0][2] == day:
-                self._day = day
-                best = bucket[0]
-                self._cache = best
-                return best
-            day += 1
-        if self._cal_count >= 8:
-            # Sparse: the width is stale.  Resize resamples the width from
-            # the actual gaps and leaves the minimum cached.
-            self._cal_resize()
-            return self._cache
-        best = min(bucket[0] for bucket in buckets if bucket)
-        self._day = best[2]
-        self._cache = best
-        return best
-
-    def _cal_pop(self) -> Event:
-        """Remove and return the minimum calendar event; count must be > 0.
-
-        Advances the clock to the popped event's time.  Ties — other entries
-        at exactly the same time — are moved onto ``_due`` in sequence order.
-        That preserves the heap's (time, sequence) order: once the clock
-        reaches time T no *new* calendar entry at T can appear (zero-delay
-        triggers at T land on the now-lane), so the tie group's sequence
-        numbers are all smaller than any event its callbacks will trigger.
-        """
-        pops = self._pops + 1
-        self._pops = pops
-        if pops >= self._resample_at and self._cal_count >= 2:
-            self._cal_resize()
-        buckets = self._buckets
-        mask = self._mask
-        cache = self._cache
-        if cache is not None:
-            # Inserts keep the cache at its bucket's head, so no walk needed.
-            self._cache = None
-            day = cache[2]
-            bucket = buckets[day & mask]
-        else:
-            day = self._day
-            end = day + mask + 1
-            while day < end:
-                bucket = buckets[day & mask]
-                if bucket and bucket[0][2] == day:
-                    break
-                day += 1
-            else:
-                # Sparse: nothing within a year of the cursor.
-                if self._cal_count >= 8:
-                    self._cal_resize()
-                    best = self._cache
-                    self._cache = None
-                    day = best[2]
-                    # The resize rebuilt the bucket array in place of the
-                    # locals bound above.
-                    bucket = self._buckets[day & self._mask]
-                else:
-                    best = min(b[0] for b in buckets if b)
-                    day = best[2]
-                    bucket = buckets[day & mask]
-        self._day = day
-        best = bucket[0]
-        time = best[0]
-        self._now = time
-        if len(bucket) == 1 or bucket[1][0] != time:
-            del bucket[0]
-            self._cal_count -= 1
-            return best[3]
-        # Tie group: the leading same-time run of the sorted bucket.
-        run = 2
-        blen = len(bucket)
-        while run < blen and bucket[run][0] == time:
-            run += 1
-        group = bucket[:run]
-        del bucket[:run]
-        self._cal_count -= run
-        due = self._due
-        for entry in group[1:]:
-            due.append(entry[3])
-        return best[3]
-
-    def _cal_resize(self) -> None:
-        """Rebuild the calendar: occupancy-sized bucket count, resampled width.
-
-        Bucket count is the power of two nearest count/2 (clamped); width is
-        twice the mean inter-event gap over the first ≤25 entries, so a day
-        holds a couple of events near the head of the queue.  Degenerate
-        samples (all ties) keep the previous width.
-        """
-        entries = [e for b in self._buckets for e in b]
-        entries.sort()
-        count = len(entries)
-        # A rebuild costs O(count), so the next periodic resample is at
-        # least a multiple of the occupancy away: amortised O(1) per pop
-        # no matter how large the queue grows.  (A fixed cadence made the
-        # rebuild cost per pop *linear* in occupancy — the high-population
-        # regime the calendar exists for was exactly where it lost.)
-        self._resample_at = self._pops + max(_CAL_RESAMPLE_POPS, 4 * count)
-        nbuckets = _CAL_MIN_BUCKETS
-        while nbuckets * 2 < count and nbuckets < _CAL_MAX_BUCKETS:
-            nbuckets <<= 1
-        width = self._width
-        if count >= 2:
-            # Robust width: twice the *median* non-zero gap over the head of
-            # the queue.  The event mix is heavy-tailed (microsecond compute
-            # quanta next to ~100 ms daemon wakeups), so a mean-based width
-            # balloons until every near-future event shares one day and each
-            # pop degenerates to a linear bucket scan.
-            sample = entries[: min(count, 25)]
-            gaps = sorted(
-                b[0] - a[0]
-                for a, b in zip(sample, sample[1:])
-                if b[0] > a[0]
-            )
-            if gaps:
-                width = max(2.0 * gaps[len(gaps) // 2], _CAL_MIN_WIDTH)
-        self._width = width
-        inv_width = self._inv_width = 1.0 / width
-        mask = self._mask = nbuckets - 1
-        self._grow_at = 2 * nbuckets
-        buckets = self._buckets = [[] for _ in range(nbuckets)]
-        first = None
-        # `entries` is globally sorted, so per-bucket appends stay sorted.
-        for time, seq, _old_day, event in entries:
-            day = int(time * inv_width)
-            bucket = buckets[day & mask]
-            bucket.append((time, seq, day, event))
-            if first is None:
-                first = bucket[-1]
-        if first is not None:
-            self._day = first[2]
-            self._cache = first
-        else:
-            self._day = int(self._now * inv_width)
-            self._cache = None
-
-    # -- stepping ----------------------------------------------------------
-    def step(self) -> None:
-        """Process the single next event; raises IndexError if none remain."""
-        due = self._due
-        if due:
-            event = due.popleft()
-        elif self._lane:
-            event = self._lane.popleft()
-        elif self._cal_count:
-            event = self._cal_pop()
-        else:
-            raise IndexError("step from an empty event queue")
-        self.steps += 1
-        if self._want_dispatch:
-            self._obs.emit("engine.dispatch", {"event": type(event).__name__})
-        event._run_callbacks()
-
+    # -- dispatch ------------------------------------------------------------
     def peek(self) -> float:
         """Time of the next scheduled event, or +inf if the queue is empty."""
         if self._due or self._lane:
             return self._now
-        if self._cal_count:
-            entry = self._cache
-            if entry is None:
-                entry = self._cal_scan()
-            return entry[0]
-        return float("inf")
+        heap = self._heap
+        return heap[0][0] if heap else _INF
 
-    # -- run loops ---------------------------------------------------------
+    def step(self) -> None:
+        """Process the single next event; raises IndexError if none remain."""
+        if not (self._due or self._lane or self._heap):
+            raise IndexError("step from an empty event queue")
+        self._dispatch(_INF, _NEVER, self.steps + 1)
+
     def run(self, until: Optional[float] = None) -> None:
         """Run until the queue drains or the clock passes ``until``.
 
         When ``until`` is given the clock is advanced exactly to it on exit,
         so back-to-back ``run(until=...)`` calls compose cleanly.
         """
-        if until is not None and until < self._now:
-            raise SimulationError(f"until={until} is in the past (now={self._now})")
-        self._run_calendar(until)
-        if until is not None:
+        if until is None:
+            self._dispatch(_INF, _NEVER, _INF)
+        elif until >= self._now:
+            self._dispatch(until, _NEVER, _INF)
             self._now = until
+        else:
+            raise SimulationError(f"until={until} is in the past (now={self._now})")
 
-    def _run_calendar(self, until: Optional[float]) -> None:
-        """Calendar-backend drain loop.
+    def run_until_triggered(
+        self, event: Event, max_steps: Optional[float] = None
+    ) -> bool:
+        """Dispatch events until ``event`` triggers.
 
-        The dispatch body is inlined (rather than calling :meth:`step`) with
-        the lanes, pools, and obs gate bound to locals: at ~10^5 events per
+        Returns ``True`` when the awaited event triggered, ``False`` when
+        ``max_steps`` total engine steps were reached first (the caller turns
+        that into a step-budget error), and raises :class:`SimulationError`
+        if the queue drains while the event is still pending (deadlock).
+        """
+        budget = _INF if max_steps is None else max_steps
+        self._dispatch(_INF, event, budget)
+        if event._state != _PENDING:
+            return True
+        if self.steps >= budget:
+            return False
+        raise SimulationError(
+            "event queue drained before the awaited event triggered (deadlock)"
+        )
+
+    def _dispatch(self, until: float, awaited: Event, budget: float) -> None:
+        """The one dispatch loop, behind :meth:`step`, :meth:`run` and
+        :meth:`run_until_triggered`.
+
+        Runs events in ``(time, sequence)`` order while ``awaited`` is
+        pending and fewer than ``budget`` total steps have run; stops early
+        when the queue drains or the next event lies beyond ``until``.  The
+        queues, pools and obs gate are bound to locals: at ~10^5 events per
         simulated experiment the attribute lookups were a measurable share
         of wall time.
         """
         due = self._due
         lane = self._lane
+        heap = self._heap
         due_popleft = due.popleft
+        due_append = due.append
         lane_popleft = lane.popleft
-        cal_pop = self._cal_pop
         pool = self._timeout_pool
         event_pool = self._event_pool
         obs = self._obs
         emit_dispatch = self._want_dispatch
         steps = self.steps
         try:
-            while True:
+            while awaited._state == _PENDING and steps < budget:
                 if due:
                     event = due_popleft()
                 elif lane:
                     event = lane_popleft()
-                elif self._cal_count:
-                    if until is not None:
-                        entry = self._cache
-                        if entry is None:
-                            entry = self._cal_scan()
-                        if entry[0] > until:
-                            break
-                    event = cal_pop()
+                elif heap and heap[0][0] <= until:
+                    # Unpacked at once: a live tuple would hold a third
+                    # reference to the event and defeat the recycling below.
+                    time, _, event = heappop(heap)
+                    self._now = time
+                    # The tie group goes to _due in sequence order: nothing
+                    # scheduled from here on can join it (see DESIGN.md 7.5).
+                    while heap and heap[0][0] == time:
+                        due_append(heappop(heap)[2])
                 else:
                     break
                 steps += 1
@@ -794,95 +590,24 @@ class Engine:
                 # Plain Events get their value cleared so carrying one (every
                 # lock grant and queue hand-off does) doesn't bar reuse or pin
                 # the payload; Timeouts must stay value-less because
-                # ``timeout()`` reuses them without resetting the value.
+                # ``timeout()`` reuses them without resetting the value.  A
+                # recycled event keeps its callback list, cleared: every
+                # queued event has one, since only dispatch sets it to None.
                 if getrefcount(event) == 2:
                     cls = type(event)
                     if cls is Timeout:
                         if event._value is None and len(pool) < _TIMEOUT_POOL_LIMIT:
-                            if callbacks is not None:
-                                callbacks.clear()
-                                event.callbacks = callbacks
+                            callbacks.clear()
+                            event.callbacks = callbacks
                             pool.append(event)
                     elif cls is Event and event._ok:
                         if len(event_pool) < _TIMEOUT_POOL_LIMIT:
                             event._value = None
-                            if callbacks is not None:
-                                callbacks.clear()
-                                event.callbacks = callbacks
+                            callbacks.clear()
+                            event.callbacks = callbacks
                             event_pool.append(event)
         finally:
             self.steps = steps
-
-    def run_until_triggered(
-        self, event: Event, max_steps: Optional[float] = None
-    ) -> bool:
-        """Dispatch events until ``event`` triggers.
-
-        Returns ``True`` when the awaited event triggered, ``False`` when
-        ``max_steps`` total engine steps were reached first (the caller turns
-        that into a step-budget error), and raises :class:`SimulationError`
-        if the queue drains while the event is still pending (deadlock).
-        This is the experiment harness's main loop, so the dispatch body is
-        inlined with local bindings exactly like :meth:`run`.
-        """
-        return self._run_until_triggered_calendar(event, max_steps)
-
-    def _run_until_triggered_calendar(
-        self, event: Event, max_steps: Optional[float]
-    ) -> bool:
-        due = self._due
-        lane = self._lane
-        due_popleft = due.popleft
-        lane_popleft = lane.popleft
-        cal_pop = self._cal_pop
-        pool = self._timeout_pool
-        event_pool = self._event_pool
-        obs = self._obs
-        emit_dispatch = self._want_dispatch
-        budget = float("inf") if max_steps is None else max_steps
-        steps = self.steps
-        try:
-            while event._state == _PENDING:
-                if steps >= budget:
-                    return False
-                if due:
-                    popped = due_popleft()
-                elif lane:
-                    popped = lane_popleft()
-                elif self._cal_count:
-                    popped = cal_pop()
-                else:
-                    raise SimulationError(
-                        "event queue drained before the awaited event "
-                        "triggered (deadlock)"
-                    )
-                steps += 1
-                if emit_dispatch:
-                    obs.emit("engine.dispatch", {"event": type(popped).__name__})
-                callbacks = popped.callbacks
-                popped.callbacks = None
-                popped._state = _PROCESSED
-                if callbacks:
-                    for callback in callbacks:
-                        callback(popped)
-                if getrefcount(popped) == 2:
-                    cls = type(popped)
-                    if cls is Timeout:
-                        if popped._value is None and len(pool) < _TIMEOUT_POOL_LIMIT:
-                            if callbacks is not None:
-                                callbacks.clear()
-                                popped.callbacks = callbacks
-                            pool.append(popped)
-                    elif cls is Event and popped._ok:
-                        if len(event_pool) < _TIMEOUT_POOL_LIMIT:
-                            popped._value = None
-                            if callbacks is not None:
-                                callbacks.clear()
-                                popped.callbacks = callbacks
-                            event_pool.append(popped)
-        finally:
-            self.steps = steps
-        return True
 
     def run_process(self, generator: ProcessGenerator, name: str = "") -> Any:
         """Convenience: run a process to completion and return its value."""

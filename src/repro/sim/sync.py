@@ -12,12 +12,14 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Callable, Deque, List, Optional, Tuple
 
-from repro.sim.engine import _TRIGGERED, Engine, Event, SimulationError
+from repro.sim.engine import _PENDING, _TRIGGERED, Engine, Event, SimulationError
 
-# Event.succeed is inlined at the uncontended/non-blocking fast paths below
-# (state/value stores plus a now-lane append): the events are freshly made or
-# known-pending, so the succeed() guard is vacuous, and these paths run for
-# every lock acquisition and queue hand-off.
+# Engine.event and Event.succeed are inlined at the fast paths below (a pop
+# from the engine's event pool; state/value stores plus a now-lane append):
+# the events are freshly made or known-pending, so the succeed() guard is
+# vacuous, and these paths run for every lock acquisition and queue hand-off.
+# A pooled event arrives processed, with its cleared callback list, so the
+# paths that leave it waiting reset it to pending.
 
 __all__ = ["Lock", "Resource", "Store"]
 
@@ -52,7 +54,8 @@ class Lock:
 
     def acquire(self, who: object = None) -> Event:
         engine = self.engine
-        event = engine.event()
+        pool = engine._event_pool
+        event = pool.pop() if pool else Event(engine)
         if self._holder is None:
             # _grant inlined for the uncontended case (zero wait adds
             # nothing to the accounting), which is nearly every fault.
@@ -64,6 +67,7 @@ class Lock:
             event._ok = True
             engine._lane.append(event)
         else:
+            event._state = _PENDING
             self.contended_acquisitions += 1
             self._waiters.append((event, who, engine._now))
         return event
@@ -187,7 +191,8 @@ class Store:
 
     def get(self) -> Event:
         engine = self.engine
-        event = engine.event()
+        pool = engine._event_pool
+        event = pool.pop() if pool else Event(engine)
         if self._items:
             self.gets += 1
             event._state = _TRIGGERED
@@ -195,6 +200,7 @@ class Store:
             event._ok = True
             engine._lane.append(event)
         else:
+            event._state = _PENDING
             self._getters.append(event)
         return event
 

@@ -285,7 +285,8 @@ class FreeList:
         owner = table.owner[index]
         vpn = table.vpn[index]
         if owner is not None and vpn >= 0:
-            if owner.frame_index(vpn) < 0:
+            pt = owner.pt  # owner.frame_index(vpn) < 0, inlined
+            if vpn >= len(pt) or pt[vpn] < 0:
                 self._identity[(owner.asid, vpn)] = index
             else:
                 # The vpn was re-faulted into a fresh frame while this one

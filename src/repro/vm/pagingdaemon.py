@@ -74,7 +74,7 @@ class PagingDaemon:
 
     # -- pressure -----------------------------------------------------------
     def _shortage(self) -> bool:
-        return self.vm.freelist.free_count < self.tunables.min_freemem_pages
+        return self.vm.freelist._free_count < self.tunables.min_freemem_pages
 
     def _target(self) -> int:
         return self.tunables.min_freemem_pages + self.tunables.free_target_slack_pages
@@ -88,7 +88,7 @@ class PagingDaemon:
         within seconds under an aggressive prefetcher.
         """
         tunables = self.tunables
-        free = self.vm.freelist.free_count
+        free = self.vm.freelist._free_count
         target = self._target()
         if target <= 0:
             return tunables.daemon_base_scan_rate_pages_s
@@ -128,7 +128,7 @@ class PagingDaemon:
         batch = tunables.daemon_lock_batch_pages
         steps = 0
         stolen_total = 0
-        while vm.freelist.free_count < target and steps < self._nframes:
+        while vm.freelist._free_count < target and steps < self._nframes:
             lead_frames, steal_candidates = self._collect_batch(batch)
             stolen = yield from self._process_batch(lead_frames, steal_candidates)
             stolen_total += stolen

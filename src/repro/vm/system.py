@@ -324,7 +324,7 @@ class VmSystem:
             index = self.freelist.pop()
             if index is not None:
                 self.stats.total_allocations += 1
-                if self.freelist.free_count < self.tunables.min_freemem_pages:
+                if self.freelist._free_count < self.tunables.min_freemem_pages:
                     self._notify_daemon()
                 return index
             if first:
@@ -338,7 +338,7 @@ class VmSystem:
         index = self.freelist.pop()
         if index is not None:
             self.stats.total_allocations += 1
-            if self.freelist.free_count < self.tunables.min_freemem_pages:
+            if self.freelist._free_count < self.tunables.min_freemem_pages:
                 self._notify_daemon()
         return index
 
@@ -349,7 +349,8 @@ class VmSystem:
         Mirrors the PagingDirected PM: if there is no free memory the
         request is discarded immediately (never steals to satisfy a
         prefetch); on completion the page is left unvalidated with no TLB
-        entry.  Returns True if a page was brought in.
+        entry.  Returns True if a page was brought in.  The caller refreshes
+        the shared page on return, whatever the outcome.
         """
         obs = self.obs
         flags = self._flags
@@ -425,7 +426,6 @@ class VmSystem:
                     "vm.prefetch",
                     {"aspace": aspace.name, "vpn": vpn, "outcome": "failed"},
                 )
-            self._refresh_shared(aspace)
             return False
         task.buckets.stall_io += engine._now - io_started
         self._in_transit[index] = None
@@ -435,7 +435,6 @@ class VmSystem:
         # Deliberately NOT validated: sw_valid stays False so the first real
         # touch pays the cheap prefetch_validate cost instead of displacing
         # TLB entries now.
-        self._refresh_shared(aspace)
         return True
 
     # -- release (Section 3.1.2) ----------------------------------------------
@@ -452,6 +451,8 @@ class VmSystem:
         pt = aspace.pt
         npt = len(pt)
         shared = aspace.shared_page
+        # SharedPage.clear_bit inlined: a discard on the bitmap set.
+        discard = shared._bits.discard if shared is not None else None
         accepted: List[int] = []
         for vpn in vpns:
             index = pt[vpn] if vpn < npt else -1
@@ -463,8 +464,8 @@ class VmSystem:
             flags[index] = (fl | F_RELEASE_PENDING) & ~(
                 F_SW_VALID | F_REFERENCED
             )
-            if shared is not None:
-                shared.clear_bit(vpn)
+            if discard is not None:
+                discard(vpn)
             accepted.append(vpn)
         if accepted and self.releaser is not None:
             self.releaser.enqueue(aspace, accepted)

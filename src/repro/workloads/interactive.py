@@ -80,8 +80,9 @@ class InteractiveTask:
         process = self.process
         stats = process.aspace.stats
         touch = process.touch
+        engine = self.kernel.engine
         while not self._stop:
-            start = self.kernel.engine.now
+            start = engine._now
             hard0 = stats.hard_faults
             soft0 = stats.soft_faults
             rescues0 = stats.rescues
@@ -93,7 +94,7 @@ class InteractiveTask:
             self.samples.append(
                 SweepSample(
                     start_time=start,
-                    response_time=self.kernel.engine.now - start,
+                    response_time=engine._now - start,
                     hard_faults=stats.hard_faults - hard0,
                     soft_faults=stats.soft_faults - soft0,
                     rescues=stats.rescues - rescues0,

@@ -118,6 +118,30 @@ class TestTimeout:
         assert engine.now == 0.0
 
 
+_SCHEDULERS = {
+    "timeout": lambda engine, x: engine.timeout(x),
+    "succeed": lambda engine, x: engine.event().succeed(delay=x),
+    "fail": lambda engine, x: engine.event().fail(RuntimeError("x"), delay=x),
+    "trigger_at": lambda engine, x: engine.event().trigger_at(x),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_SCHEDULERS))
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_non_finite_times_are_rejected(engine, entry, bad):
+    # A pooled timeout exists, so engine.timeout takes its recycling path.
+    engine.timeout(1.0)
+    engine.run()
+    assert engine._timeout_pool
+    with pytest.raises(SimulationError):
+        _SCHEDULERS[entry](engine, bad)
+    # Nothing reached the queue, and the clock still advances normally.
+    assert engine.peek() == float("inf")
+    engine.timeout(2.0)
+    engine.run()
+    assert engine.now == 3.0
+
+
 class TestClock:
     def test_fifo_order_for_simultaneous_events(self, engine):
         order = []

@@ -1,0 +1,68 @@
+"""The decision rule of ``scripts/perfbench_ab.py``, on fixed numbers."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parents[1] / "scripts" / "perfbench_ab.py"
+_SPEC = importlib.util.spec_from_file_location("perfbench_ab", _PATH)
+ab = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(ab)
+
+PARENT = [1.50, 1.52, 1.48, 1.55, 1.51, 1.49, 1.53, 1.50, 1.54, 1.47]
+
+
+def test_quartiles_are_inclusive():
+    assert ab.quartiles([1.0, 2.0, 3.0, 4.0, 5.0]) == (2.0, 3.0, 4.0)
+    assert ab.quartiles([7.0]) == (7.0, 7.0, 7.0)
+
+
+def test_ties_count_for_neither_side():
+    assert ab.wins([1.0, 2.0, 3.0], [0.5, 2.0, 3.5], "lower") == 1
+    assert ab.wins([1.0, 2.0, 3.0], [0.5, 2.0, 3.5], "higher") == 1
+
+
+def test_claim_holds_with_nine_wins_and_a_gap_beyond_the_iqr():
+    change = [p - 0.25 for p in PARENT]
+    change[3] = PARENT[3] + 0.01  # one lost pair: 9 of 10 still holds
+    assert ab.wins(PARENT, change, "lower") == 9
+    assert ab.claim_holds(PARENT, change, "lower")
+
+
+def test_claim_fails_with_eight_wins():
+    change = [p - 0.25 for p in PARENT]
+    change[3] = PARENT[3] + 0.01
+    change[5] = PARENT[5]  # a tie is not a win
+    assert ab.wins(PARENT, change, "lower") == 8
+    assert not ab.claim_holds(PARENT, change, "lower")
+
+
+def test_claim_fails_when_the_gap_is_inside_the_parent_iqr():
+    q1, _median, q3 = ab.quartiles(PARENT)
+    change = [p - 0.9 * (q3 - q1) for p in PARENT]
+    assert ab.wins(PARENT, change, "lower") == 10
+    assert not ab.claim_holds(PARENT, change, "lower")
+
+
+def test_claim_respects_the_metric_direction():
+    rates = [10.0 + i for i in range(10)]
+    assert ab.claim_holds(rates, [r + 20.0 for r in rates], "higher")
+    assert not ab.claim_holds(rates, [r + 20.0 for r in rates], "lower")
+
+
+@pytest.mark.parametrize(
+    "change, expected",
+    [
+        ([p - 0.3 for p in PARENT], "better"),  # every run better than every run
+        ([p + 0.01 for p in PARENT], "within"),
+        ([p * 1.3 for p in PARENT], "regressed"),
+    ],
+)
+def test_verdict_against_a_bound(change, expected):
+    assert ab.verdict(PARENT, change, "lower", bound=0.25) == expected
+
+
+def test_verdict_is_unresolved_when_the_spread_exceeds_the_bound():
+    noisy = [1.0, 2.0, 1.0, 2.0, 1.0, 2.0, 1.0, 2.0, 1.0, 2.0]
+    assert ab.verdict(noisy, [1.5] * 10, "lower", bound=0.25) == "unresolved"

@@ -1,5 +1,7 @@
 """Property-based tests (hypothesis) on core invariants."""
 
+import collections
+import heapq
 import math
 
 from hypothesis import given, settings
@@ -67,6 +69,331 @@ class TestEngineProperties:
             return fired
 
         assert run_split() == run_straight()
+
+
+# -- exact dispatch order against a reference scheduler -----------------------
+#
+# The reference is the specification of the engine's order: one heap of
+# (time, sequence, event), the sequence issued when an event is scheduled,
+# zero-delay triggers included.  So an event triggered at the current instant
+# runs FIFO after the current tie group.  It shares nothing with the engine;
+# the process, condition, lock and store semantics below are the engine's,
+# written the plain way.  A scenario is played on both, and every observation
+# (a process step, a callback, a run(until) return) is logged with the clock
+# and the dispatch count, so equal logs mean every observed event was
+# dispatched at the same position of the same dispatch sequence.
+
+GRID = 0.5  # delays are multiples of this: exact in binary, so ties happen
+
+
+class _Boom(Exception):
+    pass
+
+
+class _RefEvent:
+    def __init__(self, env):
+        self.env = env
+        self.callbacks = []
+        self.triggered = False
+        self.ok = True
+        self.value = None
+
+    def succeed(self, value=None, delay=0.0):
+        return self._schedule(self.env.now + delay, value, True)
+
+    def fail(self, exception, delay=0.0):
+        return self._schedule(self.env.now + delay, exception, False)
+
+    def trigger_at(self, time, value=None, ok=True):
+        return self._schedule(time, value, ok)
+
+    def _schedule(self, time, value, ok):
+        assert not self.triggered
+        self.triggered, self.value, self.ok = True, value, ok
+        env = self.env
+        env.sequence += 1
+        heapq.heappush(env.queue, (time, env.sequence, self))
+        env.peak = max(env.peak, len(env.queue))
+        return self
+
+    def add_callback(self, callback):
+        if self.callbacks is None:
+            callback(self)
+        else:
+            self.callbacks.append(callback)
+
+
+class _RefProcess(_RefEvent):
+    def __init__(self, env, generator):
+        super().__init__(env)
+        self.generator = generator
+        env.timeout(0.0).add_callback(self._resume)
+
+    def _resume(self, event):
+        try:
+            if event.ok:
+                target = self.generator.send(event.value)
+            else:
+                target = self.generator.throw(event.value)
+        except StopIteration as stop:
+            self.succeed(stop.value)
+            return
+        target.add_callback(self._resume)
+
+
+class _RefCondition(_RefEvent):
+    def __init__(self, env, events, need_all):
+        super().__init__(env)
+        self.events = list(events)
+        self.remaining = len(self.events)
+        self.need_all = need_all
+        for event in self.events:
+            event.add_callback(self._on_child)
+
+    def _on_child(self, event):
+        if self.triggered:
+            return
+        if not event.ok:
+            self.fail(event.value)
+            return
+        self.remaining -= 1
+        if not self.need_all or self.remaining == 0:
+            self.succeed({e: e.value for e in self.events if e.triggered and e.ok})
+
+
+class _RefLock:
+    def __init__(self, env):
+        self.env = env
+        self.held = False
+        self.waiters = collections.deque()
+
+    def acquire(self):
+        event = _RefEvent(self.env)
+        if self.held:
+            self.waiters.append(event)
+        else:
+            self.held = True
+            event.succeed(self)
+        return event
+
+    def release(self):
+        self.held = bool(self.waiters)
+        if self.waiters:
+            self.waiters.popleft().succeed(self)
+
+
+class _RefStore:
+    def __init__(self, env):
+        self.env = env
+        self.items = collections.deque()
+        self.getters = collections.deque()
+
+    def put(self, item):
+        if self.getters:
+            self.getters.popleft().succeed(item)
+        else:
+            self.items.append(item)
+
+    def get(self):
+        event = _RefEvent(self.env)
+        if self.items:
+            event.succeed(self.items.popleft())
+        else:
+            self.getters.append(event)
+        return event
+
+
+class _RefEngine:
+    def __init__(self):
+        self.now = 0.0
+        self.steps = 0
+        self.sequence = 0
+        self.queue = []
+        self.peak = 0
+
+    def event(self):
+        return _RefEvent(self)
+
+    def timeout(self, delay, value=None):
+        return _RefEvent(self).succeed(value, delay)
+
+    def process(self, generator):
+        return _RefProcess(self, generator)
+
+    def any_of(self, events):
+        return _RefCondition(self, events, need_all=False)
+
+    def all_of(self, events):
+        return _RefCondition(self, events, need_all=True)
+
+    def run(self, until=None):
+        while self.queue and (until is None or self.queue[0][0] <= until):
+            self.now, _, event = heapq.heappop(self.queue)
+            self.steps += 1
+            callbacks, event.callbacks = event.callbacks, None
+            for callback in callbacks:
+                callback(event)
+        if until is not None:
+            self.now = until
+
+
+class _DispatchCounter:
+    """A minimal obs bus: counts ``engine.dispatch`` emissions, which the
+    engine makes before each event's callbacks run."""
+
+    steps = 0
+
+    def wants(self, kind):
+        return kind == "engine.dispatch"
+
+    def emit(self, kind, payload):
+        self.steps += 1
+
+
+def _play(env, counter, lock, store, scenario):
+    """Play ``scenario`` on ``env``; returns the observation log."""
+    shared_count, chains, scripts, splits = scenario
+    log = []
+
+    def note(*what):
+        log.append((*what, env.now, counter.steps))
+
+    shared = [env.event() for _ in range(shared_count)]
+    for source, target, delay, ok in chains:
+
+        def chain(event, source=source, target=shared[target], delay=delay, ok=ok):
+            # succeed / fail from inside a dispatch, with and without delay.
+            note("callback", source, event.ok)
+            if not target.triggered:
+                if ok:
+                    target.succeed(source, delay=delay * GRID)
+                else:
+                    target.fail(_Boom(source), delay=delay * GRID)
+
+        shared[source].add_callback(chain)
+    processes = []
+
+    def worker(pid, script):
+        for step, (kind, a, b) in enumerate(script):
+            seen = None
+            try:
+                if kind == "sleep":
+                    yield env.timeout(a * GRID)
+                elif kind == "wait":
+                    seen = yield shared[a]
+                elif kind == "succeed" and not shared[a].triggered:
+                    shared[a].succeed(pid, delay=b * GRID)
+                elif kind == "fail" and not shared[a].triggered:
+                    shared[a].fail(_Boom(pid), delay=b * GRID)
+                elif kind == "at" and not shared[a].triggered:
+                    shared[a].trigger_at(env.now + b * GRID, pid)
+                elif kind == "any":
+                    race = [env.timeout(a * GRID), env.timeout(b * GRID)]
+                    seen = len((yield env.any_of(race)))
+                elif kind == "any_shared":
+                    race = [shared[a], env.timeout(b * GRID)]
+                    seen = len((yield env.any_of(race)))
+                elif kind == "all":
+                    both = [env.timeout(a * GRID), env.timeout(b * GRID)]
+                    seen = len((yield env.all_of(both)))
+                elif kind == "lock":
+                    yield lock.acquire()
+                    note(pid, step, "locked")
+                    yield env.timeout(a * GRID)
+                    lock.release()
+                elif kind == "put":
+                    store.put((pid, step))
+                elif kind == "get":
+                    seen = yield store.get()
+                elif kind == "join":
+                    seen = yield processes[a % len(processes)]
+            except _Boom as exc:
+                seen = ("boom", exc.args)
+            note(pid, step, seen)
+        return pid
+
+    for pid, script in enumerate(scripts):
+        processes.append(env.process(worker(pid, script)))
+    for until in splits:
+        env.run(until=until)
+        note("until")
+    env.run()
+    note("end")
+    return log
+
+
+def _assert_engine_matches_reference(scenario):
+    from repro.sim.sync import Lock, Store
+
+    engine = Engine()
+    engine.obs = counter = _DispatchCounter()
+    actual = _play(engine, counter, Lock(engine), Store(engine), scenario)
+    reference = _RefEngine()
+    expected = _play(
+        reference, reference, _RefLock(reference), _RefStore(reference), scenario
+    )
+    assert actual == expected
+    assert engine.steps == counter.steps == reference.steps
+    return reference
+
+
+def _scenarios():
+    shared = st.integers(0, 4)
+    steps = st.integers(0, 4)
+
+    def scenario(n_shared):
+        refs = st.integers(0, max(n_shared - 1, 0))
+        ops = [
+            st.tuples(st.just("sleep"), steps, st.just(0)),
+            st.tuples(st.just("any"), steps, steps),
+            st.tuples(st.just("all"), steps, steps),
+            st.tuples(st.just("lock"), steps, st.just(0)),
+            st.tuples(st.just("put"), st.just(0), st.just(0)),
+            st.tuples(st.just("get"), st.just(0), st.just(0)),
+            st.tuples(st.just("join"), st.integers(0, 5), st.just(0)),
+        ]
+        if n_shared:
+            ops += [
+                st.tuples(st.sampled_from(["wait", "succeed", "fail", "at"]), refs, steps),
+                st.tuples(st.just("any_shared"), refs, steps),
+            ]
+        scripts = st.lists(st.lists(st.one_of(ops), max_size=8), min_size=1, max_size=6)
+        chains = st.lists(
+            st.tuples(refs, refs, st.integers(0, 2), st.booleans()),
+            max_size=4 if n_shared else 0,
+        )
+        splits = st.lists(st.integers(0, 24), max_size=3, unique=True).map(
+            lambda ticks: [t * GRID / 2 for t in sorted(ticks)]
+        )
+        return st.tuples(st.just(n_shared), chains, scripts, splits)
+
+    return shared.flatmap(scenario)
+
+
+def _churn_scenario(processes=1024, rounds=3):
+    """``engine_churn``'s shape: each process races a short timer against a
+    deadline about 3x longer, round after round, and never cancels the
+    losing deadline."""
+    state, scripts = 1, []
+    for _ in range(processes):
+        script = []
+        for _ in range(rounds):
+            state = (state * 1103515245 + 12345) % (1 << 31)
+            short = 1 + state % 4
+            script.append(("any", short, 3 * short + state % 3))
+        scripts.append(script)
+    return (0, [], scripts, [4 * GRID])
+
+
+class TestDispatchOrder:
+    @settings(max_examples=200, deadline=None)
+    @given(scenario=_scenarios())
+    def test_dispatch_order_matches_the_reference(self, scenario):
+        _assert_engine_matches_reference(scenario)
+
+    def test_high_occupancy_with_abandoned_deadlines(self):
+        reference = _assert_engine_matches_reference(_churn_scenario())
+        assert reference.peak >= 2000
 
 
 class TestAffineProperties:

@@ -32,6 +32,33 @@ def test_spec_key_is_stable_and_discriminating(scale):
     )
 
 
+def test_figures_7_and_10bc_share_the_grid_keys(scale, monkeypatch):
+    """Figure 7 leaves the interactive sleep at its scale default and
+    Figure 10(b)/(c) spells it out; both are one grid of 24 experiments."""
+    from repro.experiments import harness
+    from repro.experiments.figure7 import run_figure7
+    from repro.experiments.figure10 import run_figure10bc
+
+    class Collected(Exception):
+        pass
+
+    def grid_keys(run_figure):
+        specs = []
+
+        def collect(grid, **_kwargs):
+            specs.extend(grid)
+            raise Collected
+
+        monkeypatch.setattr(harness, "run_specs", collect)
+        with pytest.raises(Collected):
+            run_figure(scale)
+        return {spec_key(spec) for spec in specs}
+
+    figure7 = grid_keys(run_figure7)
+    assert len(figure7) == 24
+    assert grid_keys(run_figure10bc) == figure7
+
+
 def test_run_specs_preserves_input_order(scale):
     specs = [_spec(scale, v) for v in "RB"]
     results = run_specs(specs)
