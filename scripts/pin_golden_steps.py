@@ -1,6 +1,6 @@
 """Re-pin the golden engine_steps at equal physics.
 
-Runs every spec of every bench case, checks its physics digest against
+Runs every spec of every golden case, checks its physics digest against
 tests/golden/serialized_digests.json, and rewrites only the engine_steps
 pins.  It refuses to write anything if any physics digest moved: a change
 that moves physics is a fidelity change, not an event-count change, and
@@ -12,17 +12,17 @@ import json
 import sys
 from pathlib import Path
 
-from repro import bench
 from repro.machine import run_experiment
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from tests.golden_cases import GOLDEN_CASES  # noqa: E402
 from tests.test_golden_digests import GOLDEN, GOLDEN_PATH, physics_digest  # noqa: E402
 
 
 def main() -> int:
     moved = []
     for case, pins in GOLDEN["cases"].items():
-        specs = bench.BENCH_CASES[case]()
+        specs = GOLDEN_CASES[case]()
         if len(specs) != len(pins):
             moved.append(f"{case}: spec count changed")
             continue

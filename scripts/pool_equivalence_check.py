@@ -28,6 +28,8 @@ import sys
 import tempfile
 from pathlib import Path
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+
 RSS_BUDGET_MB = 512
 SWEEP_SPECS = 1000
 FAIL_EVERY = 137
@@ -49,12 +51,12 @@ def check_rss(phase: str) -> None:
 
 
 def grid_parity() -> None:
-    from repro.bench import _grid_wide
     from repro.digest import serialize_result
     from repro.experiments import pool as pool_mod
     from repro.experiments.runner import run_specs
+    from tests.golden_cases import grid_wide
 
-    specs = _grid_wide()[:12]
+    specs = grid_wide()[:12]
 
     serial = [
         serialize_result(r) for r in run_specs(specs, jobs=1)

@@ -960,128 +960,6 @@ def _cmd_ensemble(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro import bench
-
-    known = bench.all_case_names()
-    if args.all or not args.case:
-        names = known
-    else:
-        names = list(dict.fromkeys(args.case))
-    unknown = [name for name in names if name not in known]
-    if unknown:
-        print(
-            f"unknown case(s) {', '.join(unknown)}; known: {', '.join(known)}",
-            file=sys.stderr,
-        )
-        return 2
-    baseline_cases = {}
-    if os.path.exists(args.baseline):
-        baseline_cases = bench.load_baseline(args.baseline)
-    elif args.check:
-        print(f"--check given but no baseline at {args.baseline}", file=sys.stderr)
-        return 2
-    rows = []
-    records = []
-    failures = []
-    for name in names:
-        record, profile_text = bench.run_case(
-            name, repeats=args.repeats, profile=args.profile
-        )
-        records.append(record)
-        ok, message = bench.compare_to_baseline(
-            record,
-            baseline_cases,
-            tolerance=args.tolerance,
-            min_speedup=args.min_speedup,
-        )
-        if not ok:
-            failures.append(message)
-        path = bench.write_record(record, args.out_dir)
-        print(f"{message}  -> {path}")
-        if profile_text:
-            print(profile_text)
-            # Keep a copy next to the records so CI can archive profiles.
-            profile_path = Path(args.out_dir) / f"PROFILE_{name}.txt"
-            profile_path.write_text(profile_text, encoding="utf-8")
-            print(f"profile written: {profile_path}")
-        meta = record.meta
-        pooled = "pool_workers" in meta
-        rows.append(
-            (
-                record.name,
-                f"{record.wall_s:.3f}",
-                record.engine_steps,
-                f"{record.events_per_s:,.0f}",
-                f"{record.sim_s_per_wall_s:.2f}",
-                f"{record.peak_rss_mb:.1f}",
-                "-"
-                if not pooled
-                else f"{meta.get('pool_worker_reuse_rate', 0.0):.0%}",
-                "-"
-                if not pooled
-                else f"{meta.get('pool_snapshot_hit_rate', 0.0):.0%}",
-                "-"
-                if not pooled
-                else f"{meta.get('pool_specs_per_dispatch', 0.0):.1f}",
-                "-"
-                if record.speedup_vs_baseline is None
-                else f"{record.speedup_vs_baseline:.2f}x",
-            )
-        )
-    print(
-        format_table(
-            [
-                "case",
-                "wall s",
-                "events",
-                "events/s",
-                "sim s / wall s",
-                "rss MB",
-                "reuse",
-                "snap",
-                "specs/disp",
-                "vs baseline",
-            ],
-            rows,
-            title=f"repro bench (best of {args.repeats})",
-        )
-    )
-    if args.update_baseline:
-        from repro.ioutil import atomic_write_json
-
-        payload = {
-            "note": (
-                "committed wall-clock baselines for `repro bench --check`; "
-                "rewrite with `repro bench --all --update-baseline` on a "
-                "quiet machine"
-            ),
-            # Cases not rerun this invocation keep their old entries.
-            "cases": {
-                **baseline_cases,
-                **{
-                    record.name: {
-                        "wall_s": record.wall_s,
-                        "engine_steps": record.engine_steps,
-                        "sim_s": record.sim_s,
-                        "specs": record.specs,
-                        "events_per_s": record.events_per_s,
-                        "sim_s_per_wall_s": record.sim_s_per_wall_s,
-                        "peak_rss_mb": record.peak_rss_mb,
-                    }
-                    for record in records
-                },
-            },
-        }
-        atomic_write_json(args.baseline, payload)
-        print(f"baseline updated: {args.baseline}")
-    if failures and args.check:
-        for message in failures:
-            print(message, file=sys.stderr)
-        return 1
-    return 0
-
-
 def _cmd_trace_record(args: argparse.Namespace) -> int:
     if args.spec is not None:
         spec = _spec_from_argument(args.spec, args.scale)
@@ -1384,67 +1262,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scale(table_parser)
     _add_runner(table_parser)
     table_parser.set_defaults(handler=_cmd_table)
-
-    bench_parser = commands.add_parser(
-        "bench",
-        help="time the simulator's hot paths and write BENCH_<case>.json",
-    )
-    bench_parser.add_argument(
-        "--case",
-        action="append",
-        default=None,
-        help="benchmark case to run (repeatable; default: all cases)",
-    )
-    bench_parser.add_argument(
-        "--all", action="store_true", help="run every case (the default)"
-    )
-    bench_parser.add_argument(
-        "--repeats",
-        type=int,
-        default=2,
-        help="timing passes per case; wall time is the best (default 2)",
-    )
-    bench_parser.add_argument(
-        "--profile",
-        action="store_true",
-        help="additionally run each case under cProfile and print the top "
-        "functions by cumulative time",
-    )
-    bench_parser.add_argument(
-        "--check",
-        action="store_true",
-        help="exit non-zero if any case regresses past --tolerance x baseline",
-    )
-    bench_parser.add_argument(
-        "--tolerance",
-        type=float,
-        default=2.0,
-        help="allowed wall-time ratio vs the committed baseline (default 2.0)",
-    )
-    bench_parser.add_argument(
-        "--min-speedup",
-        type=float,
-        default=None,
-        help="with --check, also fail if any case's speedup_vs_baseline "
-        "drops below this floor (default: no floor)",
-    )
-    bench_parser.add_argument(
-        "--baseline",
-        default="benchmarks/perf/baseline.json",
-        help="baseline file to compare against "
-        "(default benchmarks/perf/baseline.json)",
-    )
-    bench_parser.add_argument(
-        "--out-dir",
-        default=".",
-        help="directory for BENCH_<case>.json records (default: cwd)",
-    )
-    bench_parser.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="rewrite the baseline file with this run's wall times",
-    )
-    bench_parser.set_defaults(handler=_cmd_bench)
 
     cache_parser = commands.add_parser(
         "cache", help="inspect or prune a result cache directory"

@@ -1,6 +1,6 @@
 """Atomic file writes for every artifact the toolchain persists.
 
-Bench records, result-cache entries, and trace files are all written via
+Result-cache entries, trace files and state files are all written via
 write-to-temp + ``os.replace``: an interrupted run (SIGKILL, OOM, a full
 disk discovered at close) can never leave a truncated artifact under the
 final name, and a parallel reader never observes a half-written file.

@@ -151,7 +151,16 @@ class _Handler(BaseHTTPRequestHandler):
         if parts != ["v1", "jobs"]:
             self._send_error_json(404, f"no such endpoint: {parsed.path}")
             return
-        length = int(self.headers.get("Content-Length", 0) or 0)
+        header = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(header)
+        except ValueError:
+            length = -1
+        # A negative length would make rfile.read() wait for the client to
+        # close the connection.
+        if length < 0:
+            self._send_error_json(400, f"bad Content-Length: {header!r}")
+            return
         if length > _MAX_BODY:
             self._send_error_json(413, f"body exceeds {_MAX_BODY} bytes")
             return

@@ -11,8 +11,7 @@ recording of the same execution compare equal.
 the op stream the trace's workload/version/scale produces under the
 *current* compiler and interpreter, and compare it to the recorded stream
 — no simulation involved, which is why checking a mix this way is several
-times faster than re-executing it (see the ``replay_standard_mix`` bench
-case).
+times faster than re-executing it.
 
 ``trace_info`` reports what a trace touches: op mix, footprint, write
 fraction, hint volume, and stream locality.

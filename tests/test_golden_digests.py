@@ -21,8 +21,9 @@ from pathlib import Path
 
 import pytest
 
-from repro import bench, digest
+from repro import digest
 from repro.machine import run_experiment
+from tests.golden_cases import GOLDEN_CASES
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "serialized_digests.json"
 GOLDEN = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
@@ -48,13 +49,13 @@ def assert_matches_golden(result, pin, label: str) -> None:
 
 
 def test_golden_covers_committed_cases():
-    """The pins and the bench cases name the same specs."""
-    assert CASES == sorted(bench.BENCH_CASES)
+    """The pins and the golden cases name the same specs."""
+    assert CASES == sorted(GOLDEN_CASES)
 
 
 def test_serialize_result_is_physics_plus_steps():
     """One formatter: the service's text is the physics text plus one line."""
-    spec = bench.BENCH_CASES["grid_tiny"]()[0]
+    spec = GOLDEN_CASES["grid_tiny"]()[0]
     result = run_experiment(spec)
     lines = digest.serialize_result(result).split("\n")
     assert lines[2] == f"engine_steps={result.engine_steps}"
@@ -63,7 +64,7 @@ def test_serialize_result_is_physics_plus_steps():
 
 @pytest.mark.parametrize("case", CASES)
 def test_serialized_results_match_golden(case):
-    specs = bench.BENCH_CASES[case]()
+    specs = GOLDEN_CASES[case]()
     pins = GOLDEN["cases"][case]
     assert len(specs) == len(pins), (
         f"{case}: spec count changed ({len(specs)} vs {len(pins)} golden "

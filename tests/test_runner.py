@@ -59,6 +59,40 @@ def test_figures_7_and_10bc_share_the_grid_keys(scale, monkeypatch):
     assert grid_keys(run_figure10bc) == figure7
 
 
+def test_no_two_figure_or_table_keys_share_physics(scale, tmp_path):
+    """Every figure and table run into one cache: no experiment is
+    simulated twice under two keys."""
+    from repro import digest
+    from repro.experiments import (
+        run_figure1,
+        run_figure7,
+        run_figure8,
+        run_figure9,
+        run_figure10a,
+        run_figure10bc,
+        run_table3,
+    )
+
+    cache = tmp_path / "cache"
+    for run in (
+        run_figure1,
+        run_figure7,
+        run_figure8,
+        run_figure9,
+        run_figure10a,
+        run_figure10bc,
+        run_table3,
+    ):
+        run(scale, cache_dir=cache)
+    keys_by_physics = {}
+    for path in sorted(cache.glob("*.pkl")):
+        text = digest.physics_text(runner_mod.load_cached(cache, path.stem))
+        keys_by_physics.setdefault(text, []).append(path.stem)
+    assert keys_by_physics
+    shared = [keys for keys in keys_by_physics.values() if len(keys) > 1]
+    assert not shared, f"keys with identical physics: {shared}"
+
+
 def test_run_specs_preserves_input_order(scale):
     specs = [_spec(scale, v) for v in "RB"]
     results = run_specs(specs)

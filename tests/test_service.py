@@ -2,6 +2,7 @@
 
 import json
 import os
+import socket
 import subprocess
 import sys
 import threading
@@ -215,6 +216,18 @@ class TestHTTP:
         with pytest.raises(ServiceError) as excinfo:
             ServiceClient(server.url).job("j-424242")
         assert excinfo.value.status == 404
+
+    @pytest.mark.parametrize("length", ["abc", "-1"])
+    def test_bad_content_length_is_400(self, server, length):
+        # No body: the server must answer from the header alone, and a
+        # socket timeout turns a handler stuck reading into a failure.
+        request = f"POST /v1/jobs HTTP/1.0\r\nContent-Length: {length}\r\n\r\n"
+        with socket.create_connection(server.address, timeout=3) as conn:
+            conn.sendall(request.encode("ascii"))
+            reply = conn.makefile("rb").read()
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.split()[1] == b"400"
+        assert json.loads(body) == {"error": f"bad Content-Length: {length!r}"}
 
     def test_result_before_done_is_409(self, tmp_path):
         # A manager that never starts workers: the job stays queued.
