@@ -466,7 +466,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         host=args.host,
         port=args.port,
         workers=args.workers,
-        pool_workers=args.pool_workers,
         timeout_s=args.timeout,
         retries=args.retries,
         registry=_registry_from(args),
@@ -1619,8 +1618,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument(
         "--state-dir",
         required=True,
-        help="server state: job journal, shared result cache, per-job "
-        "events and traces",
+        help="server state: job index, shared result cache, and one sweep "
+        "checkpoint per job (journal, events, traces)",
     )
     serve_parser.add_argument(
         "--host", default="127.0.0.1", help="bind address (default 127.0.0.1)"
@@ -1635,14 +1634,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=2,
-        help="concurrent job worker threads (default 2)",
-    )
-    serve_parser.add_argument(
-        "--pool-workers",
-        type=int,
-        default=None,
-        help="warm execution-pool processes backing the job threads "
-        "(default: match --workers)",
+        help="concurrent jobs, and the warm pool processes that run their "
+        "specs (default 2)",
     )
     serve_parser.add_argument(
         "--timeout",

@@ -2,9 +2,10 @@
 
 Every throughput surface in the repository — grid figures through
 :func:`~repro.experiments.runner.run_specs`, sweeps with ``jobs > 1``
-(:mod:`repro.experiments.sweep`, on a private pool), and the service
-JobManager (:mod:`repro.service.jobs`) — runs here, and this module is the
-only code that spawns, feeds, watches and reaps worker processes.  It
+(:mod:`repro.experiments.sweep`, on a private pool), and the service's
+jobs (:mod:`repro.service.jobs`, sweeps run one spec at a time on the
+shared pool) — runs here, and this module is the only code that spawns,
+feeds, watches and reaps worker processes.  It
 amortizes what per-grid process churn used to cost:
 
 - **Warm workers** — long-lived child processes that import once and stay
@@ -689,8 +690,8 @@ class WarmPool:
         timeout_s: Optional[float] = None,
         retries: int = 0,
     ) -> Outcome:
-        """One spec on one leased worker — the service's per-job-thread
-        entry point.  Thread-safe against concurrent ``run_one`` calls."""
+        """One spec on one leased worker — how a sweep given a pool runs
+        each cell.  Thread-safe against concurrent ``run_one`` calls."""
         return self.run([spec], timeout_s=timeout_s, retries=retries, batch_size=1)[0]
 
     # -- telemetry ---------------------------------------------------------

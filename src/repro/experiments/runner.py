@@ -49,6 +49,7 @@ __all__ = [
     "CacheEntry",
     "ExperimentFailure",
     "ExperimentGridError",
+    "RecordingSpec",
     "SyntheticResult",
     "SyntheticSpec",
     "cache_entries",
@@ -82,7 +83,7 @@ def code_version() -> str:
     return _code_version
 
 
-def spec_key(spec: Union[ExperimentSpec, SyntheticSpec]) -> str:
+def spec_key(spec: Union[ExperimentSpec, SyntheticSpec, RecordingSpec]) -> str:
     """Content hash identifying one experiment under the current code.
 
     ``ExperimentSpec`` is a tree of frozen dataclasses of primitives
@@ -90,7 +91,7 @@ def spec_key(spec: Union[ExperimentSpec, SyntheticSpec]) -> str:
     canonical form is a complete, deterministic serialisation in which a
     scale-derived default and its explicit value agree.  A
     :class:`SyntheticSpec` runs no simulation, so its key leaves the code
-    version out.
+    version out; a :class:`RecordingSpec`'s key covers its output directory.
     """
     digest = hashlib.sha256()
     if isinstance(spec, SyntheticSpec):
@@ -138,6 +139,33 @@ def _run_synthetic(spec: SyntheticSpec) -> SyntheticResult:
         raise RuntimeError(f"synthetic failure (spec {spec.index})")
     key = spec_key(spec)
     return SyntheticResult(key=key, index=spec.index, value=int(key[:8], 16))
+
+
+# -- recording cells --------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class RecordingSpec:
+    """An experiment run through the trace recorder into ``out_dir``.
+
+    A ``record_trace`` service job wraps each of its specs in one, so the
+    traces are written wherever the spec executes, a pool worker included.
+    The output directory is part of the key: a recording never adopts a
+    plain run's cached result, which has no traces behind it.
+    """
+
+    spec: ExperimentSpec
+    out_dir: str
+
+    def canonical(self) -> "RecordingSpec":
+        return RecordingSpec(self.spec.canonical(), self.out_dir)
+
+
+def _run_recording(spec: RecordingSpec) -> ExperimentResult:
+    from repro.trace.record import record_experiment
+
+    result, _paths = record_experiment(spec.spec, spec.out_dir)
+    return result
 
 
 # -- failures ---------------------------------------------------------------
@@ -224,11 +252,6 @@ def store_cached(cache_dir: Path, key: str, result: object) -> None:
     # Write-then-rename so a parallel worker never reads a torn entry.
     with atomic_open(path, "wb") as handle:
         pickle.dump(result, handle, protocol=pickle.HIGHEST_PROTOCOL)
-
-
-# Back-compat aliases (the sweep layer uses the public names above).
-_load_cached = load_cached
-_store_cached = store_cached
 
 
 @dataclass
@@ -367,7 +390,7 @@ def call_with_deadline(fn, timeout_s: Optional[float]):
 
 
 def execute_guarded(
-    spec: Union[ExperimentSpec, SyntheticSpec],
+    spec: Union[ExperimentSpec, SyntheticSpec, RecordingSpec],
     timeout_s: Optional[float] = None,
     retries: int = 0,
 ) -> Union[ExperimentResult, SyntheticResult, ExperimentFailure]:
@@ -380,7 +403,12 @@ def execute_guarded(
     only delay the same error.  This is the one retry mechanism: inline
     sweeps, pool workers, :func:`run_specs` and the service all use it.
     """
-    run = _run_synthetic if isinstance(spec, SyntheticSpec) else run_experiment
+    if isinstance(spec, SyntheticSpec):
+        run = _run_synthetic
+    elif isinstance(spec, RecordingSpec):
+        run = _run_recording
+    else:
+        run = run_experiment
     attempts = 0
     while True:
         attempts += 1
@@ -400,9 +428,6 @@ def execute_guarded(
             failure = ExperimentFailure(spec, "error", detail, attempts=attempts)
         if attempts > retries:
             return failure
-
-
-_execute_guarded = execute_guarded  # back-compat alias
 
 
 def run_specs(

@@ -15,7 +15,9 @@ This module makes the grid durable; it owns no executor of its own:
   deterministic; the digest covers every slot in input order).
 
 - **One executor** — ``jobs=1`` runs each cell inline through the runner's
-  guarded executor, the serial reference.  ``jobs > 1`` runs on a private
+  guarded executor, the serial reference, or one at a time on a pool the
+  caller passes in (the service runs every job so, on its shared warm
+  pool).  ``jobs > 1`` runs on a private
   :class:`~repro.experiments.pool.WarmPool` sized ``min(jobs, pending)``:
   each worker stores its successes in its own cache namespace before
   replying, the pool's heartbeat watchdog (``hang_timeout_s``) catches
@@ -27,7 +29,7 @@ This module makes the grid durable; it owns no executor of its own:
 
 ``repro sweep run|resume|status`` is the CLI surface;
 :mod:`repro.experiments.ensemble` builds Monte Carlo fault ensembles on
-top of :func:`run_sweep`.
+top of :func:`run_sweep`, and every service job is one checkpoint.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import os
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
@@ -47,6 +50,7 @@ from repro.machine import ExperimentSpec, SpecError
 from repro.obs import Bus, JsonlSink, Sink, WallClock
 from repro.experiments.runner import (
     ExperimentFailure,
+    RecordingSpec,
     SyntheticResult,
     SyntheticSpec,
     execute_guarded,
@@ -56,11 +60,12 @@ from repro.experiments.runner import (
 )
 
 if TYPE_CHECKING:
-    from repro.experiments.pool import PoolChaos
+    from repro.experiments.pool import PoolChaos, WarmPool
 
 __all__ = [
     "SweepAborted",
     "SweepError",
+    "SweepMismatch",
     "SweepOptions",
     "SweepOutcome",
     "SweepReport",
@@ -68,6 +73,7 @@ __all__ = [
     "SyntheticSpec",
     "collect_report",
     "expand_grid",
+    "journal_outcomes",
     "run_sweep",
     "specs_from_meta",
     "sweep_status",
@@ -84,6 +90,10 @@ _SCALES = {"tiny": tiny, "small": small, "paper": paper}
 
 class SweepError(RuntimeError):
     """A sweep that cannot be run, resumed, or collected."""
+
+
+class SweepMismatch(SweepError):
+    """The state directory holds the checkpoint of a different spec list."""
 
 
 class SweepAborted(SweepError):
@@ -117,7 +127,7 @@ def synthetic_specs(
     ]
 
 
-AnySpec = Union[ExperimentSpec, SyntheticSpec]
+AnySpec = Union[ExperimentSpec, SyntheticSpec, RecordingSpec]
 
 
 # -- options and outcomes ---------------------------------------------------
@@ -268,7 +278,7 @@ def _open_state(
         with meta_path.open("r", encoding="utf-8") as handle:
             meta = json.load(handle)
         if meta.get("keys_digest") != signature or meta.get("count") != len(keys):
-            raise SweepError(
+            raise SweepMismatch(
                 f"{root} holds a different sweep ({meta.get('count')} specs, "
                 f"keys digest {str(meta.get('keys_digest'))[:12]}…); refusing "
                 "to mix checkpoints"
@@ -332,11 +342,14 @@ def _journal_outcome(state: _State, outcome: SweepOutcome, fsync: bool) -> None:
     append_journal_line(state.journal, record, fsync=fsync)
 
 
-def _load_journal_outcomes(state: _State) -> Dict[int, SweepOutcome]:
-    """Terminal outcomes by spec index (first terminal record wins)."""
+def journal_outcomes(state_dir: os.PathLike) -> Dict[int, SweepOutcome]:
+    """A checkpoint's terminal outcomes by spec index (first record wins).
+
+    Reads the journal alone: no result is loaded.
+    """
     outcomes: Dict[int, SweepOutcome] = {}
     try:
-        records = read_journal(state.journal)
+        records = read_journal(Path(state_dir) / JOURNAL_NAME)
     except ValueError as exc:
         raise SweepError(str(exc)) from exc
     for record in records:
@@ -468,15 +481,29 @@ class _Journal:
             )
         return self.aborting
 
-    def run_inline(self, specs: Sequence[AnySpec], pending: Sequence[int]) -> None:
-        """``jobs=1``: each cell in this process, cached before journaled."""
+    def run_inline(
+        self,
+        specs: Sequence[AnySpec],
+        pending: Sequence[int],
+        pool: Optional["WarmPool"] = None,
+    ) -> None:
+        """``jobs=1``: one cell at a time, cached before journaled.
+
+        Each cell runs in this process, or on ``pool`` when one is given.
+        """
+        options = self.options
         cache = self.state.cache / "main"
         for index in pending:
-            outcome = execute_guarded(
-                specs[index], self.options.timeout_s, self.options.retries
-            )
+            started = time.monotonic()
+            if pool is None:
+                outcome = execute_guarded(specs[index], options.timeout_s, options.retries)
+            else:
+                outcome = pool.run_one(
+                    specs[index], timeout_s=options.timeout_s, retries=options.retries
+                )
+            elapsed = time.monotonic() - started
             store_cached(cache, self.keys[index], outcome)  # refuses failures
-            if self.land(index, outcome, 1, "main"):
+            if self.land(index, outcome, 1, "main", elapsed):
                 return
 
     def run_pooled(self, specs: Sequence[AnySpec], pending: Sequence[int]) -> None:
@@ -577,6 +604,7 @@ def run_sweep(
     resume: bool = False,
     sinks: Sequence[Sink] = (),
     describe: Optional[Dict[str, object]] = None,
+    pool: Optional["WarmPool"] = None,
 ) -> SweepReport:
     """Run (or resume) a checkpointed sweep over ``specs``.
 
@@ -586,7 +614,8 @@ def run_sweep(
     results (and :attr:`SweepReport.digest`) are byte-identical to an
     uninterrupted run.  ``sinks`` receive ``sweep.*`` events on a
     wall-clock bus, in addition to the always-on
-    ``<state_dir>/events.jsonl`` log.
+    ``<state_dir>/events.jsonl`` log.  With ``jobs=1``, ``pool`` runs the
+    cells one at a time on an existing warm pool instead of in-process.
     """
     options.validate()
     specs = list(specs)
@@ -598,7 +627,7 @@ def run_sweep(
     all_sinks: List[Sink] = [JsonlSink(state.events)]
     all_sinks.extend(sinks)
     journal = _Journal(keys, state, options, Bus(WallClock(), all_sinks))
-    journal.outcomes = _load_journal_outcomes(state)
+    journal.outcomes = journal_outcomes(state.root)
     journal.failure_count = sum(1 for o in journal.outcomes.values() if o.failed)
 
     pending: List[int] = []
@@ -628,7 +657,7 @@ def run_sweep(
     )
     if pending and not journal.aborting:
         if options.jobs <= 1:
-            journal.run_inline(specs, pending)
+            journal.run_inline(specs, pending, pool)
         else:
             journal.run_pooled(specs, pending)
 
@@ -655,8 +684,7 @@ def collect_report(
     specs = list(specs)
     keys = [spec_key(spec) for spec in specs]
     state = _open_state(state_dir, keys, resume=True)
-    outcomes = _load_journal_outcomes(state)
-    return _build_report(state, keys, outcomes, aborted=False)
+    return _build_report(state, keys, journal_outcomes(state.root), aborted=False)
 
 
 def sweep_status(state_dir: os.PathLike) -> Dict[str, object]:
@@ -669,13 +697,7 @@ def sweep_status(state_dir: os.PathLike) -> Dict[str, object]:
 
     with meta_path.open("r", encoding="utf-8") as handle:
         meta = json.load(handle)
-    state = _State(
-        root=root,
-        journal=root / JOURNAL_NAME,
-        events=root / EVENTS_NAME,
-        cache=root / CACHE_DIRNAME,
-    )
-    outcomes = _load_journal_outcomes(state)
+    outcomes = journal_outcomes(root)
     counts = {"ok": 0, "failure": 0, "quarantined": 0}
     by_shard: Dict[str, int] = {}
     attempts = 0
@@ -687,7 +709,7 @@ def sweep_status(state_dir: os.PathLike) -> Dict[str, object]:
     total = int(meta.get("count", 0))
     aborted = False
     pool: Optional[Dict[str, object]] = None
-    for record in read_journal(state.journal):
+    for record in read_journal(root / JOURNAL_NAME):
         event = record.get("event")
         if event == "abort":
             aborted = True

@@ -85,7 +85,12 @@ def _register_core() -> None:
         SimScale,
     )
     from repro.core.runtime.layer import RuntimeStats
-    from repro.experiments.runner import ExperimentFailure, SyntheticResult, SyntheticSpec
+    from repro.experiments.runner import (
+        ExperimentFailure,
+        RecordingSpec,
+        SyntheticResult,
+        SyntheticSpec,
+    )
     from repro.faults import DiskFailure, DiskFaultSpec, FaultPlan, HintFaultSpec
     from repro.machine import (
         ExperimentResult,
@@ -125,9 +130,10 @@ def _register_core() -> None:
         RuntimeStats,
         SweepSample,
         ExperimentFailure,
-        # Synthetic sweep cells.
+        # Synthetic sweep cells and trace-recording cells.
         SyntheticSpec,
         SyntheticResult,
+        RecordingSpec,
     ):
         register(cls)
 

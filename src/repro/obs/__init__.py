@@ -61,6 +61,11 @@ to ``<state_dir>/events.jsonl`` via :class:`JsonlSink`):
   budget (``key``, ``shard``, ``reason``);
 - ``sweep.abort`` — the ``max_failures`` budget was exhausted
   (``failures``, ``budget``).
+
+A service job's ``events.jsonl`` wraps its sweep's events in
+``job.submitted`` (``name``, ``specs``), ``job.adopted`` on each restart
+that resumes it (``prior_specs``) and ``job.finished`` (``status``, and
+``digest`` or ``error``); these carry the job's id as ``job``.
 """
 
 from repro.obs.bus import Bus, Sink, TraceEvent

@@ -18,19 +18,18 @@ class WallClock:
     """Engine stand-in for buses that live outside any simulation.
 
     The :class:`~repro.obs.bus.Bus` stamps events with ``engine.now``; the
-    sweep orchestrator has no engine, so it hands the bus one of these —
-    ``now`` is wall-clock seconds since construction.  Simulation buses
-    are unaffected.
+    sweep orchestrator and the job manager have no engine, so they hand the
+    bus one of these.  ``now`` is ``time.time()``, seconds since the epoch,
+    so every bus writing one events file shares a timeline with the job
+    record's ``submitted_at``/``finished_at``.  Simulation buses are
+    unaffected.
     """
 
-    __slots__ = ("_origin",)
-
-    def __init__(self) -> None:
-        self._origin = time.monotonic()
+    __slots__ = ()
 
     @property
     def now(self) -> float:
-        return time.monotonic() - self._origin
+        return time.time()
 
 
 class JsonlSink(Sink):

@@ -5,13 +5,13 @@ The pieces every earlier PR built — frozen hashable
 cache, guarded execution, JSONL journals, the obs bus — compose here into
 a shared experiment facility:
 
-- :mod:`repro.service.jobs` — the journaled job manager.  Scenario
-  submissions compile to specs, dedupe through the shared result cache
-  (one execution per spec content, no matter how many submitters), and
-  survive server kills: the journal is written before dispatch and the
-  cache before the done record, the same ordering contract as
-  :mod:`repro.experiments.sweep`, so a restarted server adopts in-flight
-  work instead of redoing or losing it.
+- :mod:`repro.service.jobs` — the job manager.  A scenario submission
+  compiles to specs and becomes one sweep checkpoint, run by
+  :func:`~repro.experiments.sweep.run_sweep` on the shared warm pool, so
+  a restarted server resumes in-flight work instead of redoing or losing
+  it.  The manager adds only the job index, cross-job dedupe through the
+  shared result store (one execution per spec content, no matter how many
+  submitters) and the per-job event stream.
 
 - :mod:`repro.service.server` — the stdlib HTTP surface
   (``repro serve``): submit jobs, stream JSONL progress events, fetch

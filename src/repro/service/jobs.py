@@ -1,64 +1,81 @@
-"""The journaled job manager behind the experiment server.
+"""The job manager behind the experiment server.
 
 A *job* is one compiled scenario: an ordered list of
-:class:`~repro.machine.ExperimentSpec` values plus bookkeeping.  The
-manager runs jobs on a small worker pool with three durability/identity
-contracts, all inherited from earlier layers rather than reinvented:
+:class:`~repro.machine.ExperimentSpec` values plus bookkeeping.  Every job
+is one sweep checkpoint in ``jobs/<id>/``, run by
+:func:`~repro.experiments.sweep.run_sweep` one spec at a time on the
+process-wide warm pool, so service jobs, ``repro sweep`` and ensembles
+share one journal format, one resume path and one digest.  The manager
+keeps only what belongs to a service:
 
-1. **Journal before dispatch, cache before done** (the
-   :mod:`repro.experiments.sweep` ordering).  A job is appended to
-   ``jobs.jsonl`` before any spec runs, each spec's outcome is appended
-   only after the result is safely in the cache, and the terminal record
-   comes last.  Killing the server at any instant therefore loses at most
-   wall-clock time: a restarted manager adopts every non-terminal job and
-   skips the specs whose outcome lines already landed.
+1. **The job index.**  ``jobs.jsonl`` holds a ``submitted`` record before
+   anything runs, an ``adopted`` record each time a restart picks the job
+   up, and the terminal record last.  A restarted manager recalls terminal
+   jobs and resumes every other one from its checkpoint, so killing the
+   server at any instant loses at most wall-clock time.  A checkpoint
+   whose spec keys no longer match (the code changed) starts afresh.
 
-2. **Content-addressed dedupe.**  Spec identity is
+2. **Cross-job dedupe.**  Spec identity is
    :func:`~repro.experiments.runner.spec_key` — code version plus spec
-   content.  A per-key lock registry makes concurrent submissions of the
-   same spec serialize onto one execution; everyone else loads the cached
-   result and is counted as a ``cache_hit`` in the job's metadata, which
-   is how the dedupe is observable from the outside.
+   content.  A job holds a lock on each of its distinct keys while its
+   sweep runs, so concurrent submissions of the same spec execute it once:
+   the waiting job's sweep adopts the stored result, which counts as a
+   ``cache_hit`` and a ``dedup_wait`` in its metadata.
 
-3. **Byte-stable digests.**  A job's digest is the sha256 over the
-   :mod:`repro.digest` lines a sweep hashes, in submission order, so a
-   service job, a ``repro sweep`` over the same grid, and the in-process
-   :func:`run_direct` path all agree byte for byte when they ran the same
-   specs.
+3. **The event stream.**  ``job.submitted``, ``job.adopted``, the sweep's
+   own ``sweep.*`` events and ``job.finished`` share one events file and
+   one wall-clock timeline.
 
 State layout under the manager's ``state_dir``::
 
-    jobs.jsonl                 append-only job journal (shared, fsynced)
-    cache/                     content-addressed result cache (runner layout)
+    jobs.jsonl                 the job index (shared, fsynced)
+    cache/main/                the shared content-addressed result store
     jobs/<id>/scenario.json    the merged scenario document as compiled
-    jobs/<id>/events.jsonl     per-job lifecycle events (obs-bus JSONL)
+    jobs/<id>/meta.json        the job's sweep checkpoint: its identity,
+    jobs/<id>/journal.jsonl    one line per finished spec,
+    jobs/<id>/events.jsonl     and its job and sweep events (obs-bus JSONL)
+    jobs/<id>/cache            relative symlink to ../../cache
     jobs/<id>/traces/<index>/  recorded op streams for trace scenarios
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
 import queue
 import threading
 import time
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Set, Tuple, Union
 
-from repro.digest import digest_failure_line, digest_ok_line, outcome_line, serialize_result
+from repro.digest import outcome_line, serialize_result
 from repro.experiments.runner import (
     ExperimentFailure,
+    RecordingSpec,
     execute_guarded,
     load_cached,
     spec_key,
     store_cached,
 )
+from repro.experiments.sweep import (
+    CACHE_DIRNAME,
+    JOURNAL_NAME,
+    META_NAME,
+    SweepError,
+    SweepMismatch,
+    SweepOptions,
+    SweepOutcome,
+    SweepReport,
+    journal_outcomes,
+    run_sweep,
+)
 from repro.ioutil import append_journal_line, atomic_write_json, read_journal
-from repro.machine import ExperimentResult, ExperimentSpec
-from repro.obs import Bus
-from repro.obs.sinks import JsonlSink, WallClock
+from repro.machine import ExperimentResult
+from repro.obs import Bus, JsonlSink, Sink, WallClock
 from repro.scenarios import CompiledScenario, ScenarioRegistry, builtin_registry, compile_scenario
 
 __all__ = [
@@ -85,7 +102,8 @@ def run_direct(
     The direct twin of a service job: same specs, same cache protocol when
     ``cache_dir`` is given, same digest formula.  CI's service smoke test
     byte-compares this digest against the server's to prove the HTTP path
-    adds no behavior.
+    adds no behavior.  A ``record_trace`` job is the exception: its specs
+    are keyed with their trace directories, so its digest differs.
     """
     digest = hashlib.sha256()
     outcomes: List[Union[ExperimentResult, ExperimentFailure]] = []
@@ -111,56 +129,33 @@ class JobChaos:
     """Declarative, test-only fault injection for the job manager.
 
     Mirrors the pool's ``PoolChaos``: tests describe the crash instead of
-    racing a real ``SIGKILL``.  ``die_after_specs`` stops
-    the manager cold after that many spec journal lines have been written
-    this session — no terminal record, no event flush — which is exactly
-    the on-disk state a killed server leaves behind.
+    racing a real ``SIGKILL``.  ``die_after_specs`` stops the manager cold
+    once that many spec journal lines have landed this session — no
+    terminal record, no further event — which is exactly the on-disk
+    state a killed server leaves behind.
     """
 
     die_after_specs: Optional[int] = None
 
 
-class _ChaosDeath(Exception):
-    """Internal: the configured chaos point fired."""
-
-
-# -- per-key locks -----------------------------------------------------------
-
-
-class _KeyLocks:
-    """One lock per spec key, created on demand.
-
-    ``hold(key)`` returns a context manager; ``contended`` tells the
-    caller whether another worker already held the key, which is what
-    distinguishes a dedup wait from a plain cache hit in job metadata.
-    """
-
-    def __init__(self) -> None:
-        self._mu = threading.Lock()
-        self._locks: Dict[str, threading.Lock] = {}
-
-    def hold(self, key: str) -> "_HeldKey":
-        with self._mu:
-            lock = self._locks.setdefault(key, threading.Lock())
-        contended = not lock.acquire(blocking=False)
-        if contended:
-            lock.acquire()
-        return _HeldKey(lock, contended)
-
-
-class _HeldKey:
-    def __init__(self, lock: threading.Lock, contended: bool) -> None:
-        self._lock = lock
-        self.contended = contended
-
-    def __enter__(self) -> "_HeldKey":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self._lock.release()
+class _Stopped(Exception):
+    """Internal: the manager is stopping; the running job stays adoptable."""
 
 
 # -- job records -------------------------------------------------------------
+
+#: What a job's ``submitted`` and terminal records in ``jobs.jsonl`` carry.
+_SUBMITTED_FIELDS = ("name", "scenario_digest", "total_specs", "record_trace", "submitted_at")
+_TERMINAL_FIELDS = (
+    "status",
+    "digest",
+    "executed",
+    "cache_hits",
+    "dedup_waits",
+    "failed_specs",
+    "error",
+    "finished_at",
+)
 
 
 @dataclass
@@ -183,8 +178,8 @@ class JobRecord:
     error: str = ""
     submitted_at: float = 0.0
     finished_at: float = 0.0
-    # per-index outcome metadata: {index, key, status, cached, digest|kind+message}
-    outcomes: Dict[int, Dict[str, object]] = field(default_factory=dict)
+    # the checkpoint's journaled outcomes, in spec order
+    outcomes: List[SweepOutcome] = field(default_factory=list)
 
     @property
     def terminal(self) -> bool:
@@ -193,15 +188,43 @@ class JobRecord:
     def snapshot(self) -> Dict[str, object]:
         """A JSON-safe copy for the API and the CLI tables."""
         data = {k: v for k, v in self.__dict__.items() if k != "outcomes"}
-        data["outcomes"] = [self.outcomes[i] for i in sorted(self.outcomes)]
+        data["outcomes"] = [
+            {k: v for k, v in asdict(outcome).items() if v is not None}
+            for outcome in self.outcomes
+        ]
         return data
+
+
+class _JobSink(Sink):
+    """Hears a job's sweep: live counters, the chaos point, a prompt stop."""
+
+    def __init__(self, manager: "JobManager", record: JobRecord) -> None:
+        self.manager = manager
+        self.record = record
+
+    def on_event(self, _time: float, kind: str, payload) -> None:
+        manager = self.manager
+        if kind == "sweep.start":
+            with manager._mu:
+                self.record.executed = int(payload["pending"])
+                self.record.cache_hits = self.record.total_specs - self.record.executed
+        elif kind == "sweep.progress":
+            limit = manager._chaos.die_after_specs
+            with manager._mu:
+                self.record.done_specs = int(payload["done"])
+                manager._landed += 1
+                if limit is not None and manager._landed >= limit:
+                    manager._dead = True  # a chaos death: refuse further work
+                    manager._stop.set()
+            if manager._stop.is_set():
+                raise _Stopped()
 
 
 # -- the manager -------------------------------------------------------------
 
 
 class JobManager:
-    """Compile, journal, dedupe, execute, and resume experiment jobs."""
+    """Compile, index, dedupe and resume experiment jobs run as sweeps."""
 
     def __init__(
         self,
@@ -212,32 +235,25 @@ class JobManager:
         retries: int = 0,
         fsync: bool = True,
         chaos: Optional[JobChaos] = None,
-        pool_workers: Optional[int] = None,
     ) -> None:
         self.state_dir = Path(state_dir)
         self.registry = registry if registry is not None else builtin_registry()
-        self.cache_dir = self.state_dir / "cache"
         self.jobs_dir = self.state_dir / "jobs"
         self.journal_path = self.state_dir / "jobs.jsonl"
-        self.cache_dir.mkdir(parents=True, exist_ok=True)
+        (self.state_dir / CACHE_DIRNAME).mkdir(parents=True, exist_ok=True)
         self.jobs_dir.mkdir(parents=True, exist_ok=True)
         self._workers = max(1, int(workers))
-        self._pool_workers = (
-            max(1, int(pool_workers)) if pool_workers is not None else self._workers
-        )
         self._timeout_s = timeout_s
         self._retries = int(retries)
         self._fsync = bool(fsync)
         self._chaos = chaos or JobChaos()
-        self._chaos_specs = 0  # spec journal lines written this session
+        self._landed = 0  # spec journal lines landed this session
         self._dead = False  # a chaos death: refuse further work
         self._mu = threading.RLock()
         self._terminal = threading.Condition(self._mu)
         self._jobs: Dict[str, JobRecord] = {}
-        self._specs: Dict[str, Tuple[ExperimentSpec, ...]] = {}
-        self._ids = itertools.count(1)
         self._queue: "queue.Queue[str]" = queue.Queue()
-        self._locks = _KeyLocks()
+        self._key_locks: Dict[str, threading.Lock] = {}
         self._threads: List[threading.Thread] = []
         self._stop = threading.Event()
         self._recover()
@@ -245,7 +261,7 @@ class JobManager:
     # -- lifecycle ----------------------------------------------------------
 
     def start(self) -> None:
-        """Start the worker pool (idempotent)."""
+        """Start the worker threads (idempotent)."""
         with self._mu:
             if self._threads:
                 return
@@ -292,7 +308,6 @@ class JobManager:
             document = self.registry.get(template)
             name = name or template
         compiled = compile_scenario(document, registry=self.registry, name=name)
-        keys = tuple(spec_key(spec) for spec in compiled.specs)
         with self._mu:
             job_id = f"j-{next(self._ids):06d}"
             record = JobRecord(
@@ -305,23 +320,17 @@ class JobManager:
             )
             job_dir = self.jobs_dir / job_id
             job_dir.mkdir(parents=True, exist_ok=True)
+            # Every job's checkpoint reads and writes the one shared store.
+            (job_dir / CACHE_DIRNAME).symlink_to(Path("..", "..", CACHE_DIRNAME))
             atomic_write_json(job_dir / "scenario.json", compiled.document)
-            # Journal before dispatch: once this line is down, a restarted
-            # manager re-runs the job even if we die before the first spec.
+            # Indexed before dispatch: once this line is down, a restarted
+            # manager runs the job even if we die before its first spec.
             self._journal(
-                {
-                    "event": "job",
-                    "id": job_id,
-                    "status": "submitted",
-                    "name": record.name,
-                    "scenario_digest": record.scenario_digest,
-                    "total_specs": record.total_specs,
-                    "record_trace": record.record_trace,
-                }
+                {"event": "job", "id": job_id, "status": "submitted"}
+                | {name: getattr(record, name) for name in _SUBMITTED_FIELDS}
             )
             self._jobs[job_id] = record
-            self._specs[job_id] = compiled.specs
-            self._emit(job_id, "job.submitted", {"name": record.name, "specs": len(keys)})
+            self._emit(job_id, "job.submitted", {"name": record.name, "specs": record.total_specs})
             self._queue.put(job_id)
             return record.snapshot()
 
@@ -377,145 +386,72 @@ class JobManager:
             raise JobError(f"job {job_id} is still {record.status}")
         return record.snapshot()
 
+    def results(self, job_id: str) -> List[Tuple[SweepOutcome, Optional[ExperimentResult]]]:
+        """A finished job's outcomes in spec order, each with its stored
+        result (``None`` for a failed spec)."""
+        record = self.job(job_id)
+        if not record.terminal:
+            raise JobError(f"job {job_id} is still {record.status}")
+        report = SweepReport(record.outcomes, record.digest, state_dir=self.jobs_dir / job_id)
+        rows = []
+        for outcome in record.outcomes:
+            result = None
+            if outcome.status == "ok":
+                result = report.load_result(outcome)
+                if result is None:
+                    raise JobError(
+                        f"cached result for spec {outcome.index} (key {outcome.key}) was pruned"
+                    )
+            rows.append((outcome, result))
+        return rows
+
     def serialized_text(self, job_id: str) -> str:
         """The canonical serialized results, concatenated in spec order.
 
         Byte-identical across any two jobs (or a direct run) that produced
         the same results — the strongest equality the service exposes.
         """
-        record = self.job(job_id)
-        if not record.terminal:
-            raise JobError(f"job {job_id} is still {record.status}")
-        specs = self._specs_for(job_id)
         parts: List[str] = []
-        for index, spec in enumerate(specs):
-            outcome = record.outcomes.get(index, {})
-            key = str(outcome.get("key", spec_key(spec)))
-            if outcome.get("status") == "ok":
-                result = load_cached(self.cache_dir, key)
-                if result is None:
-                    raise JobError(f"cached result for spec {index} (key {key}) was pruned")
-                parts.append(f"# spec {index} key={key}\n{serialize_result(result)}\n")
+        for outcome, result in self.results(job_id):
+            head = f"# spec {outcome.index} key={outcome.key}"
+            if result is None:
+                parts.append(f"{head} FAILED kind={outcome.kind} message={outcome.message}\n")
             else:
-                kind = outcome.get("kind", "unknown")
-                message = outcome.get("message", "")
-                parts.append(f"# spec {index} key={key} FAILED kind={kind} message={message}\n")
+                parts.append(f"{head}\n{serialize_result(result)}\n")
         return "".join(parts)
 
     # -- recovery ------------------------------------------------------------
 
     def _recover(self) -> None:
-        """Rebuild job state from the journal; re-enqueue unfinished jobs."""
+        """Rebuild the job table from the index; re-enqueue unfinished jobs."""
         submitted: Dict[str, Dict[str, object]] = {}
-        spec_lines: Dict[str, Dict[int, Dict[str, object]]] = {}
         terminal: Dict[str, Dict[str, object]] = {}
-        order: List[str] = []
         for entry in read_journal(self.journal_path):
             job_id = str(entry.get("id", ""))
-            if not job_id:
+            if entry.get("event") != "job" or not job_id:
                 continue
-            if entry.get("event") == "job":
-                status = entry.get("status")
-                if status == "submitted":
-                    if job_id not in submitted:
-                        order.append(job_id)
-                    submitted[job_id] = entry
-                elif status in ("done", "failed"):
-                    terminal[job_id] = entry
-            elif entry.get("event") == "spec":
-                # Last record wins: a re-executed spec (cache pruned between
-                # sessions) appends a fresh line that supersedes the old one.
-                index = int(entry.get("index", -1))
-                if index >= 0:
-                    spec_lines.setdefault(job_id, {})[index] = entry
-        highest = 0
-        for job_id in order:
-            try:
-                highest = max(highest, int(job_id.split("-", 1)[1]))
-            except (IndexError, ValueError):
-                pass
-            meta = submitted[job_id]
+            if entry.get("status") == "submitted":
+                submitted[job_id] = entry
+            elif entry.get("status") in ("done", "failed"):
+                terminal[job_id] = entry
+        for job_id, entry in submitted.items():
             record = JobRecord(
-                id=job_id,
-                name=str(meta.get("name", "")),
-                scenario_digest=str(meta.get("scenario_digest", "")),
-                total_specs=int(meta.get("total_specs", 0)),
-                record_trace=bool(meta.get("record_trace", False)),
+                id=job_id, **{k: v for k, v in entry.items() if k in _SUBMITTED_FIELDS}
             )
+            outcomes = journal_outcomes(self.jobs_dir / job_id)
+            record.outcomes = [outcomes[index] for index in sorted(outcomes)]
+            record.done_specs = len(record.outcomes)
+            self._jobs[job_id] = record
             end = terminal.get(job_id)
             if end is not None:
-                record.status = str(end.get("status", "done"))
-                record.digest = str(end.get("digest", ""))
-                record.executed = int(end.get("executed", 0))
-                record.cache_hits = int(end.get("cache_hits", 0))
-                record.dedup_waits = int(end.get("dedup_waits", 0))
-                record.failed_specs = int(end.get("failed_specs", 0))
-                record.error = str(end.get("error", ""))
-                for index, line in spec_lines.get(job_id, {}).items():
-                    record.outcomes[index] = self._outcome_from_line(line)
-                record.done_specs = len(record.outcomes)
-            else:
-                # Non-terminal: adopt.  Prior spec lines become adopted
-                # outcomes; the run loop skips them if their key still
-                # matches (a code-version bump naturally invalidates).
-                record.adopted = True
-                record.status = "queued"
-                for index, line in spec_lines.get(job_id, {}).items():
-                    record.outcomes[index] = self._outcome_from_line(line, adopted=True)
-            self._jobs[job_id] = record
-        self._ids = itertools.count(highest + 1)
-        for job_id in order:
-            record = self._jobs[job_id]
-            if record.terminal:
+                for name in _TERMINAL_FIELDS:
+                    setattr(record, name, end.get(name, getattr(record, name)))
                 continue
-            if not self._load_specs(job_id):
-                continue
+            record.adopted = True
             self._journal({"event": "job", "id": job_id, "status": "adopted"})
-            self._emit(job_id, "job.adopted", {"prior_specs": len(record.outcomes)})
+            self._emit(job_id, "job.adopted", {"prior_specs": record.done_specs})
             self._queue.put(job_id)
-
-    @staticmethod
-    def _outcome_from_line(line: Dict[str, object], adopted: bool = False) -> Dict[str, object]:
-        outcome = {
-            "index": int(line.get("index", -1)),
-            "key": str(line.get("key", "")),
-            "status": str(line.get("status", "")),
-            "cached": bool(line.get("cached", False)),
-        }
-        if adopted:
-            outcome["adopted"] = True
-        if outcome["status"] == "ok":
-            outcome["digest"] = str(line.get("digest", ""))
-        else:
-            outcome["kind"] = str(line.get("kind", ""))
-            outcome["message"] = str(line.get("message", ""))
-        if "elapsed_s" in line:
-            outcome["elapsed_s"] = line["elapsed_s"]
-        return outcome
-
-    def _load_specs(self, job_id: str) -> bool:
-        """Recompile a recovered job's scenario document; False if lost."""
-        if job_id in self._specs:
-            return True
-        path = self.jobs_dir / job_id / "scenario.json"
-        try:
-            document = json.loads(path.read_text(encoding="utf-8"))
-            compiled = compile_scenario(
-                document, registry=self.registry, name=self._jobs[job_id].name
-            )
-        except Exception as exc:
-            self._finish(job_id, "failed", error=f"scenario document unrecoverable: {exc}")
-            return False
-        self._specs[job_id] = compiled.specs
-        return True
-
-    def _specs_for(self, job_id: str) -> Tuple[ExperimentSpec, ...]:
-        with self._mu:
-            if job_id in self._specs:
-                return self._specs[job_id]
-        if not self._load_specs(job_id):
-            raise JobError(f"scenario document for job {job_id} is unrecoverable")
-        return self._specs[job_id]
+        self._ids = itertools.count(1 + max((int(job_id[2:]) for job_id in submitted), default=0))
 
     # -- execution -----------------------------------------------------------
 
@@ -527,165 +463,116 @@ class JobManager:
                 continue
             try:
                 self._run_job(job_id)
-            except _ChaosDeath:
-                self._dead = True
-                self._stop.set()
+            except _Stopped:
+                with self._mu:
+                    self._jobs[job_id].status = "queued"  # adoptable on restart
             except Exception as exc:  # defensive: a worker must never die silently
                 self._finish(job_id, "failed", error=f"internal error: {exc}")
 
     def _run_job(self, job_id: str) -> None:
         record = self.job(job_id)
-        specs = self._specs.get(job_id)
-        if specs is None:
-            return  # _load_specs already failed the job during recovery
+        job_dir = self.jobs_dir / job_id
+        # Fresh and adopted jobs alike run what their scenario.json compiles to.
+        try:
+            document = json.loads((job_dir / "scenario.json").read_text(encoding="utf-8"))
+            specs = compile_scenario(document, registry=self.registry, name=record.name).specs
+        except Exception as exc:
+            self._finish(job_id, "failed", error=f"scenario document unrecoverable: {exc}")
+            return
+        if record.record_trace:
+            specs = tuple(
+                RecordingSpec(spec, str(job_dir / "traces" / str(index)))
+                for index, spec in enumerate(specs)
+            )
         with self._mu:
             record.status = "running"
-        self._emit(job_id, "job.start", {"specs": len(specs), "adopted": record.adopted})
-        digest = hashlib.sha256()
         try:
-            for index, spec in enumerate(specs):
-                if self._stop.is_set():
-                    with self._mu:
-                        record.status = "queued"  # abandoned: adoptable on restart
-                    return
-                key = spec_key(spec)
-                serialized = self._run_spec(job_id, record, index, spec, key)
-                digest.update(serialized.encode("utf-8"))
-        except _ChaosDeath:
-            raise
-        except JobError as exc:
+            with self._hold({spec_key(spec) for spec in specs}) as contended:
+                report = self._sweep(job_dir, specs, record)
+        except SweepError as exc:
             self._finish(job_id, "failed", error=str(exc))
             return
-        self._finish(job_id, "done", digest=digest.hexdigest())
-
-    def _run_spec(self, job_id, record: JobRecord, index: int, spec, key: str) -> str:
-        """Run (or adopt, or load) one spec; returns its digest line."""
-        prior = record.outcomes.get(index)
-        if prior is not None and prior.get("adopted") and prior.get("key") == key:
-            if prior.get("status") == "ok":
-                result = load_cached(self.cache_dir, key)
-                if result is not None:
-                    self._emit(job_id, "job.spec_adopted", {"index": index, "key": key})
-                    with self._mu:
-                        record.cache_hits += 1
-                    return digest_ok_line(key, serialize_result(result))
-                # Journaled ok but the cache was pruned: fall through and
-                # re-execute; the fresh spec line supersedes (last wins).
-            else:
-                self._emit(job_id, "job.spec_adopted", {"index": index, "key": key})
-                return digest_failure_line(
-                    key, str(prior.get("kind", "")), str(prior.get("message", ""))
-                )
-        self._emit(job_id, "job.spec_start", {"index": index, "key": key})
-        started = time.monotonic()
-        with self._locks.hold(key) as held:
-            cached = load_cached(self.cache_dir, key)
-            if cached is not None:
-                outcome: Union[ExperimentResult, ExperimentFailure] = cached
-                was_cached = True
-            else:
-                outcome = self._execute(job_id, index, spec, key)
-                store_cached(self.cache_dir, key, outcome)  # cache before journal
-                was_cached = False
-        elapsed = time.monotonic() - started
-        line: Dict[str, object] = {
-            "event": "spec",
-            "id": job_id,
-            "index": index,
-            "key": key,
-            "cached": was_cached,
-            "elapsed_s": round(elapsed, 6),
-        }
-        if isinstance(outcome, ExperimentFailure):
-            line.update({"status": "failure", "kind": outcome.kind, "message": outcome.message})
-            digest_line = digest_failure_line(key, outcome.kind, outcome.message)
-        else:
-            serialized = serialize_result(outcome)
-            line.update(
-                {
-                    "status": "ok",
-                    "digest": hashlib.sha256(serialized.encode("utf-8")).hexdigest(),
-                }
-            )
-            digest_line = digest_ok_line(key, serialized)
-        self._journal(line)
-        self._chaos_specs += 1
+        adopted = {outcome.key for outcome in report.outcomes if outcome.attempts == 0}
         with self._mu:
-            record.outcomes[index] = self._outcome_from_line(line)
-            record.done_specs = len(record.outcomes)
-            if was_cached:
-                record.cache_hits += 1
-                if held.contended:
-                    record.dedup_waits += 1
-            else:
-                record.executed += 1
-            if line["status"] == "failure":
-                record.failed_specs += 1
-        self._emit(
-            job_id,
-            "job.spec_done",
-            {"index": index, "key": key, "status": line["status"], "cached": was_cached},
-        )
-        if (
-            self._chaos.die_after_specs is not None
-            and self._chaos_specs >= self._chaos.die_after_specs
-        ):
-            raise _ChaosDeath()
-        return digest_line
+            record.dedup_waits = len(adopted & contended)
+        self._finish(job_id, "done", report=report)
 
-    def _execute(self, job_id, index, spec, key) -> Union[ExperimentResult, ExperimentFailure]:
-        record = self._jobs[job_id]
-        if not record.record_trace:
-            # Route through the shared warm pool: job threads each lease a
-            # worker, so interpreter startup is paid once per server, not
-            # per job — and because pool workers run specs on their *main*
-            # thread, the SIGALRM per-spec deadline works here, which it
-            # never could on a JobManager thread.
-            from repro.experiments import pool as pool_mod
-
-            return pool_mod.get_pool(self._pool_workers).run_one(
-                spec, timeout_s=self._timeout_s, retries=self._retries
-            )
-        # Trace scenarios run through the recorder so the op streams land
-        # next to the job; the returned result is the normal live result.
-        from repro.trace.record import record_experiment
-
-        out_dir = self.jobs_dir / job_id / "traces" / str(index)
+    @contextmanager
+    def _hold(self, keys: Set[str]) -> Iterator[Set[str]]:
+        """Lock every key, in sorted order so two jobs never deadlock;
+        yields the keys another job was holding."""
+        contended: Set[str] = set()
+        held: List[threading.Lock] = []
         try:
-            result, _paths = record_experiment(spec, out_dir)
-            result.from_cache = False
-            return result
-        except Exception as exc:
-            return ExperimentFailure(spec, "error", str(exc))
+            for key in sorted(keys):
+                with self._mu:
+                    lock = self._key_locks.setdefault(key, threading.Lock())
+                if not lock.acquire(blocking=False):
+                    contended.add(key)
+                    lock.acquire()
+                held.append(lock)
+            yield contended
+        finally:
+            for lock in held:
+                lock.release()
+
+    def _sweep(self, job_dir: Path, specs, record: JobRecord) -> SweepReport:
+        """Run or resume the job's checkpoint on the shared warm pool."""
+        # Pool workers run specs on their main thread, so the SIGALRM
+        # per-spec deadline works, which it cannot on a job thread.
+        from repro.experiments.pool import get_pool
+
+        options = SweepOptions(
+            timeout_s=self._timeout_s,
+            retries=self._retries,
+            progress_every=1,
+            fsync_journal=self._fsync,
+        )
+        run = functools.partial(
+            run_sweep,
+            specs,
+            job_dir,
+            options,
+            sinks=[_JobSink(self, record)],
+            pool=get_pool(self._workers),
+        )
+        try:
+            return run(resume=(job_dir / META_NAME).exists())
+        except SweepMismatch:
+            # Other code wrote this checkpoint: its keys are stale.
+            (job_dir / META_NAME).unlink()
+            (job_dir / JOURNAL_NAME).unlink(missing_ok=True)
+            return run(resume=False)
 
     # -- bookkeeping ---------------------------------------------------------
 
-    def _finish(self, job_id: str, status: str, digest: str = "", error: str = "") -> None:
+    def _finish(
+        self,
+        job_id: str,
+        status: str,
+        report: Optional[SweepReport] = None,
+        error: str = "",
+    ) -> None:
         with self._mu:
             record = self._jobs.get(job_id)
             if record is None or record.terminal:
                 return
+            if report is not None:
+                record.digest = report.digest
+                record.outcomes = report.outcomes
+                record.done_specs = len(report.outcomes)
+                record.failed_specs = len(report.failures)
             record.status = status
-            record.digest = digest
             record.error = error
             record.finished_at = time.time()
             self._journal(
-                {
-                    "event": "job",
-                    "id": job_id,
-                    "status": status,
-                    "digest": digest,
-                    "executed": record.executed,
-                    "cache_hits": record.cache_hits,
-                    "dedup_waits": record.dedup_waits,
-                    "failed_specs": record.failed_specs,
-                    "error": error,
-                }
+                {"event": "job", "id": job_id}
+                | {name: getattr(record, name) for name in _TERMINAL_FIELDS}
             )
             self._terminal.notify_all()
         payload: Dict[str, object] = {"status": status}
-        if digest:
-            payload["digest"] = digest
+        if record.digest:
+            payload["digest"] = record.digest
         if error:
             payload["error"] = error
         self._emit(job_id, "job.finished", payload)
@@ -696,7 +583,6 @@ class JobManager:
     def _emit(self, job_id: str, kind: str, payload: Dict[str, object]) -> None:
         """Append one lifecycle event to the job's events.jsonl."""
         path = self.jobs_dir / job_id / "events.jsonl"
-        path.parent.mkdir(parents=True, exist_ok=True)
         entry = dict(payload)
         entry["job"] = job_id
         try:

@@ -37,7 +37,6 @@ from typing import Dict, Optional, Tuple
 
 from repro._version import __version__
 from repro.experiments.report import format_process_table
-from repro.experiments.runner import load_cached
 from repro.ioutil import atomic_write_json
 from repro.scenarios import ScenarioError, ScenarioRegistry
 from repro.service.jobs import JobError, JobManager
@@ -219,19 +218,13 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _render_figure(self, job_id: str) -> str:
         """The per-process tables for every ok spec, in spec order."""
-        record = self.manager.job(job_id)
-        if not record.terminal:
-            raise JobError(f"job {job_id} is still {record.status}")
+        name = self.manager.job(job_id).name
         tables = []
-        for index in sorted(record.outcomes):
-            outcome = record.outcomes[index]
-            if outcome.get("status") != "ok":
-                tables.append(f"spec {index}: FAILED ({outcome.get('kind')})")
-                continue
-            result = load_cached(self.manager.cache_dir, str(outcome["key"]))
+        for outcome, result in self.manager.results(job_id):
             if result is None:
-                raise JobError(f"cached result for spec {index} was pruned")
-            tables.append(format_process_table(result, f"{record.name}[{index}]"))
+                tables.append(f"spec {outcome.index}: FAILED ({outcome.kind})")
+            else:
+                tables.append(format_process_table(result, f"{name}[{outcome.index}]"))
         return "\n\n".join(tables) + "\n"
 
     def _send_trace(self, job_id: str, name: Optional[str]) -> None:
@@ -270,7 +263,6 @@ class ExperimentServer:
         retries: int = 0,
         fsync: bool = True,
         echo=None,
-        pool_workers: Optional[int] = None,
     ) -> None:
         self.state_dir = Path(state_dir)
         self.manager = JobManager(
@@ -280,7 +272,6 @@ class ExperimentServer:
             timeout_s=timeout_s,
             retries=retries,
             fsync=fsync,
-            pool_workers=pool_workers,
         )
         self.httpd = ThreadingHTTPServer((host, port), _Handler)
         self.httpd.daemon_threads = True
@@ -342,7 +333,6 @@ def serve(
     registry: Optional[ScenarioRegistry] = None,
     echo=print,
     install_signals: bool = True,
-    pool_workers: Optional[int] = None,
 ) -> None:
     """Run a server until SIGINT/SIGTERM — the body of ``repro serve``.
 
@@ -358,7 +348,6 @@ def serve(
         workers=workers,
         timeout_s=timeout_s,
         retries=retries,
-        pool_workers=pool_workers,
     )
     stop_event = threading.Event()
     if install_signals:

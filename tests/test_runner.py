@@ -224,11 +224,6 @@ class TestDeadlineHygiene:
         store_cached(tmp_path, spec_key(spec), failure)
         assert list(tmp_path.iterdir()) == []
 
-    def test_backcompat_aliases(self):
-        assert runner_mod._load_cached is runner_mod.load_cached
-        assert runner_mod._store_cached is runner_mod.store_cached
-        assert runner_mod._execute_guarded is runner_mod.execute_guarded
-
 
 # -- cache inspection under concurrent writers -------------------------------
 

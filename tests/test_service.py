@@ -10,7 +10,15 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments.sweep import SweepOptions, expand_grid, run_sweep
+from repro.experiments import runner as runner_mod
+from repro.experiments.sweep import (
+    SweepOptions,
+    collect_report,
+    expand_grid,
+    run_sweep,
+    sweep_status,
+)
+from repro.ioutil import read_journal
 from repro.scenarios import builtin_registry, compile_scenario
 from repro.service import (
     ExperimentServer,
@@ -103,6 +111,23 @@ class TestDedupe:
             )
             assert first.digest == second.digest
 
+    def test_racing_job_threads_execute_each_spec_once(self, tmp_path):
+        """More job threads than cores and a short switch interval: two
+        scenarios submitted four times each still execute two specs."""
+        documents = [dict(MATVEC_DOC), dict(MATVEC_DOC, version="O")]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with JobManager(tmp_path / "state", workers=4, fsync=False) as manager:
+                snapshots = [manager.submit(document=documents[i % 2]) for i in range(8)]
+                records = wait_all(manager, snapshots, timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert [record.status for record in records] == ["done"] * 8
+        assert sum(record.executed for record in records) == 2
+        assert sum(record.cache_hits for record in records) == 6
+        assert len({record.digest for record in records}) == 2
+
     def test_digest_matches_direct_run(self, tmp_path):
         with JobManager(tmp_path / "state", workers=1) as manager:
             snap = manager.submit(document=dict(MATVEC_DOC))
@@ -146,6 +171,28 @@ class TestRestartAdoption:
             assert record.executed == 1
         compiled = compile_scenario(dict(SWEEP_DOC))
         _outcomes, digest = run_direct(compiled)
+        assert record.digest == digest
+
+    def test_restart_after_code_change_reruns_the_job(self, tmp_path, monkeypatch):
+        """A checkpoint whose keys went stale with the code starts afresh:
+        both specs run again, under the new keys."""
+        state = tmp_path / "state"
+        crashed = JobManager(state, workers=1, chaos=JobChaos(die_after_specs=1))
+        crashed.start()
+        snap = crashed.submit(document=dict(SWEEP_DOC))
+        for _ in range(600):
+            if crashed._dead:
+                break
+            threading.Event().wait(0.1)
+        assert crashed._dead, "chaos death did not fire"
+        crashed.stop()
+        monkeypatch.setattr(runner_mod, "_code_version", "another-code-version")
+        with JobManager(state, workers=1) as revived:
+            record = revived.wait(snap["id"], timeout=180)
+        assert record.status == "done"
+        assert record.adopted
+        assert record.executed == 2
+        _outcomes, digest = run_direct(compile_scenario(dict(SWEEP_DOC)))
         assert record.digest == digest
 
     def test_terminal_jobs_survive_restart(self, tmp_path):
@@ -192,7 +239,7 @@ class TestHTTP:
         snap = client.submit(document=dict(MATVEC_DOC))
         kinds = [event["kind"] for event in client.stream_events(snap["id"])]
         assert kinds[0] == "job.submitted"
-        assert "job.spec_done" in kinds
+        assert "sweep.progress" in kinds
         assert kinds[-1] == "job.finished"
         final = client.wait(snap["id"], timeout=30)
         assert final["status"] == "done"
@@ -251,6 +298,19 @@ class TestHTTP:
         blob = client.trace(snap["id"], manifest[0])
         assert blob.startswith(b"RPROTRC1")
 
+    def test_trace_job_over_cached_specs_records_traces(self, server):
+        """A recording job keys its specs apart from a plain run's, so an
+        earlier plain job's stored result cannot stand in for its traces."""
+        client = ServiceClient(server.url)
+        plain = client.submit(document=dict(MATVEC_DOC))
+        assert client.wait(plain["id"], timeout=60)["status"] == "done"
+        snap = client.submit(document=dict(MATVEC_DOC, record_trace=True))
+        assert client.wait(snap["id"], timeout=60)["status"] == "done"
+        manifest = client.trace_manifest(snap["id"])
+        assert manifest, "trace job over a cached spec produced no trace files"
+        for name in manifest:
+            assert client.trace(snap["id"], name).startswith(b"RPROTRC1")
+
     def test_server_restart_adopts_over_http(self, tmp_path):
         state = tmp_path / "state"
         first = ExperimentServer(
@@ -296,12 +356,38 @@ class TestJournalShape:
         with JobManager(state, workers=1) as manager:
             snap = manager.submit(document=dict(MATVEC_DOC))
             manager.wait(snap["id"], timeout=180)
-        events = [
-            json.loads(line)
-            for line in (state / "jobs.jsonl").read_text().splitlines()
-        ]
-        kinds = [(entry["event"], entry.get("status")) for entry in events]
+        index = state / "jobs.jsonl"
+        kinds = [(entry["event"], entry.get("status")) for entry in read_journal(index)]
+        assert {event for event, _status in kinds} == {"job"}
         submitted = kinds.index(("job", "submitted"))
-        spec = kinds.index(("spec", "ok"))
         done = kinds.index(("job", "done"))
-        assert submitted < spec < done
+        assert submitted < done
+        journal = state / "jobs" / snap["id"] / "journal.jsonl"
+        specs = [(entry["event"], entry.get("status")) for entry in read_journal(journal)]
+        assert specs == [("spec", "ok")]
+        # The spec line landed before the terminal record did.
+        assert journal.stat().st_mtime_ns <= index.stat().st_mtime_ns
+
+    def test_finished_job_is_a_sweep_checkpoint(self, tmp_path):
+        state = tmp_path / "state"
+        with JobManager(state, workers=1) as manager:
+            snap = manager.submit(document=dict(SWEEP_DOC))
+            record = manager.wait(snap["id"], timeout=180)
+        job_dir = state / "jobs" / snap["id"]
+        status = sweep_status(job_dir)
+        assert status["done"] == status["total"] == 2
+        assert status["failure"] == status["quarantined"] == 0
+        report = collect_report(compile_scenario(dict(SWEEP_DOC)).specs, job_dir)
+        assert report.digest == record.digest
+
+    def test_event_times_share_the_job_timeline(self, tmp_path):
+        state = tmp_path / "state"
+        with JobManager(state, workers=1) as manager:
+            snap = manager.submit(document=dict(SWEEP_DOC))
+            record = manager.wait(snap["id"], timeout=180)
+        events = read_journal(state / "jobs" / snap["id"] / "events.jsonl")
+        times = [event["t"] for event in events]
+        assert times == sorted(times)
+        at = {event["kind"]: event["t"] for event in events}
+        span = at["job.finished"] - at["job.submitted"]
+        assert abs(span - (record.finished_at - record.submitted_at)) < 0.05

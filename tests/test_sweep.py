@@ -10,11 +10,12 @@ import time
 import pytest
 
 from repro.experiments import sweep as sweep_mod
-from repro.experiments.pool import PoolChaos
+from repro.experiments.pool import PoolChaos, WarmPool
 from repro.experiments.runner import spec_key
 from repro.experiments.sweep import (
     SweepAborted,
     SweepError,
+    SweepMismatch,
     SweepOptions,
     collect_report,
     expand_grid,
@@ -187,7 +188,7 @@ class TestInlineSweep:
 
     def test_refuses_wrong_checkpoint(self, tmp_path):
         run_sweep(synthetic_specs(3), tmp_path / "s", options=_quick())
-        with pytest.raises(SweepError, match="different sweep"):
+        with pytest.raises(SweepMismatch, match="different sweep"):
             run_sweep(
                 synthetic_specs(4), tmp_path / "s", options=_quick(), resume=True
             )
@@ -254,6 +255,27 @@ class TestInlineSweep:
 
 
 # -- pooled execution and chaos ----------------------------------------------
+
+
+class TestGivenPool:
+    def test_one_at_a_time_on_a_given_pool(self, tmp_path):
+        """``jobs=1`` with a pool: the inline digest, every cell in the
+        ``main`` namespace, each journaled with its time, one dispatch per
+        cell on the caller's pool, which stays open."""
+        specs = synthetic_specs(6, fail_every=4)
+        inline = run_sweep(specs, tmp_path / "a", options=_quick())
+        pool = WarmPool(1)
+        try:
+            given = run_sweep(specs, tmp_path / "b", options=_quick(), pool=pool)
+            assert not pool.closed
+            assert pool.telemetry()["dispatches"] == len(specs)
+        finally:
+            pool.shutdown()
+        assert given.digest == inline.digest
+        assert {o.shard for o in given.ok} == {"main"}
+        assert all(o.elapsed_s is not None for o in given.ok)
+        journal = read_journal(tmp_path / "b" / "journal.jsonl")
+        assert all("elapsed_s" in line for line in journal if line["status"] == "ok")
 
 
 class TestShardedSweep:
