@@ -9,6 +9,10 @@ Three phases:
    once real progress is journaled, and is then resumed in-process.  The
    resumed digest (and outcome counts) must equal the clean run's, and
    the journal must show the kill actually landed mid-flight.
+
+   In both phases ``run_sweep`` hashes slots as their outcomes land, and
+   ``collect_report`` over the finished checkpoint must recompute the
+   digest it returned: streamed and recomputed agree across a SIGKILL.
 3. **Scale** — a 10k-spec synthetic sweep completes inline with bounded
    peak memory, exercising the streaming digest and O(1)-per-spec
    journal path.
@@ -28,6 +32,7 @@ from pathlib import Path
 
 from repro.experiments.sweep import (
     SweepOptions,
+    collect_report,
     run_sweep,
     sweep_status,
     synthetic_specs,
@@ -55,6 +60,16 @@ def fail(message: str) -> None:
     sys.exit(1)
 
 
+def check_recomputed(specs, state: Path, streamed: str) -> None:
+    """``collect_report`` over the checkpoint must match the streamed digest."""
+    recomputed = collect_report(specs, state).digest
+    if recomputed != streamed:
+        fail(
+            f"collect_report over {state.name} recomputed {recomputed}, but "
+            f"run_sweep streamed {streamed}"
+        )
+
+
 def clean_run(root: Path) -> tuple:
     specs = synthetic_specs(SPEC_COUNT, fail_every=FAIL_EVERY, sleep_s=SLEEP_S)
     report = run_sweep(
@@ -62,6 +77,7 @@ def clean_run(root: Path) -> tuple:
         root / "clean",
         options=SweepOptions(jobs=2, fsync_journal=False),
     )
+    check_recomputed(specs, root / "clean", report.digest)
     print(f"clean run: {report.counts()} digest={report.digest[:16]}…")
     return report.digest, report.counts()
 
@@ -102,6 +118,7 @@ def kill_resume_run(root: Path) -> tuple:
     status = sweep_status(state)
     if status["pending"] != 0:
         fail(f"resume left {status['pending']} specs pending")
+    check_recomputed(specs, state, report.digest)
     print(f"resumed run: {report.counts()} digest={report.digest[:16]}…")
     return report.digest, report.counts()
 
@@ -142,7 +159,10 @@ def main() -> int:
                 f"{clean_counts}"
             )
         scale_run(root)
-    print("sweep-resume-check: OK (kill/resume digest equivalence holds)")
+    print(
+        "sweep-resume-check: OK (kill/resume digest equivalence holds; "
+        "collect_report recomputes the streamed digests)"
+    )
     return 0
 
 

@@ -102,7 +102,7 @@ def _register_core() -> None:
     from repro.sim.stats import TimeBuckets
     from repro.vm.fragmentation import FragmentationSample, FragmentationStats
     from repro.vm.stats import AddressSpaceStats, VmStats
-    from repro.workloads.interactive import SweepSample
+    from repro.workloads.interactive import SweepLog, SweepSample
 
     for cls in (
         # Spec side: the full frozen ExperimentSpec tree.
@@ -129,6 +129,7 @@ def _register_core() -> None:
         FragmentationSample,
         RuntimeStats,
         SweepSample,
+        SweepLog,
         ExperimentFailure,
         # Synthetic sweep cells and trace-recording cells.
         SyntheticSpec,

@@ -45,7 +45,7 @@ from repro.sim.engine import Engine
 from repro.sim.stats import TimeBuckets
 from repro.vm.stats import AddressSpaceStats, VmStats
 from repro.workloads.base import app_driver, build_layout
-from repro.workloads.interactive import InteractiveTask, SweepSample
+from repro.workloads.interactive import InteractiveTask, SweepLog
 from repro.workloads.suite import BENCHMARKS
 
 __all__ = [
@@ -290,7 +290,7 @@ class ProcessResult:
     worker_buckets: Optional[TimeBuckets] = None
     runtime: Optional[RuntimeStats] = None
     sleep_time_s: Optional[float] = None
-    sweeps: List[SweepSample] = field(default_factory=list)
+    sweeps: SweepLog = field(default_factory=SweepLog)
 
 
 @dataclass
@@ -701,9 +701,9 @@ class Machine:
                     ),
                     sleep_time_s=attached.sleep_time_s,
                     sweeps=(
-                        list(attached.interactive.samples)
+                        attached.interactive.samples
                         if attached.interactive is not None
-                        else []
+                        else SweepLog()
                     ),
                 )
             )

@@ -6,6 +6,7 @@ import socket
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -250,6 +251,25 @@ class TestHTTP:
         assert result["digest"] == digest
         assert client.serialized(snap["id"]).startswith("# spec 0 key=")
         assert "MATVEC" in client.figure(snap["id"])
+
+    def test_stream_ends_on_job_finished(self, tmp_path):
+        """The job turns terminal before ``job.finished`` is written; a
+        follower must still get that event, and get it last."""
+        server = ExperimentServer(tmp_path / "state", workers=1)
+        emit = server.manager._emit
+
+        def late_finish(job_id, kind, payload):
+            if kind == "job.finished":
+                time.sleep(0.3)
+            emit(job_id, kind, payload)
+
+        server.manager._emit = late_finish  # type: ignore[method-assign]
+        with server:
+            client = ServiceClient(server.url)
+            snap = client.submit(document=dict(MATVEC_DOC))
+            kinds = [event["kind"] for event in client.stream_events(snap["id"])]
+        assert kinds[0] == "job.submitted"
+        assert kinds[-2:] == ["sweep.done", "job.finished"]
 
     def test_invalid_scenario_is_400_with_path(self, server):
         client = ServiceClient(server.url)

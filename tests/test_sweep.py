@@ -1,6 +1,7 @@
 """Resilient sweeps: journal, the warm pool, chaos, kill/resume."""
 
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -11,7 +12,7 @@ import pytest
 
 from repro.experiments import sweep as sweep_mod
 from repro.experiments.pool import PoolChaos, WarmPool
-from repro.experiments.runner import spec_key
+from repro.experiments.runner import SyntheticSpec, spec_key
 from repro.experiments.sweep import (
     SweepAborted,
     SweepError,
@@ -342,6 +343,76 @@ class TestShardedSweep:
             options=_quick(jobs=2, hang_timeout_s=0.4, chaos=chaos),
         )
         assert report.counts()["ok"] == 4
+
+
+# -- the merged digest, streamed and recomputed ------------------------------
+
+
+def _journal_order(state):
+    """Spec indexes in the order their outcomes were journaled."""
+    return [r["index"] for r in read_journal(state / "journal.jsonl") if r["event"] == "spec"]
+
+
+class TestMergedDigest:
+    """``run_sweep`` hashes slots as they land; ``collect_report``
+    recomputes from the checkpoint.  The two must agree."""
+
+    def test_out_of_order_pooled_outcomes(self, tmp_path):
+        # The long spec 0 lands late, so the cursor waits at slot 0 while
+        # later slots are journaled, then hashes them in one go.
+        specs = [SyntheticSpec(index=0, sleep_s=0.5)] + synthetic_specs(8, fail_every=3)[1:]
+        pooled = run_sweep(specs, tmp_path / "p", options=_quick(jobs=2))
+        order = _journal_order(tmp_path / "p")
+        assert sorted(order) == list(range(8))
+        assert order != sorted(order)  # outcomes landed out of input order
+        inline = run_sweep(specs, tmp_path / "i", options=_quick())
+        assert pooled.digest == collect_report(specs, tmp_path / "p").digest == inline.digest
+        assert [o.index for o in pooled.outcomes] == list(range(8))
+
+    def test_sweep_aborted_with_gaps(self, tmp_path):
+        # Spec 0 is slow and fine, every other spec fails: the budget
+        # trips while slot 0 is still out on a worker, leaving gaps.  An
+        # aborted pass raises and returns no report; the resume that
+        # fills the gaps does, its cursor waiting at slot 0 meanwhile.
+        specs = [SyntheticSpec(index=0, sleep_s=0.5)] + [
+            SyntheticSpec(index=i, fail=True) for i in range(1, 10)
+        ]
+        state = tmp_path / "s"
+        with pytest.raises(SweepAborted):
+            run_sweep(specs, state, options=_quick(jobs=2, max_failures=2))
+        ran = _journal_order(state)
+        assert 0 not in ran and len(ran) >= 3
+        resumed = run_sweep(specs, state, options=_quick(jobs=2), resume=True)
+        inline = run_sweep(specs, tmp_path / "i", options=_quick())
+        assert resumed.digest == collect_report(specs, state).digest == inline.digest
+
+    def test_adopted_cached_result(self, tmp_path):
+        specs = synthetic_specs(6, fail_every=4)
+        first = run_sweep(specs, tmp_path / "s", options=_quick())
+        # Slot 2's result is stored but its journal line is lost (the
+        # crash window); slot 4 never ran at all.
+        journal = tmp_path / "s" / "journal.jsonl"
+        kept = [r for r in read_journal(journal) if r.get("index") not in (2, 4)]
+        journal.write_bytes(b"")
+        for record in kept:
+            append_journal_line(journal, record, fsync=False)
+        for pkl in (tmp_path / "s" / "cache").rglob(f"{spec_key(specs[4])}.pkl"):
+            pkl.unlink()
+        resumed = run_sweep(specs, tmp_path / "s", options=_quick(jobs=2), resume=True)
+        assert [o.index for o in resumed.outcomes if o.attempts == 0] == [2]
+        assert resumed.digest == collect_report(specs, tmp_path / "s").digest
+        assert resumed.digest == first.digest
+
+    def test_pruned_cache_raises_naming_the_spec(self, tmp_path):
+        specs = synthetic_specs(6, fail_every=4)
+        report = run_sweep(specs, tmp_path / "s", options=_quick())
+        victim = report.ok[2]
+        (tmp_path / "s" / "cache" / victim.shard / f"{victim.key}.pkl").unlink()
+        named = re.escape(f"spec {victim.index} ({victim.key[:12]}")
+        with pytest.raises(SweepError, match=named):
+            collect_report(specs, tmp_path / "s")
+        with pytest.raises(SweepError, match=named):
+            run_sweep(specs, tmp_path / "s", options=_quick(), resume=True)
 
 
 # -- kill/resume equivalence -------------------------------------------------

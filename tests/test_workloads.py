@@ -1,17 +1,24 @@
 """Tests for the benchmark workloads: structure, compilation, and the
 per-benchmark hint behaviour Table 2 of the paper implies."""
 
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.config import paper, small, tiny
 from repro.core.compiler import compile_program
 from repro.core.compiler.ir import IndirectRef, VaryingStrideRef
+from repro.digest import serialize_result
+from repro.experiments import wire
+from repro.machine import ExperimentSpec, run_experiment
 from repro.workloads import BENCHMARKS, benchmark, table2_rows
 from repro.workloads.base import build_layout
 from repro.workloads.buk import BukWorkload
 from repro.workloads.cgm import CgmWorkload
 from repro.workloads.embar import EmbarWorkload
 from repro.workloads.fftpde import FftpdeWorkload
+from repro.workloads.interactive import SweepLog, SweepSample
 from repro.workloads.matvec import MatvecWorkload
 from repro.workloads.mgrid import MgridWorkload
 
@@ -220,3 +227,56 @@ class TestLayout:
             pages = set(segment)
             assert not (covered & pages)
             covered |= pages
+
+
+# -- the interactive task's sweep log ---------------------------------------
+
+#: Floats whose reprs are long, short and in exponent form, and an int
+#: start time (the engine clock starts at 0.0, but nothing forbids 0).
+SAMPLES = [SweepSample(0, 0.125, 256, 0, 0)] + [
+    SweepSample(i / 7, 2.5e-07 * i, i % 5, i % 3, i % 2) for i in range(1, 40)
+]
+
+
+def _log(samples):
+    log = SweepLog()
+    for s in samples:
+        log.record(s.start_time, s.response_time, s.hard_faults, s.soft_faults, s.rescues)
+    return log
+
+
+class TestSweepLog:
+    """A ``SweepLog`` must read, print and travel like ``List[SweepSample]``."""
+
+    @pytest.mark.parametrize("count", [0, 1, len(SAMPLES)])
+    def test_repr_is_the_lists(self, count):
+        assert repr(_log(SAMPLES[:count])) == repr(SAMPLES[:count])
+
+    def test_reads_like_the_list(self):
+        log = _log(SAMPLES)
+        assert len(log) == len(SAMPLES)
+        assert log and not SweepLog()
+        for index in (0, 1, -1, -len(SAMPLES)):
+            assert log[index] == SAMPLES[index]
+        with pytest.raises(IndexError):
+            log[len(SAMPLES)]
+        for part in (slice(1, None), slice(None, -1), slice(-3, None), slice(2, 30, 4),
+                     slice(None, None, -1), slice(50, 60)):
+            assert type(log[part]) is list
+            assert log[part] == SAMPLES[part]
+        assert list(log) == SAMPLES
+        assert [s.response_time for s in log] == log.response_time
+
+    def test_pickle_and_wire_round_trips(self):
+        log = _log(SAMPLES)
+        assert pickle.loads(pickle.dumps(log, protocol=pickle.HIGHEST_PROTOCOL)) == log
+        assert wire.decode(wire.encode(log)) == log
+
+    def test_serialized_result_matches_the_list_form(self):
+        result = run_experiment(ExperimentSpec.interactive_alone(tiny(), 0.0, sweeps=6))
+        process = result.interactives[0]
+        assert isinstance(process.sweeps, SweepLog) and len(process.sweeps) == 6
+        listed = dataclasses.replace(
+            result, processes=[dataclasses.replace(process, sweeps=list(process.sweeps))]
+        )
+        assert serialize_result(result) == serialize_result(listed)
