@@ -671,7 +671,12 @@ class WarmPool:
                     for worker in list(inflight):
                         if stopped:
                             break
-                        if now - worker.last_beat > self._hang_timeout_s:
+                        # Frames waiting unread (sent while ``on_outcome``
+                        # held this loop) prove the worker alive; the next
+                        # pass absorbs them and refreshes ``last_beat``.
+                        if now - worker.last_beat > self._hang_timeout_s and not (
+                            worker.conn.poll()
+                        ):
                             _lose(worker, "hang")
         finally:
             for worker in list(leased):

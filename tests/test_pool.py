@@ -233,6 +233,38 @@ class TestCrashContainment:
             pool.shutdown()
 
 
+class TestWatchdog:
+    def test_slow_on_outcome_does_not_hang_a_busy_worker(self):
+        """While ``on_outcome`` holds the dispatcher past the hang timeout,
+        the other worker runs a long spec and its heartbeats wait unread
+        in its pipe: it is alive and must not be killed as hung."""
+        # Two batches of one per worker: the first worker gets the slow
+        # spec, the second lands spec 2 at once and so calls back first.
+        specs = [
+            SyntheticSpec(index=0, sleep_s=1.5),
+            SyntheticSpec(index=1),
+            SyntheticSpec(index=2),
+            SyntheticSpec(index=3),
+        ]
+        heard = []
+
+        def slow_callback(index, outcome, attempt, worker, elapsed_s, requeued=False):
+            if not heard:
+                time.sleep(1.0)  # well past the 0.4 s hang timeout
+            heard.append((index, requeued))
+            return False
+
+        pool = WarmPool(2, hang_timeout_s=0.4)
+        try:
+            outcomes = pool.run(specs, batch_size=1, on_outcome=slow_callback)
+            assert all(isinstance(o, SyntheticResult) for o in outcomes)
+            assert heard[0] == (2, False)
+            assert sorted(heard) == [(i, False) for i in range(4)]
+            assert pool.telemetry()["crashes"] == 0
+        finally:
+            pool.shutdown()
+
+
 def test_worker_dies_on_sigterm_despite_inherited_handler():
     """``repro serve`` installs a SIGTERM handler that only sets an event.
     A forked worker inheriting it would shrug off ``terminate()`` and wedge
