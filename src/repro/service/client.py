@@ -136,7 +136,8 @@ class ServiceClient:
         """Yield events from the job's JSONL stream as they arrive.
 
         With ``follow`` the connection stays open until the job finishes
-        (the server closes it); without, it is a snapshot of events so far.
+        (the server closes it) and the server's blank keep-alive lines are
+        skipped; without, it is a snapshot of events so far.
         """
         suffix = "" if follow else "?follow=0"
         response = self._request("GET", f"/v1/jobs/{job_id}/events{suffix}", raw=True)

@@ -25,8 +25,10 @@ keeps only what belongs to a service:
 3. **The event stream.**  ``job.submitted``, ``job.adopted``, the sweep's
    own ``sweep.*`` events and ``job.finished`` share one events file and
    one wall-clock timeline.  ``job.finished`` is written before the job
-   turns terminal, so a follower that drains the file once after seeing
-   the terminal status has the whole stream.
+   turns terminal, so a follower that reads the file once after seeing
+   the terminal status has the whole stream.  Followers wait for that
+   status in :meth:`JobManager.wait_terminal`, which wakes them the
+   moment the job finishes.
 
 State layout under the manager's ``state_dir``::
 
@@ -357,18 +359,18 @@ class JobManager:
             counts["total"] = len(self._jobs)
             return counts
 
+    def wait_terminal(self, job_id: str, timeout: Optional[float]) -> bool:
+        """Block until the job is terminal or ``timeout`` seconds pass
+        (``None``: no limit); return whether it is terminal.  ``_finish``
+        wakes every waiter as it sets a terminal status."""
+        with self._terminal:
+            return self._terminal.wait_for(lambda: self.job(job_id).terminal, timeout)
+
     def wait(self, job_id: str, timeout: Optional[float] = None) -> JobRecord:
         """Block until the job reaches a terminal state."""
-        deadline = None if timeout is None else time.monotonic() + timeout
-        with self._terminal:
-            while True:
-                record = self.job(job_id)
-                if record.terminal:
-                    return record
-                remaining = None if deadline is None else deadline - time.monotonic()
-                if remaining is not None and remaining <= 0:
-                    raise JobError(f"timed out waiting for job {job_id}")
-                self._terminal.wait(timeout=remaining if remaining is not None else 0.5)
+        if not self.wait_terminal(job_id, timeout):
+            raise JobError(f"timed out waiting for job {job_id}")
+        return self.job(job_id)
 
     def events_path(self, job_id: str) -> Path:
         self.job(job_id)  # raises on unknown id

@@ -12,7 +12,8 @@ Routes (all under ``/v1``)::
     POST /v1/jobs                 submit {"template": name} or {"document": {...}}
     GET  /v1/jobs                 all job snapshots
     GET  /v1/jobs/<id>            one job snapshot
-    GET  /v1/jobs/<id>/events     streaming JSONL (follow until terminal;
+    GET  /v1/jobs/<id>/events     streaming JSONL (follow until terminal,
+                                  blank keep-alive lines while quiet;
                                   ?follow=0 for a snapshot)
     GET  /v1/jobs/<id>/result     terminal summary: digest + outcome rows
     GET  /v1/jobs/<id>/serialized canonical serialized results (text/plain)
@@ -44,6 +45,12 @@ from repro.service.jobs import JobError, JobManager
 __all__ = ["ExperimentServer", "serve"]
 
 _MAX_BODY = 4 * 1024 * 1024  # a scenario document has no business being larger
+# An events follower re-reads the file at least this often; the job's
+# completion wakes it at once.
+_EVENTS_WAIT_S = 0.05
+# A follower that has written nothing for this long writes a blank line,
+# so a quiet job does not trip the client's socket timeout.
+_KEEPALIVE_S = 10.0
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -197,7 +204,11 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_header("Content-Type", "application/x-ndjson; charset=utf-8")
         self.end_headers()  # no Content-Length: HTTP/1.0 close delimits
         position = 0
-        terminal_drained = False
+        written_at = time.monotonic()
+        # The status is read before each read of the file.  job.finished
+        # is written before the job turns terminal, so the first read
+        # after a terminal status ends the stream with it.
+        terminal = not follow or self.manager.job(job_id).terminal
         while True:
             chunk = b""
             if path.exists():
@@ -205,16 +216,13 @@ class _Handler(BaseHTTPRequestHandler):
                     handle.seek(position)
                     chunk = handle.read()
                     position += len(chunk)
-            if chunk:
-                self.wfile.write(chunk)
+            if chunk or time.monotonic() - written_at >= _KEEPALIVE_S:
+                self.wfile.write(chunk or b"\n")  # clients skip blank lines
                 self.wfile.flush()
-            if not follow:
+                written_at = time.monotonic()
+            if terminal:
                 return
-            if terminal_drained and not chunk:
-                return
-            if self.manager.job(job_id).terminal:
-                terminal_drained = True  # one more pass to drain the tail
-            time.sleep(0.05)
+            terminal = self.manager.wait_terminal(job_id, _EVENTS_WAIT_S)
 
     def _render_figure(self, job_id: str) -> str:
         """The per-process tables for every ok spec, in spec order."""

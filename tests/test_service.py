@@ -30,6 +30,7 @@ from repro.service import (
     ServiceError,
     run_direct,
 )
+from repro.service import server as server_mod
 
 MATVEC_DOC = {
     "scenario": 1,
@@ -270,6 +271,35 @@ class TestHTTP:
             kinds = [event["kind"] for event in client.stream_events(snap["id"])]
         assert kinds[0] == "job.submitted"
         assert kinds[-2:] == ["sweep.done", "job.finished"]
+
+    def test_quiet_stream_outlives_the_client_timeout(self, tmp_path, monkeypatch):
+        """A spec that writes no event for longer than the client's socket
+        timeout (a small MATVEC R spec runs most of a second, against a
+        0.5 s timeout) does not cut the stream: the follower writes blank
+        keep-alive lines, which clients skip."""
+        monkeypatch.setattr(server_mod, "_KEEPALIVE_S", 0.05)
+        doc = dict(MATVEC_DOC, scale="small", version="R")
+        with ExperimentServer(tmp_path / "state", workers=1) as server:
+            snap = ServiceClient(server.url).submit(document=doc)
+            follower = ServiceClient(server.url, timeout=0.5)
+            kinds = [event["kind"] for event in follower.stream_events(snap["id"])]
+        assert kinds == [
+            "job.submitted", "sweep.start", "sweep.progress", "sweep.done", "job.finished"
+        ]
+
+    def test_completion_not_a_timer_ends_the_stream(self, tmp_path, monkeypatch):
+        """With the follower's wait between reads stretched to seconds,
+        ``job.finished`` still reaches the client within 1 s of the
+        record's ``finished_at``: the job's completion wakes the follower."""
+        monkeypatch.setattr(server_mod, "_EVENTS_WAIT_S", 5.0)
+        with ExperimentServer(tmp_path / "state", workers=1) as server:
+            client = ServiceClient(server.url)
+            snap = client.submit(document=dict(MATVEC_DOC))
+            for event in client.stream_events(snap["id"]):
+                kind, received = event["kind"], time.time()
+            finished_at = client.job(snap["id"])["finished_at"]
+        assert kind == "job.finished"
+        assert received - finished_at < 1.0
 
     def test_invalid_scenario_is_400_with_path(self, server):
         client = ServiceClient(server.url)
