@@ -11,6 +11,12 @@ neither) and its median beats the parent's by more than the parent's
 interquartile range.  It stops at the first run that reports
 ``correct: false`` or ``failed > 0``.
 
+``--pairs`` must be even, so each side runs first equally often.  A line
+``slots`` gives the median of the runs that went first in their pair and
+of those that went second, both sides pooled: when the two differ by as
+much as the sides do, the host favours one slot and a short row cannot
+tell that from a change.
+
 The parent checkout can be a ``git worktree`` or a ``git archive`` of the
 parent commit.  Usage, from the root of the change checkout::
 
@@ -83,6 +89,14 @@ def verdict(
     return "regressed" if worse > bound else "within"
 
 
+def slot_medians(
+    slots: Sequence[Sequence[Dict[str, float]]], name: str
+) -> Tuple[float, float]:
+    """Median ``name`` of the runs that went first, and of those second."""
+    first, second = ([run[name] for run in slot] for slot in slots)
+    return statistics.median(first), statistics.median(second)
+
+
 def run_once(checkout: Path, command: List[str], args) -> Dict[str, float]:
     argv = command + [
         "--workload", args.workload, "--seed", str(args.seed),
@@ -118,6 +132,8 @@ def main(argv=None) -> int:
                         help="run length (default: BENCHMARK.json run_seconds)")
     parser.add_argument("--claim", default=None, help="end-to-end metric claimed")
     args = parser.parse_args(argv)
+    if args.pairs < 2 or args.pairs % 2:
+        parser.error(f"--pairs must be even, so each side runs first as often; got {args.pairs}")
 
     benchmark = json.loads((args.change / "BENCHMARK.json").read_text())
     if args.seconds is None:
@@ -127,11 +143,13 @@ def main(argv=None) -> int:
         parser.error(f"--claim {args.claim!r} is not an end-to-end metric")
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     runs: Dict[str, List[Dict[str, float]]] = {"parent": [], "change": []}
+    slots: Tuple[List[Dict[str, float]], ...] = ([], [])
     for pair in range(args.pairs):
         order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
-        for side in order:
+        for slot, side in zip(slots, order):
             values = run_once(sides[side], benchmark["command"], args)
             runs[side].append(values)
+            slot.append(values)
             shown = " ".join(
                 f"{name}={values[name]:.4g}" for name in metrics if name in values
             )
@@ -156,6 +174,14 @@ def main(argv=None) -> int:
             f"change {cm:.4g} [{c1:.4g}, {c3:.4g}] ({shift})  {entry['unit']}, "
             f"{better} is better; change wins {wins(parent, change, better)}"
             f"/{len(parent)}; {outcome} (bound {entry['bound']:g})"
+        )
+    slot_metric = args.claim or "wall_s"
+    if all(slot_metric in run for slot in slots for run in slot):
+        first, second = slot_medians(slots, slot_metric)
+        shift = f"{(second - first) / first:+.1%}" if first else "n/a"
+        print(
+            f"slots {slot_metric}: first run of a pair {first:.4g}, second {second:.4g} "
+            f"({shift}), medians over both sides"
         )
     if args.claim is not None:
         parent = [run[args.claim] for run in runs["parent"]]

@@ -122,8 +122,9 @@ class KernelProcess:
         self.pending_user = pending
 
     def touch_now(self, vpn: int, write: bool = False):
-        """Process generator: touch unconditionally (used by simple tasks
-        like the interactive toucher, where batching doesn't matter)."""
+        """Process generator: one touch, taking the fault path on a miss;
+        returns the fault kind, or None on a hit.  A convenience for tests
+        that set up page state one touch at a time."""
         fault = self.touch(vpn, write)
         if fault is not None:
             kind = yield from fault

@@ -25,6 +25,7 @@ point, exactly like the seed harness did.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -100,6 +101,18 @@ class StepBudgetExceeded(RuntimeError):
         )
 
 
+def _check_duration(what: str, seconds: object) -> None:
+    """Raise :class:`SpecError` unless ``seconds`` is a finite number >= 0.
+
+    A NaN sleep would never sleep (the toucher would sweep back to back
+    forever), and an infinite one fails only once the engine schedules it.
+    """
+    if not (isinstance(seconds, (int, float)) and 0 <= seconds < math.inf):
+        raise SpecError(
+            f"{what} must be a finite, non-negative number of seconds, got {seconds!r}"
+        )
+
+
 @dataclass(frozen=True)
 class WorkloadProcessSpec:
     """One simulated process within an experiment.
@@ -154,6 +167,8 @@ class WorkloadProcessSpec:
         if self.is_interactive:
             if self.sweeps is not None and self.sweeps <= 0:
                 raise SpecError(f"sweeps must be positive, got {self.sweeps}")
+            if self.sleep_time_s is not None:
+                _check_duration("sleep time", self.sleep_time_s)
         elif self.is_trace:
             if not self.trace_path:
                 raise SpecError("a TRACE process needs a trace_path")
@@ -173,8 +188,7 @@ class WorkloadProcessSpec:
                     f"unknown version {self.version!r}; choose from "
                     f"{sorted(VERSIONS)}"
                 )
-        if self.start_offset_s < 0:
-            raise SpecError(f"negative start offset: {self.start_offset_s}")
+        _check_duration("start offset", self.start_offset_s)
 
 
 @dataclass(frozen=True)
@@ -202,7 +216,8 @@ class ExperimentSpec:
         if not self.processes:
             raise SpecError("an experiment needs at least one process")
         for process in self.processes:
-            process.validate()
+            # Resolved, so a scale's default interactive sleep is checked too.
+            process.resolved(self.scale).validate()
         if not any(process.bounded for process in self.processes):
             raise SpecError(
                 "no bounded process: give an out-of-core workload or an "

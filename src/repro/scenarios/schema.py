@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
@@ -198,6 +199,20 @@ def _expect_number(value, path: str) -> float:
     return float(value)
 
 
+def _expect_duration(value, path: str) -> float:
+    """A sleep or start offset: a finite number of seconds >= 0.
+
+    JSON bodies may carry ``NaN`` and ``Infinity`` (``json.loads`` accepts
+    both), so finiteness is checked here, not assumed.
+    """
+    seconds = _expect_number(value, path)
+    if not 0.0 <= seconds < math.inf:
+        raise ScenarioError(
+            f"expected a finite, non-negative number of seconds, got {value!r}", path
+        )
+    return seconds
+
+
 # -- extends resolution -----------------------------------------------------
 
 
@@ -290,7 +305,7 @@ def _compile_process(entry: object, index: int) -> WorkloadProcessSpec:
         try:
             return trace_process_spec(
                 trace_path,
-                start_offset_s=_expect_number(
+                start_offset_s=_expect_duration(
                     entry.get("start_offset_s", 0.0), f"{path}.start_offset_s"
                 ),
                 name=(
@@ -325,16 +340,14 @@ def _compile_process(entry: object, index: int) -> WorkloadProcessSpec:
         )
     sleep_s = entry.get("sleep_s")
     if sleep_s is not None:
-        sleep_s = _expect_number(sleep_s, f"{path}.sleep_s")
+        sleep_s = _expect_duration(sleep_s, f"{path}.sleep_s")
     sweeps = entry.get("sweeps")
     if sweeps is not None:
         if isinstance(sweeps, bool) or not isinstance(sweeps, int) or sweeps <= 0:
             raise ScenarioError(
                 f"expected a positive integer, got {sweeps!r}", f"{path}.sweeps"
             )
-    start = _expect_number(entry.get("start_offset_s", 0.0), f"{path}.start_offset_s")
-    if start < 0:
-        raise ScenarioError(f"negative start offset: {start}", f"{path}.start_offset_s")
+    start = _expect_duration(entry.get("start_offset_s", 0.0), f"{path}.start_offset_s")
     return WorkloadProcessSpec(
         workload=upper if upper == INTERACTIVE else workload.upper(),
         version=version,
@@ -431,7 +444,7 @@ def _compile_single(
             )
         sleep = document.get("sleep")
         if sleep is not None:
-            sleep = _expect_number(sleep, "sleep")
+            sleep = _expect_duration(sleep, "sleep")
         with_interactive = _expect_bool(document.get("interactive", True), "interactive")
         spec = ExperimentSpec.multiprogram(
             scale, benchmark, version, sleep_time_s=sleep,
@@ -481,6 +494,9 @@ def _compile_sweep(
         )
     for axis, values in axes.items():
         _expect_list(values, f"sweep.axes.{axis}")
+    for index, sleep in enumerate(axes.get("sleep", ())):
+        if sleep is not None:
+            _expect_duration(sleep, f"sweep.axes.sleep[{index}]")
     # Reuse the sweep grid expander (fixed axis order, validated specs) so
     # the service and `repro sweep run --grid` agree on expansion exactly.
     from repro.experiments.sweep import expand_grid

@@ -9,21 +9,29 @@ The task runs under the OS's *default* policies — no policy module, no
 hints — because the whole point of the paper is that the interactive task
 needs no modification: only the memory hog changes its behaviour.
 
-Each sweep is recorded in a :class:`SweepLog`: five flat columns rather
-than one :class:`SweepSample` object per sweep.  A sleep-0 run at tiny
-scale records thousands of sweeps, and every result crosses the pool's
-wire and the result cache, where columns pickle, load and encode several
-times faster.  The log reads like a list of samples and its ``repr`` is
-that list's, byte for byte, so the canonical result text is unchanged.
+At sleep 0 the task sweeps every simulated millisecond, so both ends of
+its record are hot.  :meth:`InteractiveTask.run` touches each sweep's
+pages in one inline pass whose time accounting and yielded events match
+the per-page ``KernelProcess.touch`` loop exactly.  Each sweep is recorded
+in a :class:`SweepLog`: five flat columns rather than one
+:class:`SweepSample` object per sweep, because every result crosses the
+pool's wire and the result cache, where columns pickle, load and encode
+several times faster.  The log reads like a list of samples and its
+``repr`` is that list's, byte for byte, so the canonical result text is
+unchanged; it renders each distinct (response time, faults, rescues)
+tail once, since a sleep-0 log repeats a few dozen tails over thousands
+of sweeps.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from operator import add
 from typing import Iterator, List, Union
 
 from repro.config import SimScale
 from repro.kernel.kernel import Kernel, KernelProcess
+from repro.vm.frames import F_IN_TRANSIT, F_REFERENCED, F_SW_VALID
 
 __all__ = ["InteractiveTask", "SweepLog", "SweepSample"]
 
@@ -37,6 +45,25 @@ class SweepSample:
     hard_faults: int
     soft_faults: int
     rescues: int
+
+
+#: The text ``SweepSample``'s dataclass repr puts before the start time.
+#: What follows the start time, the sample's tail, depends only on the
+#: other four fields.
+_HEAD = f"{SweepSample.__qualname__}({fields(SweepSample)[0].name}="
+
+
+def _tail(key) -> str:
+    """``SweepSample``'s repr after the start time, for the other four fields."""
+    return repr(SweepSample(None, *key))[len(_HEAD) + len("None"):]
+
+
+def _renders_by_value(column) -> bool:
+    """Do equal values in ``column`` always print alike?  Yes when they
+    share one exact type and, unless that is ``int``, hold no zero (which
+    could be ``-0.0`` beside ``0.0``)."""
+    kinds = set(map(type, column))
+    return len(kinds) <= 1 and (kinds <= {int} or 0 not in column)
 
 
 @dataclass(repr=False)
@@ -96,7 +123,17 @@ class SweepLog:
         )
 
     def __repr__(self) -> str:
-        return repr(list(self))
+        # repr(list(self)), byte for byte, with each distinct tail rendered
+        # once by SweepSample's own repr: a sleep-0 log repeats a few dozen
+        # tails over thousands of sweeps, so per sweep only the start time
+        # is formatted.
+        columns = (self.response_time, self.hard_faults, self.soft_faults, self.rescues)
+        if not all(map(_renders_by_value, columns)):
+            return repr(list(self))
+        keys = list(zip(*columns))
+        tails = {key: _tail(key) for key in set(keys)}
+        heads = map(_HEAD.__add__, map(repr, self.start_time))
+        return "[" + ", ".join(map(add, heads, map(tails.__getitem__, keys))) + "]"
 
 
 def _steady_mean(column: List[float], skip_warmup: int) -> float:
@@ -142,28 +179,60 @@ class InteractiveTask:
 
     # -- the task body --------------------------------------------------------
     def run(self):
-        """Process generator: sweep, record, sleep, repeat until stopped."""
+        """Process generator: sweep, record, sleep, repeat until stopped.
+
+        Each sweep is one inline pass, add-for-add and yield-for-yield the
+        per-page ``process.touch`` / ``process.flush()`` /
+        ``task.sleep()`` loop: a hit is one page-table probe and one mask
+        compare (``touch_fast``'s test) that adds the resident-touch cost to
+        a local mirror of ``pending_user``; a miss flushes that batch and
+        takes ``vm.fault`` (``KernelProcess._fault``); the sweep ends with
+        the batch's flush and the sleep, each one ``engine.timeout``.  The
+        sleep is at least ``MIN_CYCLE_S`` because validated specs hold no
+        negative or non-finite sleep.
+        """
         process = self.process
-        stats = process.aspace.stats
-        touch = process.touch
+        aspace = process.aspace
+        stats = aspace.stats
+        pt = aspace.pt
         engine = self.kernel.engine
+        timeout = engine.timeout
+        task = process.task
+        buckets = task.buckets
+        vm_fault = self.kernel.vm.fault
+        flags = self.kernel.vm._flags
+        in_mask = F_SW_VALID | F_IN_TRANSIT
+        resident_touch_s = process._resident_touch_s
+        segment = self.segment
+        log = self.samples
+        delay = max(self.sleep_time_s, self.MIN_CYCLE_S)
         while not self._stop:
             start = engine._now
             hard0 = stats.hard_faults
             soft0 = stats.soft_faults
             rescues0 = stats.rescues
-            for vpn in self.segment:
-                fault = touch(vpn, write=False)
-                if fault is not None:
-                    yield from fault
-            yield from process.flush()
-            self.samples.record(
+            pending = process.pending_user
+            for vpn in segment:
+                index = pt[vpn]
+                if index >= 0 and flags[index] & in_mask == F_SW_VALID:
+                    flags[index] |= F_REFERENCED
+                    pending += resident_touch_s
+                else:
+                    process.pending_user = 0.0
+                    if pending > 0:
+                        yield timeout(pending)
+                        buckets.user += pending
+                    yield from vm_fault(task, aspace, vpn, False)
+                    pending = 0.0
+            process.pending_user = 0.0
+            if pending > 0:
+                yield timeout(pending)
+                buckets.user += pending
+            log.record(
                 start,
                 engine._now - start,
                 stats.hard_faults - hard0,
                 stats.soft_faults - soft0,
                 stats.rescues - rescues0,
             )
-            yield from process.task.sleep(
-                max(self.sleep_time_s, self.MIN_CYCLE_S)
-            )
+            yield timeout(delay)

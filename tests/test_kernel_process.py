@@ -2,11 +2,14 @@
 presets, and the interactive task."""
 
 import random
+from unittest import mock
 
 import pytest
 
 from repro.config import paper, small, tiny
+from repro.faults import FaultPlan
 from repro.kernel import Kernel
+from repro.machine import ExperimentSpec, run_experiment
 from repro.sim.engine import Engine
 from repro.sim.task import SimTask
 from repro.vm.frames import (
@@ -324,3 +327,103 @@ class TestInteractiveTask:
         drive(kernel.engine, kernel.engine.process(bounded()))
         # Back-to-back sweeps: gaps equal the response times.
         assert len(task.samples) >= 3
+
+
+def _per_page_sweeps(self):
+    """``InteractiveTask.run`` as a per-page loop: ``process.touch`` per
+    page (the fault generator on a miss), ``process.flush()``, then
+    ``task.sleep()``.  The inline pass must match it add for add."""
+    process = self.process
+    stats = process.aspace.stats
+    engine = self.kernel.engine
+    while not self._stop:
+        start = engine._now
+        hard0 = stats.hard_faults
+        soft0 = stats.soft_faults
+        rescues0 = stats.rescues
+        for vpn in self.segment:
+            fault = process.touch(vpn, write=False)
+            if fault is not None:
+                yield from fault
+        yield from process.flush()
+        self.samples.record(
+            start,
+            engine._now - start,
+            stats.hard_faults - hard0,
+            stats.soft_faults - soft0,
+            stats.rescues - rescues0,
+        )
+        yield from process.task.sleep(max(self.sleep_time_s, self.MIN_CYCLE_S))
+
+
+#: Disk latency spikes and transient I/O errors (retried by the kernel)
+#: move every fault's completion time.
+_DISK_CHAOS = FaultPlan.from_dict(
+    {
+        "seed": 7,
+        "disk": {
+            "latency_spike_prob": 0.2,
+            "latency_spike_multiplier": 4.0,
+            "io_error_prob": 0.02,
+        },
+    }
+)
+
+#: Sleep 0 (back-to-back sweeps), a mid sleep, and one longer than the run.
+_SWEEP_SLEEPS = (0.0, tiny().figure_sleep_times_s[3], 100.0)
+
+
+def _sweep_world(seed, sleep, faulted, reference):
+    """A 12-page interactive task beside BUK P, whose memory pressure makes
+    the paging daemon steal interactive pages mid-run (they come back as
+    hard faults, soft faults and free-list rescues).  Returns the
+    observable outcome and the interactive address space's stats."""
+    base = tiny()
+    scale = base.with_overrides(
+        rng_seed=base.rng_seed + seed, interactive_bytes=12 * base.machine.page_size
+    )
+    spec = ExperimentSpec.multiprogram(scale, "BUK", "P", sleep_time_s=sleep)
+    if faulted:
+        spec = spec.with_faults(_DISK_CHAOS)
+    if reference:
+        with mock.patch.object(InteractiveTask, "run", _per_page_sweeps):
+            result = run_experiment(spec)
+    else:
+        result = run_experiment(spec)
+    process = result.interactives[0]
+    log = process.sweeps
+    outcome = {
+        "columns": (
+            log.start_time, log.response_time, log.hard_faults, log.soft_faults,
+            log.rescues,
+        ),
+        "buckets": repr(process.buckets),
+        "stats": repr(process.stats),
+        "steps": result.engine_steps,
+    }
+    return outcome, process.stats
+
+
+class TestInlineSweep:
+    @pytest.mark.parametrize("faulted", [False, True], ids=["no-faults", "disk-chaos"])
+    @pytest.mark.parametrize("sleep", _SWEEP_SLEEPS)
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_per_page_reference(self, seed, sleep, faulted):
+        """The inline pass is the per-page loop, add for add and yield for
+        yield: the same five sweep columns, time buckets, fault stats and
+        engine step count."""
+        inline, _ = _sweep_world(seed, sleep, faulted, reference=False)
+        reference, _ = _sweep_world(seed, sleep, faulted, reference=True)
+        assert inline == reference
+
+    @pytest.mark.parametrize("faulted", [False, True], ids=["no-faults", "disk-chaos"])
+    def test_worlds_cover_stolen_pages(self, faulted):
+        """Guard the worlds: at every sleep the daemon steals interactive
+        pages, and at sleep 0 and the mid sleep the sweeps take hard faults
+        past the cold start, soft faults and rescues."""
+        for sleep in _SWEEP_SLEEPS:
+            _, stats = _sweep_world(0, sleep, faulted, reference=True)
+            assert stats.pages_stolen > 0, sleep
+            if sleep < 1.0:
+                assert stats.hard_faults > 12, sleep
+                assert stats.soft_faults > 0 and stats.rescues > 0, sleep

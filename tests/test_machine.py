@@ -42,6 +42,33 @@ def test_spec_validation_requires_a_bounded_process(scale):
         spec.validate()
 
 
+@pytest.mark.parametrize("seconds", [math.nan, math.inf, -math.inf, -1.0, "0.1"])
+def test_spec_validation_rejects_a_bad_interactive_sleep(scale, seconds):
+    """A NaN sleep never sleeps: the toucher would sweep back to back for
+    the whole run.  Infinite, negative and non-numeric sleeps are errors too."""
+    spec = ExperimentSpec.interactive_alone(scale, seconds, sweeps=2)
+    with pytest.raises(SpecError, match="sleep time"):
+        spec.validate()
+
+
+@pytest.mark.parametrize("seconds", [math.nan, math.inf, -1.0])
+def test_spec_validation_rejects_a_bad_start_offset(scale, seconds):
+    spec = ExperimentSpec(
+        scale=scale,
+        processes=(WorkloadProcessSpec(workload="MATVEC", start_offset_s=seconds),),
+    )
+    with pytest.raises(SpecError, match="start offset"):
+        spec.validate()
+
+
+def test_spec_validation_checks_the_scale_default_sleep(scale):
+    spec = ExperimentSpec.interactive_alone(
+        scale.with_overrides(intermediate_sleep_s=math.nan), None, sweeps=2
+    )
+    with pytest.raises(SpecError, match="sleep time"):
+        spec.validate()
+
+
 def test_spec_is_hashable_and_reusable(scale):
     spec = ExperimentSpec.multiprogram(scale, "MATVEC", "R")
     assert hash(spec) == hash(ExperimentSpec.multiprogram(scale, "MATVEC", "R"))

@@ -66,3 +66,30 @@ def test_verdict_against_a_bound(change, expected):
 def test_verdict_is_unresolved_when_the_spread_exceeds_the_bound():
     noisy = [1.0, 2.0, 1.0, 2.0, 1.0, 2.0, 1.0, 2.0, 1.0, 2.0]
     assert ab.verdict(noisy, [1.5] * 10, "lower", bound=0.25) == "unresolved"
+
+
+def test_odd_pair_counts_are_an_argument_error(tmp_path, capsys):
+    """With an odd count one side would run first once more than the other."""
+    for pairs in ("3", "1", "0"):
+        with pytest.raises(SystemExit) as excinfo:
+            ab.main(["--parent", str(tmp_path), "--workload", "mix", "--pairs", pairs])
+        assert excinfo.value.code == 2
+        assert "--pairs must be even" in capsys.readouterr().err
+
+
+def test_slot_medians_show_a_first_run_bias(tmp_path, monkeypatch, capsys):
+    """A host that slows whichever run goes second: both sides read the
+    same median, and only the slot line shows the bias."""
+    calls = []
+
+    def fake_run_once(checkout, command, args):
+        calls.append(checkout)
+        return {"wall_s": 1.0 if len(calls) % 2 else 1.1}
+
+    monkeypatch.setattr(ab, "run_once", fake_run_once)
+    status = ab.main(["--parent", str(tmp_path), "--workload", "mix", "--pairs", "4"])
+    out = capsys.readouterr().out
+    assert status == 0
+    assert len(calls) == 8
+    assert "slots wall_s: first run of a pair 1, second 1.1 (+10.0%)" in out
+    assert "parent 1.05 [1, 1.1]  change 1.05 [1, 1.1]" in out

@@ -1,6 +1,7 @@
 """Tests for the scenario registry: format, inheritance, validation."""
 
 import json
+import math
 
 import pytest
 
@@ -145,6 +146,33 @@ class TestValidation:
         with pytest.raises(ScenarioError) as excinfo:
             validate_scenario(doc(benchmark="MATVEC", overrides={"nope": 1}))
         assert excinfo.value.path == "overrides.nope"
+
+    @pytest.mark.parametrize("seconds", [math.nan, math.inf, -0.5])
+    def test_bad_sleep_path_precise(self, seconds):
+        with pytest.raises(ScenarioError) as excinfo:
+            validate_scenario(doc(benchmark="MATVEC", sleep=seconds))
+        assert excinfo.value.path == "sleep"
+
+    @pytest.mark.parametrize("seconds", [math.nan, math.inf, -0.5])
+    def test_bad_process_sleep_path_precise(self, seconds):
+        entries = [{"workload": "MATVEC"}, {"workload": "interactive", "sleep_s": seconds}]
+        with pytest.raises(ScenarioError) as excinfo:
+            validate_scenario(doc(processes=entries))
+        assert excinfo.value.path == "processes[1].sleep_s"
+
+    @pytest.mark.parametrize("seconds", [math.nan, math.inf, -0.5])
+    def test_bad_start_offset_path_precise(self, seconds):
+        entries = [{"workload": "MATVEC", "start_offset_s": seconds}]
+        with pytest.raises(ScenarioError) as excinfo:
+            validate_scenario(doc(processes=entries))
+        assert excinfo.value.path == "processes[0].start_offset_s"
+
+    @pytest.mark.parametrize("seconds", [math.nan, math.inf, -0.5, "0.1"])
+    def test_bad_sleep_axis_path_precise(self, seconds):
+        axes = {"benchmark": ["MATVEC"], "sleep": [None, 0.1, seconds]}
+        with pytest.raises(ScenarioError) as excinfo:
+            validate_scenario(doc(sweep={"axes": axes}))
+        assert excinfo.value.path == "sweep.axes.sleep[2]"
 
     def test_shape_must_be_exclusive(self):
         with pytest.raises(ScenarioError, match="exactly one"):

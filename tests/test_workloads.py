@@ -3,8 +3,11 @@ per-benchmark hint behaviour Table 2 of the paper implies."""
 
 import dataclasses
 import pickle
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import paper, small, tiny
 from repro.core.compiler import compile_program
@@ -12,7 +15,7 @@ from repro.core.compiler.ir import IndirectRef, VaryingStrideRef
 from repro.digest import serialize_result
 from repro.experiments import wire
 from repro.machine import ExperimentSpec, run_experiment
-from repro.workloads import BENCHMARKS, benchmark, table2_rows
+from repro.workloads import BENCHMARKS, benchmark, interactive, table2_rows
 from repro.workloads.base import build_layout
 from repro.workloads.buk import BukWorkload
 from repro.workloads.cgm import CgmWorkload
@@ -245,12 +248,91 @@ def _log(samples):
     return log
 
 
+#: Any number a column might hold: ints (large ones too) and floats (both
+#: zeros, infinities, NaN).
+_NUMBERS = st.one_of(
+    st.integers(), st.integers(min_value=-(2**80), max_value=2**80), st.floats()
+)
+_TAILS = st.tuples(_NUMBERS, _NUMBERS, _NUMBERS, _NUMBERS)
+#: Tail lists holding equal tails that print differently, and so must not
+#: share one rendering: ``0``, ``0.0``, ``-0.0``, ``1`` and ``1.0`` mixed
+#: in every column, or float response times that differ only in the sign
+#: of a zero.
+_LOOKALIKE_TAIL_LISTS = st.one_of(
+    st.lists(st.tuples(*[st.sampled_from([0, 0.0, -0.0, 1, 1.0])] * 4), max_size=40),
+    st.lists(
+        st.tuples(st.sampled_from([0.0, -0.0, 1.0]), *[st.integers(0, 1)] * 3), max_size=40
+    ),
+)
+#: What a simulated sweep's tail holds: a positive response time and
+#: fault counts.
+_SIM_TAILS = st.tuples(
+    st.floats(min_value=1e-9, max_value=1e3),
+    st.integers(0, 2**70),
+    st.integers(0, 300),
+    st.integers(0, 300),
+)
+
+
+@st.composite
+def _tail_lists(draw, tails, min_size=0):
+    """Tail lists of every shape: all distinct, one tail repeated, or
+    drawn from a small pool."""
+    shape = draw(st.sampled_from(["distinct", "repeated", "pool"]))
+    if shape == "distinct":
+        return draw(st.lists(tails, min_size=min_size, max_size=40, unique=True))
+    count = draw(st.integers(min_size, 60))
+    if shape == "repeated":
+        return [draw(tails)] * count
+    pool = draw(st.lists(tails, min_size=1, max_size=4))
+    return [draw(st.sampled_from(pool)) for _ in range(count)]
+
+
+@st.composite
+def _logs(draw, tail_lists):
+    """Logs with the given tails and int or float start times."""
+    rows = draw(tail_lists)
+    starts = draw(
+        st.lists(st.one_of(st.integers(), st.floats()), min_size=len(rows), max_size=len(rows))
+    )
+    return _log(SweepSample(start, *row) for start, row in zip(starts, rows))
+
+
 class TestSweepLog:
     """A ``SweepLog`` must read, print and travel like ``List[SweepSample]``."""
 
     @pytest.mark.parametrize("count", [0, 1, len(SAMPLES)])
     def test_repr_is_the_lists(self, count):
         assert repr(_log(SAMPLES[:count])) == repr(SAMPLES[:count])
+
+    @settings(max_examples=300, deadline=None)
+    @given(log=_logs(st.one_of(_tail_lists(_TAILS), _LOOKALIKE_TAIL_LISTS)))
+    def test_repr_is_the_lists_for_any_numbers(self, log):
+        assert repr(log) == repr(list(log))
+
+    @settings(max_examples=100, deadline=None)
+    @given(log=_logs(_tail_lists(_SIM_TAILS, min_size=1)))
+    def test_repr_renders_each_distinct_tail_once(self, log):
+        calls = []
+
+        def counted(key):
+            calls.append(key)
+            return render(key)
+
+        render = interactive._tail
+        with mock.patch.object(interactive, "_tail", counted):
+            text = repr(log)
+        assert text == repr(list(log))
+        tails = list(zip(log.response_time, log.hard_faults, log.soft_faults, log.rescues))
+        assert sorted(calls) == sorted(set(tails))
+
+    def test_repr_of_a_sleep_0_grid_log(self):
+        """A real sleep-0 log: thousands of sweeps over a handful of tails."""
+        spec = ExperimentSpec.multiprogram(tiny(), "MATVEC", "O", sleep_time_s=0.0)
+        log = run_experiment(spec).interactives[0].sweeps
+        tails = set(zip(log.response_time, log.hard_faults, log.soft_faults, log.rescues))
+        assert len(log) > 1000 and len(tails) < len(log) / 10
+        assert repr(log) == repr(list(log))
 
     def test_reads_like_the_list(self):
         log = _log(SAMPLES)
