@@ -17,6 +17,13 @@ of those that went second, both sides pooled: when the two differ by as
 much as the sides do, the host favours one slot and a short row cannot
 tell that from a change.
 
+Before the first pair both checkouts' ``src`` is compiled to bytecode with
+the benchmark's interpreter (``python3 -m compileall -q src``; a line
+``bytecode`` says so).  ``setup_s`` times a fresh interpreter importing
+from ``src``, so a side without a current ``__pycache__`` would pay for
+compiling every module there; ``PYTHONDONTWRITEBYTECODE=1`` only stops
+imports writing the cache, not reading it.
+
 The parent checkout can be a ``git worktree`` or a ``git archive`` of the
 parent commit.  Usage, from the root of the change checkout::
 
@@ -97,6 +104,17 @@ def slot_medians(
     return statistics.median(first), statistics.median(second)
 
 
+def compile_bytecode(checkout: Path, interpreter: str) -> None:
+    """Compile ``checkout``'s ``src`` to bytecode, as ``interpreter`` reads it."""
+    done = subprocess.run(
+        [interpreter, "-m", "compileall", "-q", "src"],
+        cwd=checkout, capture_output=True, text=True, check=False,
+    )
+    if done.returncode != 0:
+        sys.stderr.write(done.stdout + done.stderr)
+        raise SystemExit(f"{checkout}: compileall exited {done.returncode}")
+
+
 def run_once(checkout: Path, command: List[str], args) -> Dict[str, float]:
     argv = command + [
         "--workload", args.workload, "--seed", str(args.seed),
@@ -142,6 +160,10 @@ def main(argv=None) -> int:
     if args.claim is not None and args.claim not in metrics:
         parser.error(f"--claim {args.claim!r} is not an end-to-end metric")
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    interpreter = benchmark["command"][0]
+    for checkout in sides.values():
+        compile_bytecode(checkout, interpreter)
+    print(f"bytecode: src compiled in both checkouts ({interpreter} -m compileall -q src)")
     runs: Dict[str, List[Dict[str, float]]] = {"parent": [], "change": []}
     slots: Tuple[List[Dict[str, float]], ...] = ([], [])
     for pair in range(args.pairs):

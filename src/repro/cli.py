@@ -27,8 +27,7 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from repro._version import __version__
-from repro.config import SimScale, paper, small, tiny
+from repro.config import ScaleError, SimScale, paper, small, tiny
 from repro.core.compiler import compile_program
 from repro.core.runtime.policies import VERSIONS
 from repro.experiments import (
@@ -1065,6 +1064,19 @@ def _cmd_trace_verify(args: argparse.Namespace) -> int:
     return status
 
 
+class _VersionAction(argparse.Action):
+    """``--version``: reads the package metadata only when asked."""
+
+    def __init__(self, option_strings, dest, **kwargs) -> None:
+        super().__init__(option_strings, dest, nargs=0, default=argparse.SUPPRESS, **kwargs)
+
+    def __call__(self, parser, namespace, values, option_string=None) -> None:
+        from repro._version import __version__
+
+        print(f"repro {__version__}")
+        parser.exit()
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -1074,10 +1086,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--version",
-        action="version",
-        version=f"repro {__version__}",
-        help="print the package version and exit",
+        "--version", action=_VersionAction, help="print the package version and exit"
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
@@ -1727,6 +1736,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return args.handler(args)
     except (
         SpecError,
+        ScaleError,
         FaultPlanError,
         PolicyError,
         TraceError,

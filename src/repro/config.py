@@ -16,8 +16,9 @@ interactive working set); tests use them to keep event counts low.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
-from typing import Dict
+from typing import Callable, Dict, Tuple
 
 __all__ = [
     "CompilerParams",
@@ -25,6 +26,7 @@ __all__ = [
     "MachineConfig",
     "OsTunables",
     "RuntimeParams",
+    "ScaleError",
     "SimScale",
     "paper",
     "small",
@@ -184,6 +186,37 @@ class RuntimeParams:
     drain_rearm_batches: int = 1
 
 
+class ScaleError(ValueError):
+    """A :meth:`SimScale.with_overrides` key that names no platform knob, or
+    a value of the wrong type or range.
+
+    ``knob`` is the override's key and ``problem`` what is wrong with its
+    value; the scenario schema reports the pair at ``overrides.<knob>``.
+    """
+
+    def __init__(self, knob: str, problem: str) -> None:
+        self.knob = knob
+        self.problem = problem
+        super().__init__(f"scale override {knob!r}: {problem}")
+
+
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_count(value: object) -> bool:
+    return _is_int(value) and value > 0
+
+
+def _is_seconds(value: object) -> bool:
+    """A finite number >= 0 (``json.loads`` accepts NaN and Infinity)."""
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and 0 <= value < math.inf
+    )
+
+
 @dataclass(frozen=True)
 class SimScale:
     """A complete, mutually-consistent set of platform parameters."""
@@ -219,7 +252,22 @@ class SimScale:
         return self.interactive_bytes // self.machine.page_size
 
     def with_overrides(self, **kwargs) -> "SimScale":
-        """Return a copy with top-level fields replaced."""
+        """Return a copy with top-level fields replaced.
+
+        Every value is checked first, since scenario documents, ``repro run
+        --spec`` files and sweep grids pass JSON values straight through:
+        an unknown key or a value of the wrong type or range raises
+        :class:`ScaleError` naming the key, before any simulation runs.
+        """
+        for knob, value in kwargs.items():
+            check = _OVERRIDES.get(knob)
+            if check is None:
+                raise ScaleError(knob, "unknown platform knob")
+            accepts, expected = check
+            if not accepts(value):
+                raise ScaleError(knob, f"expected {expected}, got {value!r}")
+        if "figure_sleep_times_s" in kwargs:
+            kwargs["figure_sleep_times_s"] = tuple(kwargs["figure_sleep_times_s"])
         return replace(self, **kwargs)
 
     def describe(self) -> Dict[str, object]:
@@ -236,6 +284,28 @@ class SimScale:
             "out_of_core_mb": self.out_of_core_bytes // MB,
             "interactive_pages": self.interactive_pages,
         }
+
+
+#: What :meth:`SimScale.with_overrides` accepts for each field: a test, and
+#: the words an error gives for it.
+_OVERRIDES: Dict[str, Tuple[Callable[[object], bool], str]] = {
+    "name": (lambda v: isinstance(v, str), "a string"),
+    "machine": (lambda v: isinstance(v, MachineConfig), "a MachineConfig"),
+    "disk": (lambda v: isinstance(v, DiskParams), "a DiskParams"),
+    "tunables": (lambda v: isinstance(v, OsTunables), "an OsTunables"),
+    "compiler": (lambda v: isinstance(v, CompilerParams), "a CompilerParams"),
+    "runtime": (lambda v: isinstance(v, RuntimeParams), "a RuntimeParams"),
+    "out_of_core_bytes": (_is_count, "an integer > 0"),
+    "interactive_bytes": (_is_count, "an integer > 0"),
+    "time_quantum_s": (lambda v: _is_seconds(v) and v > 0, "a finite number > 0"),
+    "rng_seed": (_is_int, "an integer"),
+    "figure_sleep_times_s": (
+        lambda v: isinstance(v, (list, tuple)) and all(map(_is_seconds, v)),
+        "a list of finite numbers >= 0",
+    ),
+    "intermediate_sleep_s": (_is_seconds, "a finite number >= 0"),
+    "max_engine_steps": (_is_count, "an integer > 0"),
+}
 
 
 def paper() -> SimScale:

@@ -6,78 +6,46 @@ exposes a ``run_*(scale)`` function returning plain data structures plus a
 benchmarks under ``benchmarks/`` are thin wrappers over these.
 """
 
-from repro.experiments.compare import (
-    PolicyRow,
-    compare_policies,
-    format_policy_table,
-)
-from repro.experiments.figure1 import Figure1Result, format_figure1, run_figure1
-from repro.experiments.figure7 import Figure7Result, format_figure7, run_figure7
-from repro.experiments.figure8 import Figure8Result, format_figure8, run_figure8
-from repro.experiments.figure9 import Figure9Result, format_figure9, run_figure9
-from repro.experiments.figure10 import (
-    Figure10aResult,
-    Figure10bcResult,
-    format_figure10a,
-    format_figure10bc,
-    run_figure10a,
-    run_figure10bc,
-)
-from repro.experiments.harness import (
-    MultiprogramResult,
-    interactive_alone,
-    multiprogram_spec,
-    run_multiprogram,
-    run_suite_grid,
-    run_version_suite,
-    to_multiprogram,
-)
-from repro.experiments.runner import code_version, run_specs, spec_key
-from repro.experiments.table3 import Table3Result, format_table3, run_table3
-from repro.machine import (
-    ExperimentResult,
-    ExperimentSpec,
-    WorkloadProcessSpec,
-    run_experiment,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ExperimentResult",
-    "ExperimentSpec",
-    "Figure1Result",
-    "Figure7Result",
-    "Figure8Result",
-    "Figure9Result",
-    "Figure10aResult",
-    "Figure10bcResult",
-    "MultiprogramResult",
-    "PolicyRow",
-    "Table3Result",
-    "WorkloadProcessSpec",
-    "code_version",
-    "compare_policies",
-    "format_policy_table",
-    "format_figure1",
-    "format_figure7",
-    "format_figure8",
-    "format_figure9",
-    "format_figure10a",
-    "format_figure10bc",
-    "format_table3",
-    "interactive_alone",
-    "multiprogram_spec",
-    "run_experiment",
-    "run_figure1",
-    "run_figure7",
-    "run_figure8",
-    "run_figure9",
-    "run_figure10a",
-    "run_figure10bc",
-    "run_multiprogram",
-    "run_specs",
-    "run_suite_grid",
-    "run_table3",
-    "run_version_suite",
-    "spec_key",
-    "to_multiprogram",
-]
+# Loaded on first use (see repro._lazy): a simulation that needs the harness
+# does not load every figure, and the figures do not load each other.
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.experiments.compare": (
+            "PolicyRow",
+            "compare_policies",
+            "format_policy_table",
+        ),
+        "repro.experiments.figure1": ("Figure1Result", "format_figure1", "run_figure1"),
+        "repro.experiments.figure7": ("Figure7Result", "format_figure7", "run_figure7"),
+        "repro.experiments.figure8": ("Figure8Result", "format_figure8", "run_figure8"),
+        "repro.experiments.figure9": ("Figure9Result", "format_figure9", "run_figure9"),
+        "repro.experiments.figure10": (
+            "Figure10aResult",
+            "Figure10bcResult",
+            "format_figure10a",
+            "format_figure10bc",
+            "run_figure10a",
+            "run_figure10bc",
+        ),
+        "repro.experiments.harness": (
+            "MultiprogramResult",
+            "interactive_alone",
+            "multiprogram_spec",
+            "run_multiprogram",
+            "run_suite_grid",
+            "run_version_suite",
+            "to_multiprogram",
+        ),
+        "repro.experiments.runner": ("code_version", "run_specs", "spec_key"),
+        "repro.experiments.table3": ("Table3Result", "format_table3", "run_table3"),
+        "repro.machine": (
+            "ExperimentResult",
+            "ExperimentSpec",
+            "WorkloadProcessSpec",
+            "run_experiment",
+        ),
+    },
+)

@@ -44,7 +44,7 @@ import os
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.config import SimScale, paper, small, tiny
+from repro.config import ScaleError, SimScale, paper, small, tiny
 from repro.core.runtime.policies import VERSIONS
 from repro.faults import EMPTY_PLAN, FaultPlan, FaultPlanError
 from repro.machine import (
@@ -376,10 +376,8 @@ def _compile_scale(document: Dict[str, object]) -> SimScale:
         for key, value in overrides.items():
             try:
                 scale = scale.with_overrides(**{key: value})
-            except TypeError:
-                raise ScenarioError(
-                    f"unknown platform knob {key!r}", f"overrides.{key}"
-                ) from None
+            except ScaleError as exc:
+                raise ScenarioError(exc.problem, f"overrides.{key}") from None
     return scale
 
 

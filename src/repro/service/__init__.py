@@ -24,24 +24,15 @@ a shared experiment facility:
 No dependency beyond the standard library.
 """
 
-from repro.service.jobs import (
-    JobChaos,
-    JobError,
-    JobManager,
-    JobRecord,
-    run_direct,
-)
-from repro.service.client import ServiceClient, ServiceError
-from repro.service.server import ExperimentServer, serve
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ExperimentServer",
-    "JobChaos",
-    "JobError",
-    "JobManager",
-    "JobRecord",
-    "ServiceClient",
-    "ServiceError",
-    "run_direct",
-    "serve",
-]
+# Loaded on first use (see repro._lazy): ``repro.service.client`` is standard
+# library only, and importing it must not load the server's simulator stack.
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.service.jobs": ("JobChaos", "JobError", "JobManager", "JobRecord", "run_direct"),
+        "repro.service.client": ("ServiceClient", "ServiceError"),
+        "repro.service.server": ("ExperimentServer", "serve"),
+    },
+)

@@ -152,18 +152,17 @@ def regenerate_ops(header: TraceHeader) -> Iterator[Tuple]:
     """The op stream the trace's workload should produce under current code.
 
     Rebuilds the workload named by the header at the header's scale and
-    walks every repeat × invocation through the interpreter — exactly the
-    stream ``app_driver`` plays and the recorder captured.  Only works for
+    walks it with :func:`~repro.workloads.base.invocation_ops`, the walk
+    ``app_driver`` plays and the recorder captured.  Only works for
     built-in workloads at preset scales; imported traces have no generator
     to regenerate from.
     """
-    # Local imports: this module is loaded while the workloads package
-    # initializes (workloads -> trace -> analyze), so the reverse imports
-    # must wait until call time.
+    # Local imports: diff and info need only the codec, so the compiler and
+    # the workloads load when a regeneration asks for them.
     from repro.config import paper, small, tiny
-    from repro.core.compiler.interp import nest_ops
     from repro.core.runtime.policies import VERSIONS
     from repro.trace.format import TraceError
+    from repro.workloads.base import invocation_ops
     from repro.workloads.suite import BENCHMARKS
 
     scales = {"tiny": tiny, "small": small, "paper": paper}
@@ -188,22 +187,10 @@ def regenerate_ops(header: TraceHeader) -> Iterator[Tuple]:
     for array in instance.program.arrays:
         layout[array.name] = start
         start += array.pages(instance.env, machine.page_size)
-    for _rep in range(instance.repeats):
-        for nest_name, overrides in instance.invocations:
-            if overrides:
-                env = dict(instance.env)
-                env.update(overrides)
-            else:
-                env = instance.env
-            yield from nest_ops(
-                compiled.nests[nest_name],
-                env,
-                layout,
-                machine,
-                rng_seed=instance.rng_seed,
-                emit_prefetch=version.prefetch,
-                emit_release=version.release,
-            )
+    for ops in invocation_ops(
+        compiled, instance, layout, machine, version.prefetch, version.release
+    ):
+        yield from ops
 
 
 def verify_against_code(path: os.PathLike) -> Dict[str, object]:

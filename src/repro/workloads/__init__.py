@@ -11,43 +11,28 @@ the analysis itself, not scripted.
 - INTERACTIVE — the 1 MB touch-then-sleep task of Section 1.1.
 """
 
-from repro.workloads.base import (
-    OutOfCoreWorkload,
-    WorkloadInstance,
-    app_driver,
-    build_layout,
-    observed_ops,
+from repro._lazy import lazy_exports
+
+# Loaded on first use (see repro._lazy).  The trace replay workload in
+# particular stays unloaded until a spec replays a trace.
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.workloads.base": (
+            "OutOfCoreWorkload",
+            "WorkloadInstance",
+            "app_driver",
+            "build_layout",
+            "observed_ops",
+        ),
+        "repro.workloads.buk": ("BukWorkload",),
+        "repro.workloads.cgm": ("CgmWorkload",),
+        "repro.workloads.embar": ("EmbarWorkload",),
+        "repro.workloads.fftpde": ("FftpdeWorkload",),
+        "repro.workloads.interactive": ("InteractiveTask", "SweepSample"),
+        "repro.workloads.matvec": ("MatvecWorkload",),
+        "repro.workloads.mgrid": ("MgridWorkload",),
+        "repro.workloads.suite": ("BENCHMARKS", "benchmark", "table2_rows"),
+        "repro.trace.workload": ("TraceWorkload", "trace_process_spec"),
+    },
 )
-from repro.workloads.buk import BukWorkload
-from repro.workloads.cgm import CgmWorkload
-from repro.workloads.embar import EmbarWorkload
-from repro.workloads.fftpde import FftpdeWorkload
-from repro.workloads.interactive import InteractiveTask, SweepSample
-from repro.workloads.matvec import MatvecWorkload
-from repro.workloads.mgrid import MgridWorkload
-from repro.workloads.suite import BENCHMARKS, benchmark, table2_rows
-
-# Imported last: repro.trace.workload imports back into the machine and
-# workload layers at call time, so it must see this package fully formed.
-from repro.trace.workload import TraceWorkload, trace_process_spec  # noqa: E402
-
-__all__ = [
-    "BENCHMARKS",
-    "BukWorkload",
-    "CgmWorkload",
-    "EmbarWorkload",
-    "FftpdeWorkload",
-    "InteractiveTask",
-    "MatvecWorkload",
-    "MgridWorkload",
-    "OutOfCoreWorkload",
-    "SweepSample",
-    "TraceWorkload",
-    "WorkloadInstance",
-    "app_driver",
-    "benchmark",
-    "build_layout",
-    "observed_ops",
-    "table2_rows",
-    "trace_process_spec",
-]

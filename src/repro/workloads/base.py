@@ -16,9 +16,9 @@ time and routing every hint through the run-time layer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, Iterable, Iterator, List, Tuple
 
-from repro.config import SimScale
+from repro.config import MachineConfig, SimScale
 from repro.core.compiler.codegen import CompiledProgram
 from repro.core.compiler.interp import nest_ops
 from repro.core.compiler.ir import Program
@@ -33,6 +33,7 @@ __all__ = [
     "WorkloadInstance",
     "app_driver",
     "build_layout",
+    "invocation_ops",
     "observed_ops",
 ]
 
@@ -107,6 +108,53 @@ def observed_ops(obs, process_name: str, ops):
         yield op
 
 
+def invocation_ops(
+    compiled: CompiledProgram,
+    instance: WorkloadInstance,
+    layout: Dict[str, int],
+    machine: MachineConfig,
+    emit_prefetch: bool,
+    emit_release: bool,
+) -> Iterator[Iterable[Tuple]]:
+    """The executable's op stream, one iterable per invocation, in order.
+
+    Walks every repeat × invocation through the interpreter: the stream
+    :func:`app_driver` plays and :func:`repro.trace.analyze.regenerate_ops`
+    rebuilds.  The interpreter is deterministic, so invocation i produces
+    the same ops on every repeat; with more than one repeat each stream is
+    materialised once and the list replayed, which skips the whole
+    interpreter (runner construction, loop walking, chunking) for repeats
+    2..N.  With one repeat the streams stay lazy.
+    """
+    if instance.repeats < 1:
+        return
+    replay = instance.repeats > 1
+    streams: List[List[Tuple]] = []
+    for nest_name, overrides in instance.invocations:
+        # Workloads with static environments (most of them) share the
+        # instance dict; only per-invocation overrides pay for a copy.
+        if overrides:
+            env = dict(instance.env)
+            env.update(overrides)
+        else:
+            env = instance.env
+        ops = nest_ops(
+            compiled.nests[nest_name],
+            env,
+            layout,
+            machine,
+            rng_seed=instance.rng_seed,
+            emit_prefetch=emit_prefetch,
+            emit_release=emit_release,
+        )
+        if replay:
+            ops = list(ops)
+            streams.append(ops)
+        yield ops
+    for _rep in range(1, instance.repeats):
+        yield from streams
+
+
 def app_driver(
     process: KernelProcess,
     runtime: RuntimeLayer,
@@ -142,103 +190,65 @@ def app_driver(
     bits_read = F_REFERENCED
     bits_write = F_REFERENCED | F_DIRTY
     resident_touch_s = machine.resident_touch_s
-    # The interpreter is deterministic, so invocation i produces the same op
-    # stream on every repeat; materialise each stream once and replay the
-    # list, which skips the whole interpreter (runner construction, loop
-    # walking, chunking) for repeats 2..N.
-    cached_streams = (
-        [None] * len(instance.invocations) if instance.repeats > 1 else None
-    )
-    for _rep in range(instance.repeats):
-        for inv_index, (nest_name, overrides) in enumerate(instance.invocations):
-            # Workloads with static environments (most of them) share the
-            # instance dict; only per-invocation overrides pay for a copy.
-            if overrides:
-                env = dict(instance.env)
-                env.update(overrides)
-            else:
-                env = instance.env
-            if cached_streams is not None:
-                ops = cached_streams[inv_index]
-                if ops is None:
-                    ops = cached_streams[inv_index] = list(
-                        nest_ops(
-                            compiled.nests[nest_name],
-                            env,
-                            layout,
-                            machine,
-                            rng_seed=instance.rng_seed,
-                            emit_prefetch=emit_prefetch,
-                            emit_release=emit_release,
-                        )
-                    )
-            else:
-                ops = nest_ops(
-                    compiled.nests[nest_name],
-                    env,
-                    layout,
-                    machine,
-                    rng_seed=instance.rng_seed,
-                    emit_prefetch=emit_prefetch,
-                    emit_release=emit_release,
-                )
-            if trace_obs is not None:
-                ops = observed_ops(trace_obs, process.name, ops)
-            # The op loop keeps the user-time batch in a local mirror of
-            # process.pending_user (synced around every yield and every
-            # call that charges through the process), and inlines the
-            # touch_fast hit test to one page-table probe plus one mask
-            # compare.  The accounting is add-for-add identical to the
-            # process.touch/charge path.
-            pending = process.pending_user
-            npt = len(pt)
-            for op in ops:
-                kind = op[0]
-                if kind == "t":
-                    vpn = op[1]
-                    index = pt[vpn] if vpn < npt else -1
-                    if index >= 0 and flags[index] & in_mask == F_SW_VALID:
-                        flags[index] |= bits_write if op[2] else bits_read
-                        pending += resident_touch_s
-                        if pending >= quantum:
-                            # process.flush() inlined (the quantum is
-                            # positive, so pending > 0 holds here).
-                            yield timeout(pending)
-                            buckets.user += pending
-                            pending = 0.0
-                    else:
-                        # process._fault inlined (flush, then the kernel
-                        # fault path): one less generator frame per miss.
-                        process.pending_user = 0.0
-                        if pending > 0:
-                            yield timeout(pending)
-                            buckets.user += pending
-                        yield from vm_fault(task, aspace, vpn, op[2])
-                        pending = 0.0
-                        npt = len(pt)
-                elif kind == "w":
-                    pending += op[1]
+    for ops in invocation_ops(
+        compiled, instance, layout, machine, emit_prefetch, emit_release
+    ):
+        if trace_obs is not None:
+            ops = observed_ops(trace_obs, process.name, ops)
+        # The op loop keeps the user-time batch in a local mirror of
+        # process.pending_user (synced around every yield and every call
+        # that charges through the process), and inlines the touch_fast hit
+        # test to one page-table probe plus one mask compare.  The
+        # accounting is add-for-add identical to the process.touch/charge
+        # path.
+        pending = process.pending_user
+        npt = len(pt)
+        for op in ops:
+            kind = op[0]
+            if kind == "t":
+                vpn = op[1]
+                index = pt[vpn] if vpn < npt else -1
+                if index >= 0 and flags[index] & in_mask == F_SW_VALID:
+                    flags[index] |= bits_write if op[2] else bits_read
+                    pending += resident_touch_s
                     if pending >= quantum:
+                        # process.flush() inlined (the quantum is positive,
+                        # so pending > 0 holds here).
                         yield timeout(pending)
                         buckets.user += pending
                         pending = 0.0
-                elif kind == "T":
-                    # Run of sequential full-page touches: run_touches
-                    # replicates the unbatched stream's checkpoints
-                    # bit-for-bit.
-                    process.pending_user = pending
-                    yield from run_touches(op[1], op[2], op[3], op[4])
-                    pending = process.pending_user
+                else:
+                    # process._fault inlined (flush, then the kernel fault
+                    # path): one less generator frame per miss.
+                    process.pending_user = 0.0
+                    if pending > 0:
+                        yield timeout(pending)
+                        buckets.user += pending
+                    yield from vm_fault(task, aspace, vpn, op[2])
+                    pending = 0.0
                     npt = len(pt)
-                elif kind == "p":
-                    process.pending_user = pending
-                    handle_prefetch(op[1], op[2])
-                    pending = process.pending_user
-                else:  # 'r'
-                    process.pending_user = pending
-                    handle_release(op[1], op[2], op[3])
-                    pending = process.pending_user
-            process.pending_user = pending
+            elif kind == "w":
+                pending += op[1]
+                if pending >= quantum:
+                    yield timeout(pending)
+                    buckets.user += pending
+                    pending = 0.0
+            elif kind == "T":
+                # Run of sequential full-page touches: run_touches
+                # replicates the unbatched stream's checkpoints bit-for-bit.
+                process.pending_user = pending
+                yield from run_touches(op[1], op[2], op[3], op[4])
+                pending = process.pending_user
+                npt = len(pt)
+            elif kind == "p":
+                process.pending_user = pending
+                handle_prefetch(op[1], op[2])
+                pending = process.pending_user
+            else:  # 'r'
+                process.pending_user = pending
+                handle_release(op[1], op[2], op[3])
+                pending = process.pending_user
+        process.pending_user = pending
     if emit_release:
         runtime.flush_tag_filters()
     yield from process.flush()

@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -217,6 +218,11 @@ class TestTraceCommands:
         assert "MATVEC" in output
 
 
+#: Scale overrides that used to reach the simulator: NaN as a misleading
+#: deadlock, "abc" as a raw TypeError mid-run, -1 with different physics.
+BAD_OVERRIDES = [("max_engine_steps", math.nan), ("time_quantum_s", "abc"), ("time_quantum_s", -1)]
+
+
 class TestStructuredErrors:
     """Bad input exits 2 with a one-line message, never a traceback."""
 
@@ -241,6 +247,19 @@ class TestStructuredErrors:
             capsys,
             "'workload' or 'trace'",
         )
+
+    @pytest.mark.parametrize("knob, value", BAD_OVERRIDES)
+    def test_bad_scale_override_in_spec(self, knob, value, capsys):
+        spec = json.dumps(
+            {"overrides": {knob: value}, "processes": [{"workload": "MATVEC"}]}
+        )
+        self.assert_error(["run", "--spec", spec], capsys, f"scale override {knob!r}")
+
+    @pytest.mark.parametrize("knob, value", BAD_OVERRIDES)
+    def test_bad_scale_override_in_sweep_grid(self, knob, value, tmp_path, capsys):
+        grid = json.dumps({"overrides": {knob: value}, "axes": {"benchmark": ["MATVEC"]}})
+        argv = ["sweep", "run", "--state-dir", str(tmp_path / "s"), "--grid", grid]
+        self.assert_error(argv, capsys, f"scale override {knob!r}")
 
     def test_missing_trace_file(self, capsys):
         self.assert_error(

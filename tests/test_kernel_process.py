@@ -1,12 +1,14 @@
 """Tests for KernelProcess time batching, run-length touches, config
 presets, and the interactive task."""
 
+import dataclasses
+import math
 import random
 from unittest import mock
 
 import pytest
 
-from repro.config import paper, small, tiny
+from repro.config import _OVERRIDES, ScaleError, SimScale, paper, small, tiny
 from repro.faults import FaultPlan
 from repro.kernel import Kernel
 from repro.machine import ExperimentSpec, run_experiment
@@ -55,6 +57,46 @@ class TestConfigPresets:
 
     def test_sleep_sweeps_scale_down(self):
         assert max(tiny().figure_sleep_times_s) < max(paper().figure_sleep_times_s)
+
+    def test_every_field_has_an_override_check(self):
+        assert set(_OVERRIDES) == {f.name for f in dataclasses.fields(SimScale)}
+
+    @pytest.mark.parametrize(
+        "knob, value",
+        [
+            ("max_engine_steps", math.nan),
+            ("max_engine_steps", 0),
+            ("time_quantum_s", "abc"),
+            ("time_quantum_s", -1),
+            ("time_quantum_s", math.inf),
+            ("rng_seed", True),
+            ("rng_seed", 1.5),
+            ("out_of_core_bytes", -16384),
+            ("interactive_bytes", 2.5),
+            ("intermediate_sleep_s", math.nan),
+            ("figure_sleep_times_s", [0.0, -1.0]),
+            ("figure_sleep_times_s", 1.0),
+            ("machine", {"cpus": 2}),
+            ("name", 3),
+            ("no_such_knob", 1),
+        ],
+    )
+    def test_bad_overrides_name_their_knob(self, knob, value):
+        with pytest.raises(ScaleError) as excinfo:
+            tiny().with_overrides(**{knob: value})
+        assert excinfo.value.knob == knob
+
+    def test_valid_overrides_are_kept_as_given(self):
+        scale = tiny().with_overrides(
+            time_quantum_s=1,
+            intermediate_sleep_s=0,
+            figure_sleep_times_s=[0.0, 0.5],
+            runtime=dataclasses.replace(tiny().runtime, prefetch_threads=2),
+        )
+        assert repr(scale.time_quantum_s) == "1"  # no coercion: spec keys hold
+        assert scale.intermediate_sleep_s == 0
+        assert scale.figure_sleep_times_s == (0.0, 0.5)  # hashable, like the default
+        assert hash(scale) == hash(dataclasses.replace(scale))
 
 
 class TestKernelProcess:

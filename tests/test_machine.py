@@ -1,5 +1,6 @@
 """The composition root: specs, determinism, budgets, and custom mixes."""
 
+import dataclasses
 import math
 
 import pytest
@@ -62,8 +63,10 @@ def test_spec_validation_rejects_a_bad_start_offset(scale, seconds):
 
 
 def test_spec_validation_checks_the_scale_default_sleep(scale):
+    # with_overrides refuses a NaN sleep itself; a scale built directly
+    # still reaches the spec's own check.
     spec = ExperimentSpec.interactive_alone(
-        scale.with_overrides(intermediate_sleep_s=math.nan), None, sweeps=2
+        dataclasses.replace(scale, intermediate_sleep_s=math.nan), None, sweeps=2
     )
     with pytest.raises(SpecError, match="sleep time"):
         spec.validate()

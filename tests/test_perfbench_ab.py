@@ -93,3 +93,31 @@ def test_slot_medians_show_a_first_run_bias(tmp_path, monkeypatch, capsys):
     assert len(calls) == 8
     assert "slots wall_s: first run of a pair 1, second 1.1 (+10.0%)" in out
     assert "parent 1.05 [1, 1.1]  change 1.05 [1, 1.1]" in out
+
+
+def test_both_checkouts_are_compiled_before_any_run(tmp_path, monkeypatch, capsys):
+    """setup_s times imports from src, so a side with a bytecode cache would
+    read faster for no change of its own: both sides compile first."""
+    events = []
+
+    def fake_subprocess_run(argv, cwd=None, **kwargs):
+        events.append(("compile", Path(cwd), argv[1:]))
+        return ab.subprocess.CompletedProcess(argv, 0, "", "")
+
+    def fake_run_once(checkout, command, args):
+        events.append(("run", checkout))
+        return {"wall_s": 1.0}
+
+    monkeypatch.setattr(ab.subprocess, "run", fake_subprocess_run)
+    monkeypatch.setattr(ab, "run_once", fake_run_once)
+    parent = tmp_path / "parent"
+    parent.mkdir()
+    status = ab.main(["--parent", str(parent), "--workload", "mix", "--pairs", "2"])
+    assert status == 0
+    compileall = ["-m", "compileall", "-q", "src"]
+    assert events[:2] == [
+        ("compile", parent.resolve(), compileall),
+        ("compile", ab.ROOT, compileall),
+    ]
+    assert [kind for kind, *_ in events[2:]] == ["run"] * 4
+    assert "bytecode: src compiled in both checkouts" in capsys.readouterr().out

@@ -1,10 +1,12 @@
 """Tests for the scenario registry: format, inheritance, validation."""
 
+import dataclasses
 import json
 import math
 
 import pytest
 
+from repro.experiments.runner import spec_key
 from repro.machine import INTERACTIVE
 from repro.scenarios import (
     BUILTIN_TEMPLATES,
@@ -146,6 +148,34 @@ class TestValidation:
         with pytest.raises(ScenarioError) as excinfo:
             validate_scenario(doc(benchmark="MATVEC", overrides={"nope": 1}))
         assert excinfo.value.path == "overrides.nope"
+
+    # Each of these compiled before the values were checked: NaN then failed
+    # as a misleading deadlock, "abc" as a raw TypeError mid-run, and -1 ran
+    # with different physics.
+    @pytest.mark.parametrize(
+        "knob, value",
+        [("max_engine_steps", math.nan), ("time_quantum_s", "abc"), ("time_quantum_s", -1)],
+    )
+    def test_bad_override_value_path_precise(self, knob, value):
+        with pytest.raises(ScenarioError) as excinfo:
+            validate_scenario(doc(benchmark="MATVEC", version="R", overrides={knob: value}))
+        assert excinfo.value.path == f"overrides.{knob}"
+
+    def test_valid_overrides_keep_their_spec_key(self):
+        overrides = {
+            "rng_seed": 7,
+            "time_quantum_s": 1,
+            "intermediate_sleep_s": 0,
+            "max_engine_steps": 5_000_000,
+        }
+        plain = compile_scenario(doc(benchmark="MATVEC", version="R")).specs[0]
+        unchecked = dataclasses.replace(
+            plain, scale=dataclasses.replace(plain.scale, **overrides)
+        )
+        checked = compile_scenario(
+            doc(benchmark="MATVEC", version="R", overrides=overrides)
+        ).specs[0]
+        assert spec_key(checked) == spec_key(unchecked)
 
     @pytest.mark.parametrize("seconds", [math.nan, math.inf, -0.5])
     def test_bad_sleep_path_precise(self, seconds):

@@ -327,6 +327,22 @@ class TestHTTP:
         assert json.loads(payload)["path"] == "sleep"
         assert ServiceClient(server.url).jobs() == []
 
+    def test_nan_override_body_is_400_with_path(self, server):
+        body = (
+            b'{"scenario": 1, "scale": "tiny", "benchmark": "MATVEC", '
+            b'"version": "R", "overrides": {"max_engine_steps": NaN}}'
+        )
+        request = (
+            f"POST /v1/jobs HTTP/1.0\r\nContent-Length: {len(body)}\r\n\r\n"
+        ).encode("ascii") + body
+        with socket.create_connection(server.address, timeout=3) as conn:
+            conn.sendall(request)
+            reply = conn.makefile("rb").read()
+        head, _, payload = reply.partition(b"\r\n\r\n")
+        assert head.split()[1] == b"400"
+        assert json.loads(payload)["path"] == "overrides.max_engine_steps"
+        assert ServiceClient(server.url).jobs() == []
+
     def test_unknown_job_is_404(self, server):
         with pytest.raises(ServiceError) as excinfo:
             ServiceClient(server.url).job("j-424242")

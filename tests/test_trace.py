@@ -43,6 +43,7 @@ from repro.trace import (
 from repro.trace.analyze import regenerate_ops, trace_info
 from repro.trace.importer import parse_text
 from repro.workloads import BENCHMARKS
+from repro.workloads.base import invocation_ops
 
 HEADER = TraceHeader(
     process="synthetic",
@@ -178,6 +179,29 @@ def test_recorded_stream_matches_interpreter(tmp_path, workload):
     assert recorded == list(regenerate_ops(header))
     summary = verify_against_code(paths[workload])
     assert summary["equal"]
+
+
+def test_multi_invocation_walk_replays_its_first_repeat(tmp_path):
+    """MGRID at tiny runs 7 invocations twice.  The one walk the driver and
+    regenerate_ops share yields 14 streams, the second repeat replaying the
+    first repeat's lists, and together they are exactly what was recorded."""
+    scale = tiny()
+    spec = ExperimentSpec.multiprogram(scale, "MGRID", version="R")
+    _result, paths = record_experiment(spec, tmp_path / "traces")
+    header, recorded = read_trace(paths["MGRID"])
+    instance = BENCHMARKS["MGRID"].build(scale)
+    assert (len(instance.invocations), instance.repeats) == (7, 2)
+    layout, start = {}, 0
+    for name, pages in header.layout:
+        layout[name] = start
+        start += pages
+    streams = list(
+        invocation_ops(instance.compiled(scale), instance, layout, scale.machine, True, True)
+    )
+    assert len(streams) == 14
+    assert all(again is first for first, again in zip(streams[:7], streams[7:]))
+    assert [op for ops in streams for op in ops] == recorded
+    assert list(regenerate_ops(header)) == recorded
 
 
 @pytest.mark.parametrize("version", ["O", "P", "R", "B"])
