@@ -13,11 +13,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.config import paper, small, tiny
+from repro.config import SCALE_PRESETS
 from repro.experiments.harness import run_version_suite
 from repro.workloads import BENCHMARKS
-
-_SCALES = {"tiny": tiny, "small": small, "paper": paper}
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -25,10 +23,10 @@ RESULTS_DIR = Path(__file__).parent / "results"
 def bench_scale():
     name = os.environ.get("REPRO_BENCH_SCALE", "small")
     try:
-        return _SCALES[name]()
+        return SCALE_PRESETS[name]()
     except KeyError:
         raise ValueError(
-            f"REPRO_BENCH_SCALE={name!r}; choose from {sorted(_SCALES)}"
+            f"REPRO_BENCH_SCALE={name!r}; choose from {sorted(SCALE_PRESETS)}"
         ) from None
 
 

@@ -5,7 +5,8 @@ Examples::
     python -m repro list
     python -m repro compile --benchmark MATVEC
     python -m repro run --benchmark MATVEC --version B --scale small
-    python -m repro run --spec mix.json --trace
+    python -m repro run --scenario mix.json --trace
+    python -m repro sweep run --scenario version-suite --state-dir sweeps/vs
     python -m repro suite --benchmark BUK --scale tiny --jobs 4
     python -m repro figure 7 --scale tiny --jobs 4 --cache-dir results/cache
     python -m repro table 3 --scale tiny
@@ -14,8 +15,8 @@ Examples::
     python -m repro trace diff traces/MATVEC.trace traces/MATVEC2.trace
 
 Every command exits 2 with a one-line ``repro: error: …`` message on bad
-input (missing spec file, corrupt trace, invalid fault plan) instead of a
-traceback.
+input (missing scenario file, corrupt trace, invalid fault plan, a flag
+the chosen input would ignore) instead of a traceback.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from repro.config import ScaleError, SimScale, paper, small, tiny
+from repro.config import SCALE_PRESETS, ScaleError, SimScale
 from repro.core.compiler import compile_program
 from repro.core.runtime.policies import VERSIONS
 from repro.experiments import (
@@ -61,9 +62,9 @@ from repro.experiments.sweep import (
     SweepError,
     SweepOptions,
     collect_report,
-    expand_grid,
     run_sweep,
     specs_from_meta,
+    specs_from_scenario,
     sweep_status,
     synthetic_specs,
 )
@@ -78,6 +79,7 @@ from repro.machine import (
 )
 from repro.obs import TraceRecorder
 from repro.scenarios import (
+    CompiledScenario,
     ScenarioError,
     builtin_registry,
     compile_scenario,
@@ -99,18 +101,17 @@ from repro.trace import (
 )
 from repro.workloads import BENCHMARKS, benchmark, table2_rows
 
-_SCALES = {"tiny": tiny, "small": small, "paper": paper}
-
-
 def _scale_from(args: argparse.Namespace) -> SimScale:
-    return _SCALES[args.scale]()
+    return SCALE_PRESETS[args.scale or "small"]()
 
 
-def _add_scale(parser: argparse.ArgumentParser) -> None:
+def _add_scale(parser: argparse.ArgumentParser, default: Optional[str] = "small") -> None:
+    """``--scale``; ``default=None`` lets a command tell an explicit
+    ``--scale`` from none (``_scale_from`` still falls back to small)."""
     parser.add_argument(
         "--scale",
-        choices=sorted(_SCALES),
-        default="small",
+        choices=sorted(SCALE_PRESETS),
+        default=default,
         help="platform scale preset (default: small)",
     )
 
@@ -219,102 +220,38 @@ def _faults_from_args(args: argparse.Namespace) -> FaultPlan:
     return plan
 
 
-def _spec_from_argument(text: str, default_scale: str) -> ExperimentSpec:
-    """Build an :class:`ExperimentSpec` from a JSON file path or literal.
-
-    Shape::
-
-        {"scale": "tiny",
-         "overrides": {"max_engine_steps": 1000000},
-         "faults": {"seed": 7, "disk": {"io_error_prob": 0.05}},
-         "processes": [
-             {"workload": "MATVEC", "version": "R"},
-             {"workload": "EMBAR", "version": "P", "start_offset_s": 0.05},
-             {"trace": "traces/MATVEC.trace"},
-             {"workload": "interactive", "sleep_s": 0.1, "sweeps": 6}]}
-
-    A ``{"trace": path}`` entry replays a recorded trace file as one of the
-    mix's processes (hint version and layout come from the trace header).
-    """
-    data = _load_json_argument(text)
-    scale = _SCALES[data.get("scale", default_scale)]()
-    overrides = data.get("overrides", {})
-    if overrides:
-        scale = scale.with_overrides(**overrides)
-    processes = []
-    for entry in data.get("processes", ()):
-        if "trace" in entry:
-            processes.append(
-                trace_process_spec(
-                    entry["trace"],
-                    start_offset_s=entry.get("start_offset_s", 0.0),
-                    name=entry.get("name"),
-                )
-            )
-        elif "workload" in entry:
-            processes.append(
-                WorkloadProcessSpec(
-                    workload=entry["workload"],
-                    version=entry.get("version", "O"),
-                    start_offset_s=entry.get("start_offset_s", 0.0),
-                    sleep_time_s=entry.get("sleep_s"),
-                    sweeps=entry.get("sweeps"),
-                    name=entry.get("name"),
-                )
-            )
-        else:
-            raise SpecError(
-                f"process entry needs a 'workload' or 'trace' key: {entry!r}"
-            )
-    faults = FaultPlan.from_dict(data["faults"]) if "faults" in data else EMPTY_PLAN
-    spec = ExperimentSpec(scale=scale, processes=tuple(processes), faults=faults)
-    if "policy" in data:
-        spec = spec.with_policy(str(data["policy"]))
-    return spec
+#: ``repro run`` flags that only a ``--benchmark`` run reads, and those
+#: that only a ``--scenario`` run reads.
+_RUN_BENCHMARK_FLAGS = (
+    "--benchmark", "--version", "--sleep", "--policy", "--faults", "--fault-seed", "--scale"
+)
+_RUN_SCENARIO_FLAGS = ("--digest", "--cache-dir", "--scenario-dir")
 
 
-def _print_process_table(result, label: str) -> None:
-    """The per-process summary table shared by ``run --spec`` and replay."""
-    print(format_process_table(result, label))
-
-
-def _cmd_run_spec(args: argparse.Namespace) -> int:
-    spec = _spec_from_argument(args.spec, args.scale)
-    if args.faults is not None:
-        spec = spec.with_faults(_faults_from_args(args))
-    elif args.fault_seed is not None:
-        spec = spec.with_faults(spec.faults.with_seed(args.fault_seed))
-    if args.policy is not None:
-        spec = spec.with_policy(args.policy)
-    recorder = TraceRecorder() if args.trace else None
-    result = run_experiment(spec, sinks=(recorder,) if recorder else ())
-    _print_process_table(result, "custom mix")
-    if spec.faults.enabled:
-        swap = result.swap
-        print(
-            f"faults: io_errors={swap['io_errors']} "
-            f"io_timeouts={swap['io_timeouts']} io_retries={swap['io_retries']} "
-            f"spindles_failed={swap['spindles_failed']} "
-            f"online_disks={swap['online_disks']}"
-        )
-    if recorder is not None:
-        print()
-        print(recorder.format(last=args.trace_last))
-    return 0
+def _refuse_flags(args: argparse.Namespace, flags, reason: str) -> None:
+    """Exit 2 naming every flag of ``flags`` given: ``reason`` ignores them."""
+    given = []
+    for flag in flags:
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value is not None and value is not False:
+            given.append(flag)
+    if given:
+        raise SpecError(f"{reason} ignores {', '.join(given)}")
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
     if args.scenario is not None:
+        _refuse_flags(args, _RUN_BENCHMARK_FLAGS, "run --scenario")
         return _cmd_run_scenario(args)
-    if args.spec is not None:
-        return _cmd_run_spec(args)
+    _refuse_flags(args, _RUN_SCENARIO_FLAGS, "run without --scenario")
     if args.benchmark is None:
-        raise SystemExit("repro run: give --benchmark, --spec, or --scenario")
+        raise SpecError("run: give --benchmark or --scenario")
     scale = _scale_from(args)
+    version = args.version or "B"
     spec = multiprogram_spec(
         scale,
         benchmark(args.benchmark),
-        VERSIONS[args.version],
+        VERSIONS[version],
         sleep_time_s=args.sleep,
     )
     plan = _faults_from_args(args)
@@ -356,10 +293,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         format_table(
             ["metric", "value"],
             rows,
-            title=(
-                f"{args.benchmark} version {args.version} "
-                f"at scale '{scale.name}'"
-            ),
+            title=f"{args.benchmark} version {version} at scale '{scale.name}'",
         )
     )
     if recorder is not None:
@@ -376,24 +310,36 @@ def _registry_from(args: argparse.Namespace):
 
 
 def _scenario_document(text: str, registry):
-    """Resolve a scenario argument: template name, file path, or inline JSON."""
+    """Resolve a scenario argument: a template name, a file path or inline
+    JSON.  Returns the document and its name (``None`` for inline JSON)."""
     if text in registry:
         return registry.get(text), text
-    data = _load_json_argument(text)
-    if not isinstance(data, dict):
-        raise ScenarioError("a scenario must be a JSON object")
-    name = Path(text).stem if os.path.exists(text) else None
-    return data, name
+    if os.path.exists(text) or not text.lstrip().startswith(("{", "[")):
+        return load_scenario_file(text), Path(text).stem
+    try:
+        return json.loads(text), None
+    except json.JSONDecodeError as exc:
+        raise ScenarioError(f"inline JSON argument is invalid: {exc}") from exc
+
+
+def _compile_argument(text: str, registry) -> CompiledScenario:
+    document, name = _scenario_document(text, registry)
+    return compile_scenario(document, registry=registry, name=name)
+
+
+def _one_spec(compiled: CompiledScenario, command: str) -> ExperimentSpec:
+    if len(compiled.specs) != 1:
+        raise ScenarioError(
+            f"{command} takes a one-spec scenario; '{compiled.name}' compiles "
+            f"to {len(compiled.specs)} specs"
+        )
+    return compiled.specs[0]
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     registry = _registry_from(args)
     for text in args.scenario:
-        if text in registry:
-            document, name = registry.get(text), text
-        else:
-            document, name = load_scenario_file(text), Path(text).stem
-        compiled = compile_scenario(document, registry=registry, name=name)
+        compiled = _compile_argument(text, registry)
         print(
             f"scenario '{compiled.name}': OK — {len(compiled.specs)} spec(s), "
             f"digest {compiled.digest}"
@@ -427,22 +373,37 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
 
 
 def _cmd_run_scenario(args: argparse.Namespace) -> int:
-    registry = _registry_from(args)
-    document, name = _scenario_document(args.scenario, registry)
-    compiled = compile_scenario(document, registry=registry, name=name)
+    compiled = _compile_argument(args.scenario, _registry_from(args))
+    recorder = None
+    if args.trace:
+        _refuse_flags(args, ("--cache-dir",), "run --trace (a live run)")
+        _one_spec(compiled, "run --trace")
+        recorder = TraceRecorder()
     outcomes, digest = run_direct(
         compiled,
-        cache_dir=Path(args.cache_dir) if getattr(args, "cache_dir", None) else None,
+        cache_dir=Path(args.cache_dir) if args.cache_dir else None,
+        sinks=(recorder,) if recorder else (),
     )
     failures = 0
-    for index, outcome in enumerate(outcomes):
+    for index, (spec, outcome) in enumerate(zip(compiled.specs, outcomes)):
         if index:
             print()
         if getattr(outcome, "failed", False):
             failures += 1
             print(f"spec {index}: FAILED {outcome}")
-        else:
-            _print_process_table(outcome, f"{compiled.name}[{index}]")
+            continue
+        print(format_process_table(outcome, f"{compiled.name}[{index}]"))
+        if spec.faults.enabled:
+            swap = outcome.swap
+            print(
+                f"faults: io_errors={swap['io_errors']} "
+                f"io_timeouts={swap['io_timeouts']} io_retries={swap['io_retries']} "
+                f"spindles_failed={swap['spindles_failed']} "
+                f"online_disks={swap['online_disks']}"
+            )
+    if recorder is not None:
+        print()
+        print(recorder.format(last=args.trace_last))
     if args.digest:
         print(f"scenario digest: {digest}")
     return 1 if failures else 0
@@ -791,6 +752,8 @@ def _print_sweep_report(report) -> int:
 
 def _cmd_sweep_run(args: argparse.Namespace) -> int:
     if args.synthetic is not None:
+        if args.scenario is not None:
+            raise SweepError("sweep run: give --scenario or --synthetic, not both")
         if args.synthetic < 1:
             raise SweepError(f"--synthetic needs a positive count, got {args.synthetic}")
         specs = synthetic_specs(
@@ -805,16 +768,12 @@ def _cmd_sweep_run(args: argparse.Namespace) -> int:
                 "sleep_s": args.synthetic_sleep,
             }
         }
-    elif args.grid is not None:
-        data = _load_json_argument(args.grid)
-        if not isinstance(data, dict):
-            raise SpecError("a sweep grid must be a JSON object")
-        grid = dict(data)
-        grid.setdefault("scale", args.scale)
-        specs = expand_grid(dict(grid))
-        describe = {"grid": grid}
+    elif args.scenario is not None:
+        document = _compile_argument(args.scenario, _registry_from(args)).document
+        specs = specs_from_scenario(document, args.state_dir)
+        describe = {"scenario": document}
     else:
-        raise SweepError("sweep run: give --grid or --synthetic")
+        raise SweepError("sweep run: give --scenario or --synthetic")
     print(f"sweep: {len(specs)} specs -> {args.state_dir}")
     try:
         report = run_sweep(
@@ -959,17 +918,21 @@ def _cmd_ensemble(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace_record(args: argparse.Namespace) -> int:
-    if args.spec is not None:
-        spec = _spec_from_argument(args.spec, args.scale)
+    if args.scenario is not None:
+        _refuse_flags(
+            args, ("--benchmark", "--version", "--sleep", "--scale"), "trace record --scenario"
+        )
+        compiled = _compile_argument(args.scenario, _registry_from(args))
+        spec = _one_spec(compiled, "trace record")
     elif args.benchmark is not None:
         spec = multiprogram_spec(
             _scale_from(args),
             benchmark(args.benchmark),
-            VERSIONS[args.version],
+            VERSIONS[args.version or "B"],
             sleep_time_s=args.sleep,
         )
     else:
-        raise SpecError("trace record: give --benchmark or --spec")
+        raise SpecError("trace record: give --benchmark or --scenario")
     result, paths = record_experiment(
         spec,
         args.out,
@@ -1001,7 +964,7 @@ def _cmd_trace_replay(args: argparse.Namespace) -> int:
             print(f"re-recorded {name} -> {paths[name]}")
     else:
         result = run_experiment(spec)
-    _print_process_table(result, "trace replay")
+    print(format_process_table(result, "trace replay"))
     return 0
 
 
@@ -1133,18 +1096,12 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser = commands.add_parser(
         "run",
         help="run one benchmark version alongside the interactive task, "
-        "or an arbitrary mix from a JSON spec",
+        "or any scenario",
     )
     _add_benchmark(run_parser, required=False)
     run_parser.add_argument(
-        "--spec",
-        default=None,
-        help="JSON experiment spec (a file path or an inline literal); "
-        "overrides --benchmark/--version/--sleep",
-    )
-    run_parser.add_argument(
         "--version",
-        default="B",
+        default=None,
         type=str.upper,
         choices=sorted(VERSIONS),
         help="program version (O, P, R, B; default B)",
@@ -1191,7 +1148,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--scenario",
         default=None,
         help="run a scenario (template name, file path, or inline JSON) "
-        "in-process; overrides --benchmark/--spec",
+        "in-process instead of --benchmark",
     )
     run_parser.add_argument(
         "--digest",
@@ -1202,10 +1159,11 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument(
         "--cache-dir",
         default=None,
-        help="with --scenario: content-addressed result cache directory",
+        help="with --scenario and no --trace: content-addressed result "
+        "cache directory",
     )
     _add_scenario_dirs(run_parser)
-    _add_scale(run_parser)
+    _add_scale(run_parser, default=None)
     run_parser.set_defaults(handler=_cmd_run)
 
     compare_parser = commands.add_parser(
@@ -1341,17 +1299,17 @@ def build_parser() -> argparse.ArgumentParser:
         help="checkpoint directory (journal + per-worker result caches)",
     )
     sweep_run_parser.add_argument(
-        "--grid",
+        "--scenario",
         default=None,
-        help="JSON grid (file path or inline): axes over benchmark/version/"
-        "sleep/policy/fault_seed, plus scale/overrides/faults",
+        help="scenario to sweep (template name, file path, or inline JSON); "
+        "a 'sweep' shape expands to its grid",
     )
     sweep_run_parser.add_argument(
         "--synthetic",
         type=int,
         default=None,
-        help="run N synthetic no-op specs instead of a grid (orchestrator "
-        "stress testing)",
+        help="run N synthetic no-op specs instead of a scenario "
+        "(orchestrator stress testing)",
     )
     sweep_run_parser.add_argument(
         "--synthetic-fail-every",
@@ -1365,7 +1323,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=0.0,
         help="per-synthetic-spec sleep in seconds (default 0)",
     )
-    _add_scale(sweep_run_parser)
     _add_sweep_options(sweep_run_parser)
     sweep_run_parser.set_defaults(handler=_cmd_sweep_run)
 
@@ -1486,14 +1443,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_benchmark(record_parser, required=False)
     record_parser.add_argument(
-        "--spec",
+        "--scenario",
         default=None,
-        help="JSON experiment spec (file path or inline); overrides "
-        "--benchmark/--version/--sleep",
+        help="one-spec scenario to record instead of --benchmark "
+        "(template name, file path, or inline JSON)",
     )
     record_parser.add_argument(
         "--version",
-        default="B",
+        default=None,
         type=str.upper,
         choices=sorted(VERSIONS),
         help="program version for --benchmark (default B)",
@@ -1521,7 +1478,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also record page-fault annotations ('f' ops)",
     )
-    _add_scale(record_parser)
+    _add_scale(record_parser, default=None)
     record_parser.set_defaults(handler=_cmd_trace_record)
 
     replay_parser = trace_commands.add_parser(
@@ -1605,7 +1562,7 @@ def build_parser() -> argparse.ArgumentParser:
     validate_parser.add_argument(
         "scenario",
         nargs="+",
-        help="scenario template name(s) or *.json file path(s)",
+        help="scenario template name(s), file path(s), or inline JSON",
     )
     _add_scenario_dirs(validate_parser)
     validate_parser.set_defaults(handler=_cmd_validate)

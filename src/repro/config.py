@@ -26,6 +26,7 @@ __all__ = [
     "MachineConfig",
     "OsTunables",
     "RuntimeParams",
+    "SCALE_PRESETS",
     "ScaleError",
     "SimScale",
     "paper",
@@ -254,9 +255,9 @@ class SimScale:
     def with_overrides(self, **kwargs) -> "SimScale":
         """Return a copy with top-level fields replaced.
 
-        Every value is checked first, since scenario documents, ``repro run
-        --spec`` files and sweep grids pass JSON values straight through:
-        an unknown key or a value of the wrong type or range raises
+        Every value is checked first, since a scenario's ``overrides`` pass
+        JSON values straight through: an unknown key or a value of the wrong
+        type or range raises
         :class:`ScaleError` naming the key, before any simulation runs.
         """
         for knob, value in kwargs.items():
@@ -363,3 +364,7 @@ def small() -> SimScale:
 def tiny() -> SimScale:
     """~1/64 scale: unit and property tests (75 frames, 400-page data)."""
     return _scaled("tiny", 64, seed_offset=2)
+
+
+#: The presets by name: a scenario's ``scale`` and every ``--scale`` flag.
+SCALE_PRESETS: Dict[str, Callable[[], SimScale]] = {"tiny": tiny, "small": small, "paper": paper}

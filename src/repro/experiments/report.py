@@ -16,7 +16,7 @@ __all__ = ["format_process_table", "format_table", "normalize", "percent"]
 def format_process_table(result, label: str) -> str:
     """The per-process summary table for one experiment result.
 
-    Shared by ``repro run --spec``, trace replay, and the service's
+    Shared by ``repro run --scenario``, trace replay, and the service's
     ``GET /v1/jobs/<id>/figure`` rendering, so every surface prints the
     same shape for the same result.
     """

@@ -39,11 +39,13 @@ import threading
 import time
 import traceback
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import List, Optional, Sequence, Union
 
 from repro.ioutil import atomic_open
 from repro.machine import ExperimentResult, ExperimentSpec, run_experiment
+from repro.obs import Sink
 
 __all__ = [
     "CacheEntry",
@@ -393,6 +395,7 @@ def execute_guarded(
     spec: Union[ExperimentSpec, SyntheticSpec, RecordingSpec],
     timeout_s: Optional[float] = None,
     retries: int = 0,
+    sinks: Sequence[Sink] = (),
 ) -> Union[ExperimentResult, SyntheticResult, ExperimentFailure]:
     """Run one spec; never raises — failures come back as values.
 
@@ -402,11 +405,15 @@ def execute_guarded(
     a retry only absorbs environmental flakes and waiting before it would
     only delay the same error.  This is the one retry mechanism: inline
     sweeps, pool workers, :func:`run_specs` and the service all use it.
+    ``sinks`` observe an :class:`ExperimentSpec`'s run (``repro run
+    --trace``).
     """
     if isinstance(spec, SyntheticSpec):
         run = _run_synthetic
     elif isinstance(spec, RecordingSpec):
         run = _run_recording
+    elif sinks:
+        run = partial(run_experiment, sinks=sinks)
     else:
         run = run_experiment
     attempts = 0

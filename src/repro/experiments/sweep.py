@@ -44,7 +44,6 @@ top of :func:`run_sweep`, and every service job is one checkpoint.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import os
 import time
 from dataclasses import dataclass, field
@@ -52,10 +51,8 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro import digest as digest_mod
-from repro.config import SimScale, paper, small, tiny
-from repro.faults import EMPTY_PLAN, FaultPlan
 from repro.ioutil import append_journal_line, atomic_write_json, read_journal
-from repro.machine import ExperimentSpec, SpecError
+from repro.machine import ExperimentSpec
 from repro.obs import Bus, JsonlSink, Sink, WallClock
 from repro.experiments.runner import (
     ExperimentFailure,
@@ -81,10 +78,10 @@ __all__ = [
     "SyntheticResult",
     "SyntheticSpec",
     "collect_report",
-    "expand_grid",
     "journal_outcomes",
     "run_sweep",
     "specs_from_meta",
+    "specs_from_scenario",
     "sweep_status",
     "synthetic_specs",
 ]
@@ -93,8 +90,6 @@ JOURNAL_NAME = "journal.jsonl"
 META_NAME = "meta.json"
 EVENTS_NAME = "events.jsonl"
 CACHE_DIRNAME = "cache"
-
-_SCALES = {"tiny": tiny, "small": small, "paper": paper}
 
 
 class SweepError(RuntimeError):
@@ -764,13 +759,33 @@ def sweep_status(state_dir: os.PathLike) -> Dict[str, object]:
     }
 
 
+def specs_from_scenario(document: Dict[str, object], state_dir: os.PathLike) -> List[AnySpec]:
+    """The specs a checkpoint at ``state_dir`` runs for a merged scenario.
+
+    A ``record_trace`` scenario records spec ``i``'s op streams under
+    ``<state_dir>/traces/<i>``.  That directory is part of the spec's key,
+    so it is made absolute first: any spelling of the state directory
+    rebuilds the same keys.
+    """
+    from repro.scenarios import compile_scenario
+
+    compiled = compile_scenario(document)
+    if not compiled.record_trace:
+        return list(compiled.specs)
+    traces = Path(state_dir).resolve() / "traces"
+    return [
+        RecordingSpec(spec, str(traces / str(index)))
+        for index, spec in enumerate(compiled.specs)
+    ]
+
+
 def specs_from_meta(state_dir: os.PathLike) -> List[AnySpec]:
     """Rebuild a checkpoint's spec list from its ``meta.json``.
 
     ``repro sweep resume|status`` works from the state directory alone:
-    ``run`` records the grid (or synthetic shape) in the meta file, and
-    this re-expands it — the keys digest then proves the rebuilt list
-    matches the journal.
+    ``sweep run`` and every service job record the merged scenario (or
+    the synthetic shape) in the meta file, and this compiles it again —
+    the keys digest then proves the rebuilt list matches the journal.
     """
     root = Path(state_dir)
     meta_path = root / META_NAME
@@ -780,8 +795,8 @@ def specs_from_meta(state_dir: os.PathLike) -> List[AnySpec]:
 
     with meta_path.open("r", encoding="utf-8") as handle:
         meta = json.load(handle)
-    if "grid" in meta:
-        return list(expand_grid(dict(meta["grid"])))
+    if "scenario" in meta:
+        return specs_from_scenario(meta["scenario"], root)
     if "synthetic" in meta:
         shape = dict(meta["synthetic"])
         return list(
@@ -796,68 +811,3 @@ def specs_from_meta(state_dir: os.PathLike) -> List[AnySpec]:
         "API?); resume through run_sweep(..., resume=True) with the "
         "original spec list"
     )
-
-
-# -- grid expansion (the CLI's sweep-file format) ---------------------------
-
-
-def expand_grid(data: Dict[str, object], default_scale: str = "tiny") -> List[ExperimentSpec]:
-    """Expand a declarative grid file into the cross product of its axes.
-
-    Shape::
-
-        {"scale": "tiny",
-         "overrides": {"max_engine_steps": 2000000},
-         "faults": {"disk": {"io_error_prob": 0.02}},
-         "axes": {
-             "benchmark": ["MATVEC", "BUK"],
-             "version": ["O", "R"],
-             "sleep": [null, 0.1],
-             "policy": ["paging-directed", "global-clock"],
-             "fault_seed": [1, 2, 3]}}
-
-    Axis order is fixed (benchmark, version, sleep, policy, fault_seed) so
-    the same grid file always expands to the same spec list — and hence
-    the same sweep identity and merged digest.
-    """
-    data = dict(data)
-    scale_name = str(data.pop("scale", default_scale))
-    if scale_name not in _SCALES:
-        raise SpecError(
-            f"unknown scale {scale_name!r}; choose from {sorted(_SCALES)}"
-        )
-    scale: SimScale = _SCALES[scale_name]()
-    overrides = data.pop("overrides", {})
-    if overrides:
-        scale = scale.with_overrides(**overrides)
-    base_faults = (
-        FaultPlan.from_dict(data.pop("faults")) if "faults" in data else EMPTY_PLAN
-    )
-    axes = dict(data.pop("axes", {}))
-    if data:
-        raise SpecError(f"unknown sweep grid keys: {sorted(data)}")
-    benchmarks = list(axes.pop("benchmark", ()))
-    if not benchmarks:
-        raise SpecError("sweep grid needs a non-empty 'benchmark' axis")
-    versions = list(axes.pop("version", ["R"]))
-    sleeps = list(axes.pop("sleep", [None]))
-    policies = list(axes.pop("policy", [None]))
-    fault_seeds = list(axes.pop("fault_seed", [None]))
-    if axes:
-        raise SpecError(f"unknown sweep grid axes: {sorted(axes)}")
-    specs: List[ExperimentSpec] = []
-    for bench_name, version, sleep, policy, seed in itertools.product(
-        benchmarks, versions, sleeps, policies, fault_seeds
-    ):
-        spec = ExperimentSpec.multiprogram(
-            scale, str(bench_name).upper(), str(version).upper(), sleep_time_s=sleep
-        )
-        if seed is not None:
-            spec = spec.with_faults(base_faults.with_seed(int(seed)))
-        elif base_faults is not EMPTY_PLAN:
-            spec = spec.with_faults(base_faults)
-        if policy is not None:
-            spec = spec.with_policy(str(policy))
-        spec.validate()
-        specs.append(spec)
-    return specs

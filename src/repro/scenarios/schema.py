@@ -17,11 +17,30 @@ Format (version 1)::
      "record_trace": false}
 
 Instead of the ``benchmark`` shorthand a scenario may carry an explicit
-``processes`` list (the same entries ``repro run --spec`` accepts) or a
-``sweep`` object with axes (the same axes ``repro sweep run --grid``
-accepts), in which case it compiles to one spec per grid cell.  Exactly
-one of ``benchmark`` / ``processes`` / ``sweep`` must be present after
-``extends`` resolution.
+``processes`` list::
+
+     "processes": [{"workload": "MATVEC", "version": "R"},
+                   {"workload": "EMBAR", "version": "P", "start_offset_s": 0.05},
+                   {"trace": "traces/MATVEC.trace"},
+                   {"workload": "interactive", "sleep_s": 0.1, "sweeps": 6}]
+
+or a ``sweep`` object whose axes compile to one spec per grid cell, in
+the fixed axis order benchmark, version, sleep, policy, fault_seed
+(benchmark varies slowest; a non-null ``fault_seed`` needs an enabled
+``faults`` plan)::
+
+     "sweep": {"axes": {"benchmark": ["MATVEC", "BUK"],
+                        "version": ["O", "R"],
+                        "sleep": [null, 0.1],
+                        "policy": ["paging-directed", "global-clock"],
+                        "fault_seed": [1, 2, 3]}}
+
+Exactly one of ``benchmark`` / ``processes`` / ``sweep`` must be present
+after ``extends`` resolution.  A scenario without ``scale`` runs at tiny.
+
+This module is the only parser of JSON experiment descriptions: ``repro run``,
+``validate``, ``submit``, ``sweep run`` and ``trace record`` take a
+scenario, and so does the server.
 
 Validation is strict and fail-fast: unknown keys, wrong types, unknown
 benchmarks/versions/policies/scales, and malformed fault plans are all
@@ -38,13 +57,15 @@ content-addressed cache keys are stable across submitters and restarts.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import os
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from functools import partial
+from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.config import ScaleError, SimScale, paper, small, tiny
+from repro.config import SCALE_PRESETS, ScaleError, SimScale
 from repro.core.runtime.policies import VERSIONS
 from repro.faults import EMPTY_PLAN, FaultPlan, FaultPlanError
 from repro.machine import (
@@ -72,8 +93,6 @@ __all__ = [
 #: changes incompatibly; old documents then fail loudly instead of being
 #: reinterpreted.
 SCENARIO_FORMAT_VERSION = 1
-
-_SCALES = {"tiny": tiny, "small": small, "paper": paper}
 
 _TOP_LEVEL_KEYS = {
     "scenario",
@@ -127,8 +146,7 @@ class CompiledScenario:
     ``document`` is the merged (post-``extends``), validated document —
     the canonical form :func:`scenario_digest` hashes.  ``specs`` is the
     deterministic expansion: one spec for single scenarios, one per grid
-    cell for sweep scenarios (fixed axis order, like
-    :func:`repro.experiments.sweep.expand_grid`).
+    cell for sweep scenarios, in the fixed axis order.
     """
 
     name: str
@@ -191,6 +209,45 @@ def _expect_list(value, path: str) -> List[object]:
     if not isinstance(value, list):
         raise ScenarioError(f"expected a list, got {value!r}", path)
     return value
+
+
+def _expect_int(value, path: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ScenarioError(f"expected an integer, got {value!r}", path)
+    return value
+
+
+def _expect_choice(value, path: str, choices, what: str) -> str:
+    """A name from ``choices``, matched case-insensitively; upper-cased."""
+    name = _expect_str(value, path).upper()
+    if name not in choices:
+        raise ScenarioError(
+            f"unknown {what} {name!r} (choose from {', '.join(sorted(choices))})", path
+        )
+    return name
+
+
+def _expect_policy(value, path: str) -> PolicySpec:
+    text = _expect_str(value, path)
+    try:
+        policy = PolicySpec.from_string(text)
+        # Eagerly resolve so an unregistered name fails at validate time,
+        # not at run time inside the service.
+        validate_policy(policy)
+    except PolicyError as exc:
+        raise ScenarioError(str(exc), path) from exc
+    return policy
+
+
+def _optional(check: Callable[[object, str], object]) -> Callable[[object, str], object]:
+    """``check`` for a value that may be null; the value passes on unchanged."""
+
+    def checked(value, path: str):
+        if value is not None:
+            check(value, path)
+        return value
+
+    return checked
 
 
 def _expect_number(value, path: str) -> float:
@@ -331,13 +388,10 @@ def _compile_process(entry: object, index: int) -> WorkloadProcessSpec:
             f"{path}.workload",
         )
     version = entry.get("version", "O")
-    version = _expect_str(version, f"{path}.version").upper()
-    if upper != INTERACTIVE and version not in VERSIONS:
-        raise ScenarioError(
-            f"unknown version {version!r} (choose from "
-            f"{', '.join(sorted(VERSIONS))})",
-            f"{path}.version",
-        )
+    if upper == INTERACTIVE:
+        version = _expect_str(version, f"{path}.version").upper()
+    else:
+        version = _expect_choice(version, f"{path}.version", VERSIONS, "version")
     sleep_s = entry.get("sleep_s")
     if sleep_s is not None:
         sleep_s = _expect_duration(sleep_s, f"{path}.sleep_s")
@@ -363,13 +417,13 @@ def _compile_process(entry: object, index: int) -> WorkloadProcessSpec:
 def _compile_scale(document: Dict[str, object]) -> SimScale:
     scale_name = document.get("scale", "tiny")
     scale_name = _expect_str(scale_name, "scale")
-    if scale_name not in _SCALES:
+    if scale_name not in SCALE_PRESETS:
         raise ScenarioError(
             f"unknown scale {scale_name!r} (choose from "
-            f"{', '.join(sorted(_SCALES))})",
+            f"{', '.join(sorted(SCALE_PRESETS))})",
             "scale",
         )
-    scale = _SCALES[scale_name]()
+    scale = SCALE_PRESETS[scale_name]()
     overrides = document.get("overrides")
     if overrides is not None:
         overrides = _expect_dict(overrides, "overrides")
@@ -394,15 +448,23 @@ def _compile_faults(document: Dict[str, object]) -> FaultPlan:
 def _compile_policy(document: Dict[str, object]) -> Optional[PolicySpec]:
     if "policy" not in document:
         return None
-    text = _expect_str(document["policy"], "policy")
+    return _expect_policy(document["policy"], "policy")
+
+
+def _spec(
+    scale: SimScale,
+    processes: Tuple[WorkloadProcessSpec, ...],
+    faults: FaultPlan,
+    policy,
+) -> ExperimentSpec:
+    spec = ExperimentSpec(scale=scale, processes=processes, faults=faults)
+    if policy is not None:
+        spec = spec.with_policy(policy)
     try:
-        policy = PolicySpec.from_string(text)
-        # Eagerly resolve so an unregistered name fails at validate time,
-        # not at run time inside the service.
-        validate_policy(policy)
-    except PolicyError as exc:
-        raise ScenarioError(str(exc), "policy") from exc
-    return policy
+        spec.validate()
+    except SpecError as exc:
+        raise ScenarioError(str(exc)) from exc
+    return spec
 
 
 def _compile_single(
@@ -426,20 +488,8 @@ def _compile_single(
             _compile_process(entry, index) for index, entry in enumerate(entries)
         )
     else:
-        benchmark = _expect_str(document["benchmark"], "benchmark").upper()
-        if benchmark not in BENCHMARKS:
-            raise ScenarioError(
-                f"unknown benchmark {benchmark!r} (choose from "
-                f"{', '.join(sorted(BENCHMARKS))})",
-                "benchmark",
-            )
-        version = _expect_str(document.get("version", "R"), "version").upper()
-        if version not in VERSIONS:
-            raise ScenarioError(
-                f"unknown version {version!r} (choose from "
-                f"{', '.join(sorted(VERSIONS))})",
-                "version",
-            )
+        benchmark = _expect_choice(document["benchmark"], "benchmark", BENCHMARKS, "benchmark")
+        version = _expect_choice(document.get("version", "R"), "version", VERSIONS, "version")
         sleep = document.get("sleep")
         if sleep is not None:
             sleep = _expect_duration(sleep, "sleep")
@@ -449,18 +499,19 @@ def _compile_single(
             with_interactive=with_interactive,
         )
         processes = spec.processes
-    spec = ExperimentSpec(scale=scale, processes=processes, faults=faults)
-    if policy is not None:
-        spec = spec.with_policy(policy)
-    try:
-        spec.validate()
-    except SpecError as exc:
-        raise ScenarioError(str(exc)) from exc
-    return (spec,)
+    return (_spec(scale, processes, faults, policy),)
+
+
+def _axis(axes: Dict[str, object], axis: str, default: List[object], check) -> List[object]:
+    """One sweep axis, each value checked at ``sweep.axes.<axis>[<i>]``."""
+    path = f"sweep.axes.{axis}"
+    values = _expect_list(axes.get(axis, default), path)
+    return [check(value, f"{path}[{index}]") for index, value in enumerate(values)]
 
 
 def _compile_sweep(
     document: Dict[str, object],
+    scale: SimScale,
     faults: FaultPlan,
     policy: Optional[PolicySpec],
 ) -> Tuple[ExperimentSpec, ...]:
@@ -490,26 +541,33 @@ def _compile_sweep(
             f"(known: {', '.join(_SWEEP_AXES)})",
             "sweep.axes",
         )
-    for axis, values in axes.items():
-        _expect_list(values, f"sweep.axes.{axis}")
-    for index, sleep in enumerate(axes.get("sleep", ())):
-        if sleep is not None:
-            _expect_duration(sleep, f"sweep.axes.sleep[{index}]")
-    # Reuse the sweep grid expander (fixed axis order, validated specs) so
-    # the service and `repro sweep run --grid` agree on expansion exactly.
-    from repro.experiments.sweep import expand_grid
 
-    grid: Dict[str, object] = {"axes": axes}
-    if "scale" in document:
-        grid["scale"] = document["scale"]
-    if "overrides" in document:
-        grid["overrides"] = document["overrides"]
-    if faults is not EMPTY_PLAN:
-        grid["faults"] = document["faults"]
-    try:
-        return tuple(expand_grid(grid))
-    except (SpecError, FaultPlanError, PolicyError) as exc:
-        raise ScenarioError(str(exc), "sweep.axes") from exc
+    def seed(value, path: str) -> None:
+        _expect_int(value, path)
+        if not faults.enabled:
+            # Without injection a seed would change the key, not the physics.
+            raise ScenarioError("a fault seed needs an enabled 'faults' plan", path)
+
+    benchmark = partial(_expect_choice, choices=BENCHMARKS, what="benchmark")
+    benchmarks = _axis(axes, "benchmark", [], benchmark)
+    if not benchmarks:
+        raise ScenarioError("needs at least one benchmark", "sweep.axes.benchmark")
+    version = partial(_expect_choice, choices=VERSIONS, what="version")
+    versions = _axis(axes, "version", ["R"], version)
+    sleeps = _axis(axes, "sleep", [None], _optional(_expect_duration))
+    policies = _axis(axes, "policy", [None], _optional(_expect_policy))
+    seeds = _axis(axes, "fault_seed", [None], _optional(seed))
+    return tuple(
+        _spec(
+            scale,
+            ExperimentSpec.multiprogram(scale, bench, version, sleep_time_s=sleep).processes,
+            faults if fault_seed is None else faults.with_seed(fault_seed),
+            policy,
+        )
+        for bench, version, sleep, policy, fault_seed in itertools.product(
+            benchmarks, versions, sleeps, policies, seeds
+        )
+    )
 
 
 def compile_scenario(
@@ -537,9 +595,7 @@ def compile_scenario(
         raise ScenarioError(
             f"missing 'scenario' format version (current: {SCENARIO_FORMAT_VERSION})"
         )
-    version = merged["scenario"]
-    if isinstance(version, bool) or not isinstance(version, int):
-        raise ScenarioError(f"expected an integer, got {version!r}", "scenario")
+    version = _expect_int(merged["scenario"], "scenario")
     if version != SCENARIO_FORMAT_VERSION:
         raise ScenarioError(
             f"unsupported scenario format {version} "
@@ -576,7 +632,7 @@ def compile_scenario(
                 "trace recording applies to single scenarios, not sweeps",
                 "record_trace",
             )
-        specs = _compile_sweep(merged, faults, _compile_policy(merged))
+        specs = _compile_sweep(merged, scale, faults, _compile_policy(merged))
     else:
         specs = _compile_single(merged, scale, faults, _compile_policy(merged))
     return CompiledScenario(

@@ -35,7 +35,7 @@ State layout under the manager's ``state_dir``::
     jobs.jsonl                 the job index (shared, fsynced)
     cache/main/                the shared content-addressed result store
     jobs/<id>/scenario.json    the merged scenario document as compiled
-    jobs/<id>/meta.json        the job's sweep checkpoint: its identity,
+    jobs/<id>/meta.json        the job's sweep checkpoint: identity, scenario,
     jobs/<id>/journal.jsonl    one line per finished spec,
     jobs/<id>/events.jsonl     and its job and sweep events (obs-bus JSONL)
     jobs/<id>/cache            relative symlink to ../../cache
@@ -54,12 +54,11 @@ import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Set, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.digest import outcome_line, serialize_result
 from repro.experiments.runner import (
     ExperimentFailure,
-    RecordingSpec,
     execute_guarded,
     load_cached,
     spec_key,
@@ -76,6 +75,7 @@ from repro.experiments.sweep import (
     SweepReport,
     journal_outcomes,
     run_sweep,
+    specs_from_scenario,
 )
 from repro.ioutil import append_journal_line, atomic_write_json, read_journal
 from repro.machine import ExperimentResult
@@ -100,6 +100,7 @@ def run_direct(
     cache_dir: Optional[Path] = None,
     timeout_s: Optional[float] = None,
     retries: int = 0,
+    sinks: Sequence[Sink] = (),
 ) -> Tuple[List[Union[ExperimentResult, ExperimentFailure]], str]:
     """Run a compiled scenario in-process; return (outcomes, digest).
 
@@ -108,6 +109,7 @@ def run_direct(
     byte-compares this digest against the server's to prove the HTTP path
     adds no behavior.  A ``record_trace`` job is the exception: its specs
     are keyed with their trace directories, so its digest differs.
+    ``sinks`` observe every spec that runs.
     """
     digest = hashlib.sha256()
     outcomes: List[Union[ExperimentResult, ExperimentFailure]] = []
@@ -117,7 +119,7 @@ def run_direct(
         if cache_dir is not None:
             outcome = load_cached(cache_dir, key)
         if outcome is None:
-            outcome = execute_guarded(spec, timeout_s=timeout_s, retries=retries)
+            outcome = execute_guarded(spec, timeout_s, retries, sinks)
             if cache_dir is not None:
                 store_cached(cache_dir, key, outcome)
         outcomes.append(outcome)
@@ -476,23 +478,19 @@ class JobManager:
     def _run_job(self, job_id: str) -> None:
         record = self.job(job_id)
         job_dir = self.jobs_dir / job_id
-        # Fresh and adopted jobs alike run what their scenario.json compiles to.
+        # Fresh and adopted jobs alike run what their scenario.json compiles
+        # to, the way `repro sweep resume` rebuilds them from meta.json.
         try:
             document = json.loads((job_dir / "scenario.json").read_text(encoding="utf-8"))
-            specs = compile_scenario(document, registry=self.registry, name=record.name).specs
+            specs = specs_from_scenario(document, job_dir)
         except Exception as exc:
             self._finish(job_id, "failed", error=f"scenario document unrecoverable: {exc}")
             return
-        if record.record_trace:
-            specs = tuple(
-                RecordingSpec(spec, str(job_dir / "traces" / str(index)))
-                for index, spec in enumerate(specs)
-            )
         with self._mu:
             record.status = "running"
         try:
             with self._hold({spec_key(spec) for spec in specs}) as contended:
-                report = self._sweep(job_dir, specs, record)
+                report = self._sweep(job_dir, specs, document, record)
         except SweepError as exc:
             self._finish(job_id, "failed", error=str(exc))
             return
@@ -520,8 +518,9 @@ class JobManager:
             for lock in held:
                 lock.release()
 
-    def _sweep(self, job_dir: Path, specs, record: JobRecord) -> SweepReport:
-        """Run or resume the job's checkpoint on the shared warm pool."""
+    def _sweep(self, job_dir: Path, specs, document, record: JobRecord) -> SweepReport:
+        """Run or resume the job's checkpoint on the shared warm pool; its
+        meta.json records the scenario, as `repro sweep run` does."""
         # Pool workers run specs on their main thread, so the SIGALRM
         # per-spec deadline works, which it cannot on a job thread.
         from repro.experiments.pool import get_pool
@@ -538,6 +537,7 @@ class JobManager:
             job_dir,
             options,
             sinks=[_JobSink(self, record)],
+            describe={"scenario": document},
             pool=get_pool(self._workers),
         )
         try:

@@ -159,14 +159,13 @@ def regenerate_ops(header: TraceHeader) -> Iterator[Tuple]:
     """
     # Local imports: diff and info need only the codec, so the compiler and
     # the workloads load when a regeneration asks for them.
-    from repro.config import paper, small, tiny
+    from repro.config import SCALE_PRESETS
     from repro.core.runtime.policies import VERSIONS
     from repro.trace.format import TraceError
     from repro.workloads.base import invocation_ops
     from repro.workloads.suite import BENCHMARKS
 
-    scales = {"tiny": tiny, "small": small, "paper": paper}
-    if header.scale not in scales:
+    if header.scale not in SCALE_PRESETS:
         raise TraceError(
             f"cannot regenerate ops for scale {header.scale!r} "
             f"(not a preset scale; was this trace imported?)"
@@ -178,7 +177,7 @@ def regenerate_ops(header: TraceHeader) -> Iterator[Tuple]:
             f"(not a built-in benchmark; was this trace imported?)"
         )
     version = VERSIONS[header.version]
-    scale = scales[header.scale]()
+    scale = SCALE_PRESETS[header.scale]()
     machine = scale.machine
     instance = workload.build(scale)
     compiled = instance.compiled(scale)

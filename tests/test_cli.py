@@ -204,8 +204,9 @@ class TestTraceCommands:
         assert "source=import" in capsys.readouterr().out
 
     def test_run_spec_with_trace_entry(self, recorded, capsys):
-        spec = json.dumps(
+        scenario = json.dumps(
             {
+                "scenario": 1,
                 "scale": "tiny",
                 "processes": [
                     {"trace": str(recorded)},
@@ -213,9 +214,20 @@ class TestTraceCommands:
                 ],
             }
         )
-        assert main(["run", "--spec", spec]) == 0
+        assert main(["run", "--scenario", scenario]) == 0
         output = capsys.readouterr().out
         assert "MATVEC" in output
+
+    def test_record_scenario(self, tmp_path, capsys):
+        out = tmp_path / "traces"
+        assert main(["trace", "record", "--scenario", "standard-mix", "--out", str(out)]) == 0
+        assert "recorded MATVEC" in capsys.readouterr().out
+        assert (out / "MATVEC.trace").is_file()
+
+    def test_record_needs_a_one_spec_scenario(self, tmp_path, capsys):
+        argv = ["trace", "record", "--scenario", "version-suite", "--out", str(tmp_path)]
+        assert main(argv) == 2
+        assert "one-spec scenario; 'version-suite' compiles to 4 specs" in capsys.readouterr().err
 
 
 #: Scale overrides that used to reach the simulator: NaN as a misleading
@@ -235,31 +247,92 @@ class TestStructuredErrors:
 
     def test_missing_spec_file(self, capsys):
         self.assert_error(
-            ["run", "--spec", "/nonexistent/mix.json"], capsys, "no such file"
+            ["run", "--scenario", "/nonexistent/mix.json"], capsys, "no such scenario file"
         )
 
     def test_bad_inline_spec_json(self, capsys):
-        self.assert_error(["run", "--spec", "{broken"], capsys, "invalid")
+        self.assert_error(["run", "--scenario", "{broken"], capsys, "invalid")
 
     def test_spec_entry_without_workload_or_trace(self, capsys):
         self.assert_error(
-            ["run", "--spec", '{"processes": [{"version": "B"}]}'],
+            ["run", "--scenario", '{"scenario": 1, "processes": [{"version": "B"}]}'],
             capsys,
             "'workload' or 'trace'",
         )
 
     @pytest.mark.parametrize("knob, value", BAD_OVERRIDES)
     def test_bad_scale_override_in_spec(self, knob, value, capsys):
-        spec = json.dumps(
-            {"overrides": {knob: value}, "processes": [{"workload": "MATVEC"}]}
+        scenario = json.dumps(
+            {"scenario": 1, "overrides": {knob: value}, "processes": [{"workload": "MATVEC"}]}
         )
-        self.assert_error(["run", "--spec", spec], capsys, f"scale override {knob!r}")
+        self.assert_error(["run", "--scenario", scenario], capsys, f"overrides.{knob}: ")
 
     @pytest.mark.parametrize("knob, value", BAD_OVERRIDES)
     def test_bad_scale_override_in_sweep_grid(self, knob, value, tmp_path, capsys):
-        grid = json.dumps({"overrides": {knob: value}, "axes": {"benchmark": ["MATVEC"]}})
-        argv = ["sweep", "run", "--state-dir", str(tmp_path / "s"), "--grid", grid]
-        self.assert_error(argv, capsys, f"scale override {knob!r}")
+        sweep = {"axes": {"benchmark": ["MATVEC"]}}
+        scenario = json.dumps({"scenario": 1, "overrides": {knob: value}, "sweep": sweep})
+        argv = ["sweep", "run", "--state-dir", str(tmp_path / "s"), "--scenario", scenario]
+        self.assert_error(argv, capsys, f"overrides.{knob}: ")
+
+    # Each of these shapes used to end in a raw traceback instead.
+    @pytest.mark.parametrize(
+        "document, needle",
+        [
+            (
+                {"scenario": 1, "overrides": [1], "benchmark": "MATVEC"},
+                "overrides: expected an object",
+            ),
+            ({"scenario": 1, "processes": [1]}, "processes[0]: expected an object"),
+            ({"scenario": 1, "processes": {"workload": "MATVEC"}}, "processes: expected a list"),
+            ({"scenario": 1, "scale": 5, "benchmark": "MATVEC"}, "scale: expected a string"),
+            ([{"workload": "MATVEC"}], "expected an object, got [{"),
+        ],
+        ids=["overrides-list", "process-int", "processes-object", "scale-int", "top-level-list"],
+    )
+    def test_malformed_scenario_shape(self, document, needle, capsys):
+        self.assert_error(["run", "--scenario", json.dumps(document)], capsys, needle)
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--benchmark", "BUK"),
+            ("--version", "R"),
+            ("--sleep", "0"),
+            ("--policy", "global-clock"),
+            ("--faults", '{"disk": {"io_error_prob": 0.05}}'),
+            ("--fault-seed", "0"),
+            ("--scale", "paper"),
+        ],
+    )
+    def test_run_scenario_refuses_benchmark_flag(self, flag, value, capsys):
+        argv = ["run", "--scenario", "standard-mix", flag, value]
+        self.assert_error(argv, capsys, f"run --scenario ignores {flag}\n")
+
+    def test_run_scenario_names_every_ignored_flag(self, capsys):
+        argv = [
+            "run", "--scenario", "standard-mix", "--digest", "--policy", "global-clock",
+            "--faults", '{"disk": {"io_error_prob": 0.05}}', "--benchmark", "BUK",
+            "--scale", "paper",
+        ]
+        self.assert_error(
+            argv, capsys, "ignores --benchmark, --policy, --faults, --scale\n"
+        )
+
+    @pytest.mark.parametrize(
+        "flags", [["--digest"], ["--cache-dir", "cache"], ["--scenario-dir", "templates"]]
+    )
+    def test_run_benchmark_refuses_scenario_flag(self, flags, capsys):
+        argv = ["run", "--benchmark", "MATVEC", "--scale", "tiny", *flags]
+        self.assert_error(argv, capsys, f"run without --scenario ignores {flags[0]}\n")
+
+    def test_run_trace_refuses_cache_dir(self, tmp_path, capsys):
+        argv = ["run", "--scenario", "standard-mix", "--trace", "--cache-dir", str(tmp_path)]
+        self.assert_error(argv, capsys, "ignores --cache-dir\n")
+        assert not any(tmp_path.iterdir())
+
+    def test_run_trace_needs_a_one_spec_scenario(self, capsys):
+        argv = ["run", "--scenario", "version-suite", "--trace"]
+        self.assert_error(argv, capsys, "run --trace takes a one-spec scenario")
 
     def test_missing_trace_file(self, capsys):
         self.assert_error(
@@ -301,7 +374,7 @@ class TestStructuredErrors:
         self.assert_error(
             ["trace", "record", "--out", "/tmp/x"],
             capsys,
-            "give --benchmark or --spec",
+            "give --benchmark or --scenario",
         )
 
     def test_bad_fault_plan_file(self, capsys):
@@ -361,15 +434,31 @@ class TestSweepCommands:
 
     def test_grid_run(self, tmp_path, capsys):
         state = str(tmp_path / "sweep")
-        grid = '{"axes": {"benchmark": ["MATVEC"], "version": ["R"]}}'
-        code = main(
-            ["sweep", "run", "--state-dir", state, "--grid", grid, "--scale", "tiny"]
-        )
+        grid = '{"scenario": 1, "sweep": {"axes": {"benchmark": ["MATVEC"], "version": ["R"]}}}'
+        code = main(["sweep", "run", "--state-dir", state, "--scenario", grid])
         assert code == 0
         assert "1/1 ok" in capsys.readouterr().out
-        # The recorded grid lets resume rebuild the specs by itself.
+        # The recorded scenario lets resume rebuild the specs by itself.
         assert main(["sweep", "resume", "--state-dir", state]) == 0
         assert "1/1 ok" in capsys.readouterr().out
+
+    def test_record_trace_scenario_traces_under_state_dir(self, tmp_path, capsys, monkeypatch):
+        """A recording spec is keyed by its trace directory, which is
+        resolved, so the checkpoint reads back from any relative path."""
+        monkeypatch.chdir(tmp_path)
+        scenario = json.dumps(
+            {"scenario": 1, "benchmark": "MATVEC", "version": "B", "record_trace": True}
+        )
+        assert main(["sweep", "run", "--state-dir", "sv", "--scenario", scenario]) == 0
+        out = capsys.readouterr().out
+        digest = out.split("merged digest: ")[1].split()[0]
+        assert [path.name for path in (tmp_path / "sv" / "traces" / "0").iterdir()] == [
+            "MATVEC.trace"
+        ]
+        assert main(["sweep", "status", "--state-dir", "sv", "--digest", "--expect", digest]) == 0
+        monkeypatch.chdir(tmp_path / "sv" / "traces")
+        argv = ["sweep", "status", "--state-dir", "..", "--digest", "--expect", digest]
+        assert main(argv) == 0
 
     def test_ensemble_deterministic_table(self, tmp_path, capsys):
         argv = [
@@ -428,6 +517,17 @@ class TestScenarioCommands:
         err = capsys.readouterr().err
         assert err.startswith("repro: error: version:")
         assert "Z" in err
+
+    def test_validate_template_file_and_inline_json_alike(self, tmp_path, capsys):
+        """One resolver: a template name, a file and inline JSON."""
+        from repro.scenarios import builtin_registry
+
+        document = json.dumps(builtin_registry().get("standard-mix"))
+        path = tmp_path / "standard-mix.json"
+        path.write_text(document, encoding="utf-8")
+        assert main(["validate", "standard-mix", str(path), document]) == 0
+        digests = {line.split("digest ")[1] for line in capsys.readouterr().out.splitlines()}
+        assert len(digests) == 1
 
     def test_validate_missing_file_exits_2(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path / "nope.json")]) == 2
@@ -536,6 +636,30 @@ class TestServiceCommands:
     def test_unreachable_server_exits_2(self, capsys):
         assert main(["jobs", "--url", "http://127.0.0.1:1"]) == 2
         assert "cannot reach" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "document",
+        [
+            {"extends": "version-suite"},
+            {"extends": "standard-mix", "record_trace": True},
+        ],
+        ids=["version-suite", "record-trace"],
+    )
+    def test_sweep_commands_read_a_service_job(self, document, tmp_path, capsys, monkeypatch):
+        """A job's meta.json records its scenario, so `sweep status` and
+        `sweep resume` rebuild its specs, trace directories included."""
+        from repro.service import JobManager
+
+        monkeypatch.chdir(tmp_path)
+        with JobManager(Path("state"), workers=1, fsync=False) as manager:
+            snap = manager.submit(document={"scenario": 1, **document})
+            served = manager.wait(snap["id"], timeout=180).digest
+        job_dir = str(tmp_path / "state" / "jobs" / snap["id"])
+        argv = ["sweep", "status", "--state-dir", job_dir, "--digest", "--expect", served]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert main(["sweep", "resume", "--state-dir", job_dir]) == 0
+        assert f"merged digest: {served}" in capsys.readouterr().out
 
     def test_serve_submit_watch_fetch_roundtrip(self, tmp_path, capsys):
         from repro.service import ExperimentServer

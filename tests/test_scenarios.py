@@ -7,7 +7,7 @@ import math
 import pytest
 
 from repro.experiments.runner import spec_key
-from repro.machine import INTERACTIVE
+from repro.machine import INTERACTIVE, ExperimentSpec
 from repro.scenarios import (
     BUILTIN_TEMPLATES,
     ScenarioError,
@@ -77,6 +77,89 @@ class TestCompile:
     def test_record_trace_flag(self):
         compiled = compile_scenario(doc(benchmark="MATVEC", record_trace=True))
         assert compiled.record_trace
+
+
+class TestSweepGrid:
+    """The grid a ``sweep`` shape compiles to: the cross product of its axes."""
+
+    def test_cross_product_benchmark_varies_slowest(self):
+        specs = compile_scenario(
+            doc(sweep={"axes": {"benchmark": ["MATVEC", "EMBAR"], "version": ["B", "R"]}})
+        ).specs
+        assert len(specs) == 4
+        assert all(isinstance(s, ExperimentSpec) for s in specs)
+        assert [s.processes[0].workload for s in specs] == [
+            "MATVEC", "MATVEC", "EMBAR", "EMBAR",
+        ]
+
+    def test_keys_deterministic_and_seed_axis_discriminates(self):
+        document = doc(
+            faults={"disk": {"io_error_prob": 0.01}},
+            sweep={"axes": {"benchmark": ["MATVEC"], "fault_seed": [1, 2]}},
+        )
+        first = [spec_key(s) for s in compile_scenario(dict(document)).specs]
+        second = [spec_key(s) for s in compile_scenario(dict(document)).specs]
+        assert first == second
+        assert len(set(first)) == 2
+
+    def test_rejects_unknown_keys_axes_and_empty_benchmark(self):
+        cases = [
+            ({"bogus": 1, "sweep": {"axes": {"benchmark": ["MATVEC"]}}}, "", "'bogus'"),
+            ({"sweep": {"benchmark": ["MATVEC"]}}, "sweep", "'benchmark'"),
+            ({"sweep": {"axes": {"benchmark": ["MATVEC"], "bogus": [1]}}}, "sweep.axes", "'bogus'"),
+            ({"sweep": {"axes": {}}}, "sweep.axes.benchmark", "at least one"),
+            ({"sweep": {"axes": {"benchmark": []}}}, "sweep.axes.benchmark", "at least one"),
+        ]
+        for extra, path, needle in cases:
+            with pytest.raises(ScenarioError) as excinfo:
+                compile_scenario(doc(**extra))
+            assert excinfo.value.path == path
+            assert needle in str(excinfo.value)
+
+    def test_axis_names_are_case_insensitive(self):
+        lower = compile_scenario(doc(sweep={"axes": {"benchmark": ["matvec"], "version": ["r"]}}))
+        upper = compile_scenario(doc(sweep={"axes": {"benchmark": ["MATVEC"], "version": ["R"]}}))
+        assert lower.specs == upper.specs
+
+    @pytest.mark.parametrize(
+        "axes, path",
+        [
+            ({"benchmark": [["MATVEC"]]}, "sweep.axes.benchmark[0]"),
+            ({"benchmark": ["MATVEC", "NOPE"]}, "sweep.axes.benchmark[1]"),
+            ({"benchmark": ["MATVEC"], "version": ["O", "Z"]}, "sweep.axes.version[1]"),
+            ({"benchmark": ["MATVEC"], "version": [None]}, "sweep.axes.version[0]"),
+            ({"benchmark": ["MATVEC"], "policy": [None, "nope"]}, "sweep.axes.policy[1]"),
+            ({"benchmark": ["MATVEC"], "policy": [5]}, "sweep.axes.policy[0]"),
+            ({"benchmark": ["MATVEC"], "fault_seed": ["a"]}, "sweep.axes.fault_seed[0]"),
+            ({"benchmark": ["MATVEC"], "fault_seed": [1, {"x": 1}]}, "sweep.axes.fault_seed[1]"),
+            ({"benchmark": ["MATVEC"], "fault_seed": [1.5]}, "sweep.axes.fault_seed[0]"),
+            ({"benchmark": ["MATVEC"], "fault_seed": [True]}, "sweep.axes.fault_seed[0]"),
+            ({"benchmark": "MATVEC"}, "sweep.axes.benchmark"),
+        ],
+        ids=[
+            "benchmark-list", "benchmark-unknown", "version-unknown", "version-null",
+            "policy-unknown", "policy-int", "seed-string", "seed-object", "seed-float",
+            "seed-bool", "axis-not-a-list",
+        ],
+    )
+    def test_bad_axis_value_path_precise(self, axes, path):
+        faults = {"disk": {"io_error_prob": 0.01}}
+        with pytest.raises(ScenarioError) as excinfo:
+            validate_scenario(doc(faults=faults, sweep={"axes": axes}))
+        assert excinfo.value.path == path
+
+    @pytest.mark.parametrize(
+        "faults", [None, {"seed": 3}], ids=["no-plan", "disabled-plan"]
+    )
+    def test_fault_seed_needs_an_enabled_plan(self, faults):
+        """Without injection a seed changes the spec key, not the physics."""
+        extra = {} if faults is None else {"faults": faults}
+        axes = {"benchmark": ["MATVEC"], "fault_seed": [None, 1, 2]}
+        with pytest.raises(ScenarioError, match="enabled 'faults' plan") as excinfo:
+            validate_scenario(doc(sweep={"axes": axes}, **extra))
+        assert excinfo.value.path == "sweep.axes.fault_seed[1]"
+        axes["fault_seed"] = [None]
+        assert len(compile_scenario(doc(sweep={"axes": axes}, **extra)).specs) == 1
 
 
 class TestInheritance:

@@ -15,7 +15,6 @@ from repro.experiments import runner as runner_mod
 from repro.experiments.sweep import (
     SweepOptions,
     collect_report,
-    expand_grid,
     run_sweep,
     sweep_status,
 )
@@ -69,7 +68,7 @@ def test_import_loads_no_bench_or_profiler():
 def test_one_digest_four_ways(tmp_path):
     """A sweep inline and on the pool, a direct run and a service job over
     the same grid hash the same digest lines."""
-    specs = expand_grid({"scale": "tiny", "axes": SWEEP_DOC["sweep"]["axes"]})
+    specs = compile_scenario(dict(SWEEP_DOC)).specs
     inline = run_sweep(specs, tmp_path / "inline", SweepOptions(fsync_journal=False))
     pooled = run_sweep(specs, tmp_path / "pooled", SweepOptions(jobs=2, fsync_journal=False))
     _outcomes, direct = run_direct(compile_scenario(dict(SWEEP_DOC)))
@@ -309,6 +308,20 @@ class TestHTTP:
         assert excinfo.value.path == "benchmark"
         assert "NOPE" in str(excinfo.value)
 
+    def test_bad_axis_value_is_400_with_path(self, server):
+        # A seed of "a" used to reach int() in the grid expander: a 500.
+        document = dict(
+            SWEEP_DOC,
+            faults={"disk": {"io_error_prob": 0.01}},
+            sweep={"axes": {"benchmark": ["MATVEC"], "fault_seed": [1, "a"]}},
+        )
+        client = ServiceClient(server.url)
+        with pytest.raises(ServiceError) as excinfo:
+            client.submit(document=document)
+        assert excinfo.value.status == 400
+        assert excinfo.value.path == "sweep.axes.fault_seed[1]"
+        assert client.jobs() == []
+
     def test_nan_sleep_body_is_400_with_path(self, server):
         # json.loads accepts the NaN literal, so the schema must catch it:
         # a NaN sleep never sleeps and would spin the toucher for the run.
@@ -463,6 +476,7 @@ class TestJournalShape:
         assert status["failure"] == status["quarantined"] == 0
         report = collect_report(compile_scenario(dict(SWEEP_DOC)).specs, job_dir)
         assert report.digest == record.digest
+        assert status["meta"]["scenario"] == compile_scenario(dict(SWEEP_DOC)).document
 
     def test_event_times_share_the_job_timeline(self, tmp_path):
         state = tmp_path / "state"

@@ -19,14 +19,14 @@ from repro.experiments.sweep import (
     SweepMismatch,
     SweepOptions,
     collect_report,
-    expand_grid,
     run_sweep,
     specs_from_meta,
+    specs_from_scenario,
     sweep_status,
     synthetic_specs,
 )
 from repro.ioutil import append_journal_line, read_journal
-from repro.machine import ExperimentSpec, SpecError
+from repro.machine import ExperimentSpec
 
 
 def _quick(jobs=1, **kwargs):
@@ -85,38 +85,18 @@ class TestSpecs:
         with pytest.raises(SweepError):
             synthetic_specs(0)
 
-    def test_expand_grid_cross_product(self):
-        specs = expand_grid(
-            {
-                "scale": "tiny",
-                "axes": {"benchmark": ["MATVEC", "EMBAR"], "version": ["B", "R"]},
-            }
-        )
-        assert len(specs) == 4
-        assert all(isinstance(s, ExperimentSpec) for s in specs)
-        # Fixed axis order: benchmark varies slowest.
-        assert [s.processes[0].workload for s in specs] == [
-            "MATVEC", "MATVEC", "EMBAR", "EMBAR",
-        ]
-
-    def test_expand_grid_is_deterministic(self):
-        grid = {
-            "scale": "tiny",
-            "faults": {"disk": {"io_error_prob": 0.01}},
-            "axes": {"benchmark": ["MATVEC"], "fault_seed": [1, 2]},
-        }
-        first = [spec_key(s) for s in expand_grid(dict(grid))]
-        second = [spec_key(s) for s in expand_grid(dict(grid))]
-        assert first == second
-        assert len(set(first)) == 2  # the seed axis discriminates
-
-    def test_expand_grid_rejects_unknown_keys(self):
-        with pytest.raises(SpecError, match="unknown sweep grid keys"):
-            expand_grid({"benchmark": ["MATVEC"]})
-        with pytest.raises(SpecError, match="unknown sweep grid axes"):
-            expand_grid({"axes": {"benchmark": ["MATVEC"], "bogus": [1]}})
-        with pytest.raises(SpecError, match="'benchmark' axis"):
-            expand_grid({"axes": {}})
+    def test_specs_from_scenario_resolves_trace_directories(self, tmp_path, monkeypatch):
+        """A recording spec's key covers its trace directory, so the
+        directory is absolute: two spellings of one state dir agree."""
+        document = {"scenario": 1, "benchmark": "MATVEC", "record_trace": True}
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "s").mkdir()
+        relative = specs_from_scenario(document, "s")
+        absolute = specs_from_scenario(document, tmp_path / "s" / ".." / "s")
+        assert [spec.out_dir for spec in relative] == [str(tmp_path / "s" / "traces" / "0")]
+        assert [spec_key(s) for s in relative] == [spec_key(s) for s in absolute]
+        plain = specs_from_scenario(dict(document, record_trace=False), "s")
+        assert [type(spec) for spec in plain] == [ExperimentSpec]
 
 
 # -- inline sweeps -----------------------------------------------------------

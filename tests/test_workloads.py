@@ -26,7 +26,7 @@ from repro.workloads.matvec import MatvecWorkload
 from repro.workloads.mgrid import MgridWorkload
 
 
-ALL_SCALES = [tiny(), small(), paper()]
+EVERY_SCALE = [tiny(), small(), paper()]
 
 
 class TestRegistry:
@@ -57,7 +57,7 @@ class TestRegistry:
 
 class TestBuildAtAllScales:
     @pytest.mark.parametrize("name", sorted(BENCHMARKS))
-    @pytest.mark.parametrize("sim_scale", ALL_SCALES, ids=lambda s: s.name)
+    @pytest.mark.parametrize("sim_scale", EVERY_SCALE, ids=lambda s: s.name)
     def test_builds_and_compiles(self, name, sim_scale):
         workload = BENCHMARKS[name]
         instance = workload.build(sim_scale)
