@@ -374,6 +374,12 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
 
 def _cmd_run_scenario(args: argparse.Namespace) -> int:
     compiled = _compile_argument(args.scenario, _registry_from(args))
+    if compiled.record_trace:
+        raise SpecError(
+            "run --scenario does not record traces (the scenario sets record_trace); "
+            "use 'repro trace record --scenario' for one spec, or 'repro sweep run "
+            "--scenario', which writes <state-dir>/traces/<i>/"
+        )
     recorder = None
     if args.trace:
         _refuse_flags(args, ("--cache-dir",), "run --trace (a live run)")

@@ -442,7 +442,18 @@ class Machine:
         self.scale = scale
         self.engine = Engine()
         sinks = tuple(sinks)
-        self.bus: Optional[Bus] = Bus(self.engine, sinks) if sinks else None
+        # A trace capture sink takes each recorded process's ops as a list
+        # its driver appends to, not as events; the bus exists only for
+        # sinks that subscribe to some event kind, so a plain recording
+        # runs without one, like a live run.
+        recorders = [sink for sink in sinks if hasattr(sink, "capture")]
+        if len(recorders) > 1:
+            raise ValueError("a machine records through at most one trace capture sink")
+        self._recorder = recorders[0] if recorders else None
+        listeners = [
+            sink for sink in sinks if getattr(sink, "kinds", None) is None or sink.kinds
+        ]
+        self.bus: Optional[Bus] = Bus(self.engine, listeners) if listeners else None
         self.engine.obs = self.bus
         # The injector exists only for an enabled plan; otherwise every
         # layer receives None and keeps its fault-free fast path.
@@ -508,24 +519,22 @@ class Machine:
         runtime = RuntimeLayer(process, pm, scale.runtime, version, faults=hint_faults)
         attached.kprocess = process
         attached.runtime = runtime
-        if self.bus is not None and self.bus.wants("trace.spawn"):
+        record = None
+        if self._recorder is not None:
             page_size = scale.machine.page_size
-            self.bus.emit(
-                "trace.spawn",
-                {
-                    "process": attached.name,
-                    "workload": workload.name,
-                    "version": wspec.version,
-                    "scale": scale.name,
-                    "page_size": page_size,
-                    "layout": tuple(
-                        (array.name, array.pages(instance.env, page_size))
-                        for array in instance.program.arrays
-                    ),
-                },
+            record = self._recorder.capture(
+                attached.name,
+                workload=workload.name,
+                version=wspec.version,
+                scale=scale.name,
+                page_size=page_size,
+                layout=[
+                    (array.name, array.pages(instance.env, page_size))
+                    for array in instance.program.arrays
+                ],
             )
         driver = app_driver(
-            process, runtime, compiled, instance, layout, version, scale
+            process, runtime, compiled, instance, layout, version, scale, record
         )
         self._attached.append(attached)
         return attached, driver
@@ -548,17 +557,22 @@ class Machine:
                 f"{trace.digest[:12]}… does not match the spec's "
                 f"{wspec.trace_digest[:12]}…"
             )
-        # The object-free column replayer, unless a trace.op observer is
-        # attached (observers are owed tuple-shaped ops, which only the
-        # tuple driver builds).
-        bus = self.bus
-        use_columns = bus is None or not bus.wants("trace.op")
-        if use_columns:
-            # Decode (and checksum-validate) before wiring.
-            payload = trace.columns()
-        else:
-            payload = trace.ops()
         header = trace.header
+        name = self._unique_name(wspec.name or header.process)
+        record = None
+        if self._recorder is not None:
+            record = self._recorder.capture(
+                name,
+                workload=header.workload,
+                version=header.version,
+                scale=header.scale,
+                page_size=header.page_size,
+                layout=header.layout,
+            )
+        # Decode (and checksum-validate) before wiring: into flat columns
+        # for the object-free replayer, or into the op tuples a recorded
+        # replay appends to its capture list.
+        payload = trace.columns() if record is None else trace.ops()
         if header.page_size and header.page_size != scale.machine.page_size:
             raise SpecError(
                 f"trace {wspec.trace_path} was recorded with page_size="
@@ -571,7 +585,7 @@ class Machine:
                 f"{header.version!r}"
             )
         version = VERSIONS[header.version]
-        attached = _Attached(wspec, self._unique_name(wspec.name or header.process))
+        attached = _Attached(wspec, name)
         process = self.kernel.create_process(attached.name)
         for segment, pages in header.layout:
             process.aspace.map_segment(segment, pages)
@@ -583,22 +597,10 @@ class Machine:
         attached.kprocess = process
         attached.runtime = runtime
         attached.trace = header
-        if self.bus is not None and self.bus.wants("trace.spawn"):
-            self.bus.emit(
-                "trace.spawn",
-                {
-                    "process": attached.name,
-                    "workload": header.workload,
-                    "version": header.version,
-                    "scale": header.scale,
-                    "page_size": header.page_size,
-                    "layout": header.layout,
-                },
-            )
-        if use_columns:
+        if record is None:
             driver = replay_columns_driver(process, runtime, payload, version, scale)
         else:
-            driver = replay_driver(process, runtime, payload, version, scale)
+            driver = replay_driver(process, runtime, payload, version, scale, record)
         self._attached.append(attached)
         return attached, driver
 

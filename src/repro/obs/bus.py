@@ -24,7 +24,8 @@ class Sink:
     A sink may expose a ``kinds`` attribute (a set of event-kind strings, or
     ``None`` for "everything").  Emit sites use :meth:`Bus.wants` to skip
     building payloads for kinds no attached sink subscribes to; a sink
-    without the attribute subscribes to everything.
+    without the attribute subscribes to everything, and one with an empty
+    set to nothing (the machine leaves it off the bus).
     """
 
     def on_event(

@@ -53,6 +53,17 @@ _EVENTS_WAIT_S = 0.05
 _KEEPALIVE_S = 10.0
 
 
+def _through_job_finished(chunk: bytes) -> Optional[int]:
+    """The length of ``chunk`` through its first ``job.finished`` line, or
+    ``None`` if it holds none."""
+    end = 0
+    for line in chunk.splitlines(keepends=True):
+        end += len(line)
+        if b'"job.finished"' in line and json.loads(line).get("kind") == "job.finished":
+            return end
+    return None
+
+
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.0"  # connection close delimits streamed bodies
     server_version = f"repro/{__version__}"
@@ -215,7 +226,17 @@ class _Handler(BaseHTTPRequestHandler):
                 with path.open("rb") as handle:
                     handle.seek(position)
                     chunk = handle.read()
-                    position += len(chunk)
+                # Whole lines only: a line still being appended is read
+                # again next time.
+                chunk = chunk[: chunk.rfind(b"\n") + 1]
+                position += len(chunk)
+            # The stream ends with the first job.finished, even when a
+            # later `repro sweep resume` of the job's directory appended
+            # sweep.* events after it.
+            end = _through_job_finished(chunk)
+            if end is not None:
+                chunk = chunk[:end]
+                terminal = True
             if chunk or time.monotonic() - written_at >= _KEEPALIVE_S:
                 self.wfile.write(chunk or b"\n")  # clients skip blank lines
                 self.wfile.flush()

@@ -8,8 +8,8 @@ stream a durable form:
 
 - :mod:`repro.trace.format` — the compact, versioned, checksummed binary
   trace format with streaming :class:`TraceWriter`/:class:`TraceReader`;
-- :mod:`repro.trace.record` — :class:`TraceCaptureSink`, an obs-bus sink
-  that captures a process's full op stream during any run;
+- :mod:`repro.trace.record` — :class:`TraceCaptureSink`, which collects a
+  process's full op stream during any run and encodes it once at the end;
 - :mod:`repro.trace.workload` — :class:`TraceWorkload`, which replays a
   trace file as a first-class process in an experiment mix;
 - :mod:`repro.trace.analyze` — op-for-op diff (the golden-equivalence

@@ -210,14 +210,11 @@ def _read_uvarint(data: bytes, pos: int) -> Tuple[int, int]:
 
 class _BodyEncoder:
     """Record-body encoding state: the vpn delta cursor plus the
-    float/string interning tables.  ``encode_op`` appends one record to
-    ``_buf``; what becomes of the buffer — flushed to a file by
+    float/string interning tables, kept across :meth:`encode` calls, so a
+    stream encoded in several batches comes out byte for byte as if
+    encoded in one.  What becomes of ``_buf`` — flushed to a file by
     :class:`TraceWriter`, or finished into body bytes by
     :func:`encode_body` — is the caller's business."""
-
-    # Subclasses with a backing file override this to bound the buffer;
-    # the in-memory encoder never flushes.
-    _FLUSH_BYTES = float("inf")
 
     def __init__(self) -> None:
         self._buf = bytearray()
@@ -226,78 +223,121 @@ class _BodyEncoder:
         self._floats: Dict[float, int] = {}
         self._strings: Dict[str, int] = {}
 
-    def _flush(self) -> None:  # pragma: no cover - only file writers flush
-        pass
+    def encode(self, ops: Iterable[Tuple]) -> None:
+        """Append one record per op of ``ops`` to ``_buf``.
 
-    def encode_op(self, op: Tuple) -> None:
+        This runs once per op of every recorded and every regenerated
+        stream, so the record layout is open-coded: zigzag and the
+        one-byte varint case inline, multi-byte varints (rare at real page
+        deltas) through the helper.
+        """
         buf = self._buf
-        kind = op[0]
-        if kind == "t":
-            vpn = op[1]
-            buf.append(0x04 if op[2] else 0x03)
-            _append_uvarint(buf, _zigzag(vpn - self._last_vpn))
-            self._last_vpn = vpn
-        elif kind == "w":
-            value = op[1]
-            index = self._floats.get(value)
-            if index is None:
-                self._floats[value] = len(self._floats)
-                buf.append(0x01)
-                buf += _F64.pack(value)
-            else:
-                buf.append(0x02)
-                _append_uvarint(buf, index)
-        elif kind == "T":
-            start, count, write, secs = op[1], op[2], op[3], op[4]
-            index = self._floats.get(secs)
-            if index is None:
-                buf.append(0x06 if write else 0x05)
-            else:
-                buf.append(0x08 if write else 0x07)
-            _append_uvarint(buf, _zigzag(start - self._last_vpn))
-            _append_uvarint(buf, count)
-            if index is None:
-                self._floats[secs] = len(self._floats)
-                buf += _F64.pack(secs)
-            else:
-                _append_uvarint(buf, index)
-            self._last_vpn = start + count - 1
-        elif kind == "p" or kind == "r":
-            if kind == "p":
-                buf.append(0x09)
-                _append_uvarint(buf, op[1])
+        append = buf.append
+        append_uvarint = _append_uvarint
+        pack_f64 = _F64.pack
+        floats = self._floats
+        strings = self._strings
+        last_vpn = self._last_vpn
+        count = 0
+        for op in ops:
+            kind = op[0]
+            if kind == "t":
+                vpn = op[1]
+                append(0x04 if op[2] else 0x03)
+                delta = vpn - last_vpn
+                z = delta << 1 if delta >= 0 else ((-delta) << 1) - 1
+                if z < 0x80:
+                    append(z)
+                else:
+                    append_uvarint(buf, z)
+                last_vpn = vpn
+            elif kind == "w":
+                value = op[1]
+                index = floats.get(value)
+                if index is None:
+                    floats[value] = len(floats)
+                    append(0x01)
+                    buf += pack_f64(value)
+                else:
+                    append(0x02)
+                    if index < 0x80:
+                        append(index)
+                    else:
+                        append_uvarint(buf, index)
+            elif kind == "p" or kind == "r":
+                tag = op[1]
+                append(0x09 if kind == "p" else 0x0A)
+                if tag < 0x80:
+                    append(tag)
+                else:
+                    append_uvarint(buf, tag)
+                if kind == "r":
+                    prio = op[3]
+                    z = prio << 1 if prio >= 0 else ((-prio) << 1) - 1
+                    if z < 0x80:
+                        append(z)
+                    else:
+                        append_uvarint(buf, z)
                 vpns = op[2]
+                n = len(vpns)
+                if n < 0x80:
+                    append(n)
+                else:
+                    append_uvarint(buf, n)
+                for vpn in vpns:
+                    delta = vpn - last_vpn
+                    z = delta << 1 if delta >= 0 else ((-delta) << 1) - 1
+                    if z < 0x80:
+                        append(z)
+                    else:
+                        append_uvarint(buf, z)
+                    last_vpn = vpn
+            elif kind == "T":
+                start, run, write, secs = op[1], op[2], op[3], op[4]
+                index = floats.get(secs)
+                append((0x06 if write else 0x05) if index is None
+                       else (0x08 if write else 0x07))
+                delta = start - last_vpn
+                z = delta << 1 if delta >= 0 else ((-delta) << 1) - 1
+                if z < 0x80:
+                    append(z)
+                else:
+                    append_uvarint(buf, z)
+                if run < 0x80:
+                    append(run)
+                else:
+                    append_uvarint(buf, run)
+                if index is None:
+                    floats[secs] = len(floats)
+                    buf += pack_f64(secs)
+                elif index < 0x80:
+                    append(index)
+                else:
+                    append_uvarint(buf, index)
+                last_vpn = start + run - 1
+            elif kind == "f":
+                vpn, fault_kind = op[1], op[2]
+                index = strings.get(fault_kind)
+                append(0x0B if index is None else 0x0C)
+                append_uvarint(buf, _zigzag(vpn - last_vpn))
+                if index is None:
+                    strings[fault_kind] = len(strings)
+                    encoded = fault_kind.encode("utf-8")
+                    append_uvarint(buf, len(encoded))
+                    buf += encoded
+                else:
+                    append_uvarint(buf, index)
+                last_vpn = vpn
             else:
-                buf.append(0x0A)
-                _append_uvarint(buf, op[1])
-                _append_uvarint(buf, _zigzag(op[3]))
-                vpns = op[2]
-            _append_uvarint(buf, len(vpns))
-            last = self._last_vpn
-            for vpn in vpns:
-                _append_uvarint(buf, _zigzag(vpn - last))
-                last = vpn
-            self._last_vpn = last
-        elif kind == "f":
-            vpn, fault_kind = op[1], op[2]
-            index = self._strings.get(fault_kind)
-            if index is None:
-                self._strings[fault_kind] = len(self._strings)
-                encoded = fault_kind.encode("utf-8")
-                buf.append(0x0B)
-                _append_uvarint(buf, _zigzag(vpn - self._last_vpn))
-                _append_uvarint(buf, len(encoded))
-                buf += encoded
-            else:
-                buf.append(0x0C)
-                _append_uvarint(buf, _zigzag(vpn - self._last_vpn))
-                _append_uvarint(buf, index)
-            self._last_vpn = vpn
-        else:
-            raise TraceFormatError(f"unknown op kind {kind!r}")
-        self._count += 1
-        if len(buf) >= self._FLUSH_BYTES:
-            self._flush()
+                raise TraceFormatError(f"unknown op kind {kind!r}")
+            count += 1
+        self._last_vpn = last_vpn
+        self._count += count
+
+    def _end(self) -> None:
+        """Append the end tag and the op count: the body is complete."""
+        self._buf.append(0x00)
+        _append_uvarint(self._buf, self._count)
 
 
 def encode_body(ops: Iterable[Tuple]) -> Tuple[bytes, int]:
@@ -310,125 +350,11 @@ def encode_body(ops: Iterable[Tuple]) -> Tuple[bytes, int]:
     depend only on the op sequence), comparing this against
     ``file_bytes[12 + header_len:-4]`` proves the file records the same
     op stream without decoding it — the fast path of trace verification.
-
-    The record layout is :meth:`_BodyEncoder.encode_op`'s, inlined: this
-    runs once per op of every regenerated stream in a verification pass,
-    and the per-op method and varint-helper calls were most of its cost.
-    Zigzag and the one-byte varint case are open-coded; multi-byte varints
-    (rare at real page deltas) fall back to the helper.
     """
-    buf = bytearray()
-    append = buf.append
-    append_uvarint = _append_uvarint
-    pack_f64 = _F64.pack
-    floats: Dict[float, int] = {}
-    strings: Dict[str, int] = {}
-    last_vpn = 0
-    count = 0
-    for op in ops:
-        count += 1
-        kind = op[0]
-        if kind == "t":
-            vpn = op[1]
-            append(0x04 if op[2] else 0x03)
-            delta = vpn - last_vpn
-            z = delta << 1 if delta >= 0 else ((-delta) << 1) - 1
-            if z < 0x80:
-                append(z)
-            else:
-                append_uvarint(buf, z)
-            last_vpn = vpn
-        elif kind == "w":
-            value = op[1]
-            index = floats.get(value)
-            if index is None:
-                floats[value] = len(floats)
-                append(0x01)
-                buf += pack_f64(value)
-            else:
-                append(0x02)
-                if index < 0x80:
-                    append(index)
-                else:
-                    append_uvarint(buf, index)
-        elif kind == "p" or kind == "r":
-            if kind == "p":
-                append(0x09)
-                tag = op[1]
-                if tag < 0x80:
-                    append(tag)
-                else:
-                    append_uvarint(buf, tag)
-            else:
-                append(0x0A)
-                tag = op[1]
-                if tag < 0x80:
-                    append(tag)
-                else:
-                    append_uvarint(buf, tag)
-                prio = op[3]
-                z = prio << 1 if prio >= 0 else ((-prio) << 1) - 1
-                if z < 0x80:
-                    append(z)
-                else:
-                    append_uvarint(buf, z)
-            vpns = op[2]
-            n = len(vpns)
-            if n < 0x80:
-                append(n)
-            else:
-                append_uvarint(buf, n)
-            for vpn in vpns:
-                delta = vpn - last_vpn
-                z = delta << 1 if delta >= 0 else ((-delta) << 1) - 1
-                if z < 0x80:
-                    append(z)
-                else:
-                    append_uvarint(buf, z)
-                last_vpn = vpn
-        elif kind == "T":
-            start, run, write, secs = op[1], op[2], op[3], op[4]
-            index = floats.get(secs)
-            append((0x06 if write else 0x05) if index is None
-                   else (0x08 if write else 0x07))
-            delta = start - last_vpn
-            z = delta << 1 if delta >= 0 else ((-delta) << 1) - 1
-            if z < 0x80:
-                append(z)
-            else:
-                append_uvarint(buf, z)
-            if run < 0x80:
-                append(run)
-            else:
-                append_uvarint(buf, run)
-            if index is None:
-                floats[secs] = len(floats)
-                buf += pack_f64(secs)
-            elif index < 0x80:
-                append(index)
-            else:
-                append_uvarint(buf, index)
-            last_vpn = start + run - 1
-        elif kind == "f":
-            vpn, fault_kind = op[1], op[2]
-            index = strings.get(fault_kind)
-            if index is None:
-                strings[fault_kind] = len(strings)
-                encoded = fault_kind.encode("utf-8")
-                append(0x0B)
-                append_uvarint(buf, _zigzag(vpn - last_vpn))
-                append_uvarint(buf, len(encoded))
-                buf += encoded
-            else:
-                append(0x0C)
-                append_uvarint(buf, _zigzag(vpn - last_vpn))
-                append_uvarint(buf, index)
-            last_vpn = vpn
-        else:
-            raise TraceFormatError(f"unknown op kind {kind!r}")
-    append(0x00)
-    _append_uvarint(buf, count)
-    return bytes(buf), count
+    encoder = _BodyEncoder()
+    encoder.encode(ops)
+    encoder._end()
+    return bytes(encoder._buf), encoder._count
 
 
 class TraceWriter(_BodyEncoder):
@@ -459,13 +385,14 @@ class TraceWriter(_BodyEncoder):
         self._done = False
 
     def write_op(self, op: Tuple) -> None:
-        if self._done:
-            raise TraceFormatError(f"writer for {self.path} is closed")
-        self.encode_op(op)
+        self.write_ops((op,))
 
     def write_ops(self, ops: Iterable[Tuple]) -> int:
-        for op in ops:
-            self.write_op(op)
+        if self._done:
+            raise TraceFormatError(f"writer for {self.path} is closed")
+        self.encode(ops)
+        if len(self._buf) >= self._FLUSH_BYTES:
+            self._flush()
         return self._count
 
     # -- lifecycle ---------------------------------------------------------
@@ -484,9 +411,7 @@ class TraceWriter(_BodyEncoder):
         """Finalize the footer and atomically rename into place."""
         if self._done:
             return self.path
-        footer = bytearray([0x00])
-        _append_uvarint(footer, self._count)
-        self._buf += footer
+        self._end()
         self._flush()
         self._file.write(_U32.pack(self._crc))
         self._file.close()

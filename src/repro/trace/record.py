@@ -1,34 +1,33 @@
-"""Capture a process's op stream through the obs bus, into trace files.
+"""Capture a process's op stream into trace files.
 
-The driver layer emits two event kinds when (and only when) a sink
-subscribes to them — the ``Bus.wants`` gate keeps the hot loop free of
-any per-op cost otherwise:
+:class:`TraceCaptureSink` owns one plain op list per captured process.
+When the machine wires an out-of-core process it asks the sink for that
+list (:meth:`TraceCaptureSink.capture`, with the header fields: name,
+workload, version, scale, page size and the ordered segment layout), and
+the process's driver appends each op it plays to it.  No event is sent
+per op, so a plain recording runs without an instrumentation bus, like a
+live run.  With ``include_faults`` the sink also subscribes to
+``vm.fault`` and appends an ``('f', vpn, kind)`` annotation to the
+faulting process's list, right after the op that faulted.
 
-- ``trace.spawn`` — one per out-of-core process, as the machine wires it:
-  carries everything the trace header needs (name, workload, version,
-  scale, page size, the ordered segment layout);
-- ``trace.op`` — one per interpreter op as the driver plays it.
-
-:class:`TraceCaptureSink` turns those events into
-:class:`~repro.trace.format.TraceWriter` streams, one per captured
-process.  Writers stream during the run and land atomically at
-:meth:`close`, so an aborted experiment leaves no torn trace behind.
+:meth:`TraceCaptureSink.close` encodes each list once and lands each file
+atomically, so an aborted experiment leaves no trace file behind.
 """
 
 from __future__ import annotations
 
 import os
 from pathlib import Path
-from typing import Dict, Iterable, Optional, Set
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.obs.bus import Sink
-from repro.trace.format import TraceError, TraceHeader, TraceWriter
+from repro.trace.format import TraceError, TraceHeader, write_trace
 
 __all__ = ["TraceCaptureSink", "record_experiment"]
 
 
 class TraceCaptureSink(Sink):
-    """Obs-bus sink that writes one trace file per captured process.
+    """Writes one trace file per captured process.
 
     ``out`` is a directory — each captured process lands at
     ``<out>/<process>.trace`` — unless it ends in ``.trace``, which selects
@@ -49,70 +48,72 @@ class TraceCaptureSink(Sink):
             set(processes) if processes is not None else None
         )
         self.include_faults = include_faults
-        self.kinds = {"trace.spawn", "trace.op"}
-        if include_faults:
-            self.kinds.add("vm.fault")
+        # Without annotations the sink subscribes to nothing, and the
+        # machine builds no bus for it.
+        self.kinds: Set[str] = {"vm.fault"} if include_faults else set()
         self._single_file = self.out.suffix == ".trace"
-        self._writers: Dict[str, TraceWriter] = {}
+        self._captures: Dict[str, Tuple[Path, TraceHeader, List[Tuple]]] = {}
         self._paths: Dict[str, Path] = {}
         self._closed = False
 
-    def _wanted(self, name: str) -> bool:
-        return self.processes is None or name in self.processes
+    def capture(
+        self,
+        process: str,
+        workload: str,
+        version: str,
+        scale: str,
+        page_size: int,
+        layout: Iterable[Tuple[str, int]],
+    ) -> Optional[List[Tuple]]:
+        """The list the driver of ``process`` appends its ops to, or
+        ``None`` when this sink does not capture ``process``."""
+        if self.processes is not None and process not in self.processes:
+            return None
+        if process in self._captures:
+            raise TraceError(f"process {process!r} is already being captured")
+        if self._single_file:
+            if self._captures:
+                raise TraceError(
+                    f"single-file output {self.out} cannot capture a second "
+                    f"process ({process!r}); give a directory or --process"
+                )
+            path = self.out
+        else:
+            path = self.out / f"{process}.trace"
+        header = TraceHeader(
+            process=process,
+            workload=workload,
+            version=version,
+            scale=scale,
+            page_size=page_size,
+            layout=tuple(layout),
+            source="record",
+        )
+        ops: List[Tuple] = []
+        self._captures[process] = (path, header, ops)
+        return ops
 
     def on_event(self, time: float, kind: str, payload) -> None:
-        if kind == "trace.op":
-            writer = self._writers.get(payload["process"])
-            if writer is not None:
-                writer.write_op(payload["op"])
-        elif kind == "trace.spawn":
-            name = payload["process"]
-            if not self._wanted(name):
-                return
-            if name in self._writers:
-                raise TraceError(
-                    f"duplicate trace.spawn for process {name!r}"
-                )
-            if self._single_file:
-                if self._writers:
-                    raise TraceError(
-                        f"single-file output {self.out} cannot capture a second "
-                        f"process ({name!r}); give a directory or --process"
-                    )
-                path = self.out
-            else:
-                path = self.out / f"{name}.trace"
-            header = TraceHeader(
-                process=name,
-                workload=payload["workload"],
-                version=payload["version"],
-                scale=payload["scale"],
-                page_size=payload["page_size"],
-                layout=tuple(payload["layout"]),
-                source="record",
-            )
-            self._writers[name] = TraceWriter(path, header)
-        elif kind == "vm.fault":
-            writer = self._writers.get(payload["aspace"])
-            if writer is not None:
-                writer.write_op(("f", payload["vpn"], payload["kind"]))
+        if kind == "vm.fault":
+            capture = self._captures.get(payload["aspace"])
+            if capture is not None:
+                capture[2].append(("f", payload["vpn"], payload["kind"]))
 
     # -- lifecycle ---------------------------------------------------------
     def close(self) -> Dict[str, Path]:
-        """Finalize every trace file; returns {process: path}."""
+        """Encode and land every trace file; returns {process: path}."""
         if not self._closed:
             self._closed = True
-            for name, writer in self._writers.items():
-                self._paths[name] = writer.close()
+            for name, (path, header, ops) in self._captures.items():
+                write_trace(path, header, ops)
+                self._paths[name] = path
+            self._captures.clear()
         return dict(self._paths)
 
     def abort(self) -> None:
-        """Discard all partial files (the run failed mid-capture)."""
-        if self._closed:
-            return
+        """Discard everything captured (the run failed mid-capture)."""
         self._closed = True
-        for writer in self._writers.values():
-            writer.abort()
+        self._captures.clear()
 
     @property
     def paths(self) -> Dict[str, Path]:

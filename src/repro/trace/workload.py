@@ -131,17 +131,19 @@ def trace_process_spec(
     return TraceWorkload(path).process_spec(start_offset_s=start_offset_s, name=name)
 
 
-def replay_driver(process, runtime, ops, version, scale):
-    """Process generator: play a recorded op stream against the kernel.
+def replay_driver(process, runtime, ops, version, scale, record):
+    """Process generator: play a recorded op stream against the kernel,
+    appending each op to the trace capture list ``record``.
 
     This mirrors ``app_driver``'s dispatch exactly — same touch calls, same
     quantum-flush boundaries, same ``run_touches`` for batched runs — which
     is what makes replayed metrics byte-identical to the live run's.  Fault
     annotations (``'f'`` ops) are documentation, not commands: faults
-    re-emerge from the simulation itself, so they are skipped here.
+    re-emerge from the simulation itself, so they are skipped here (and
+    still copied to ``record``).
 
-    The machine runs this tuple driver only when a ``trace.op`` observer
-    is attached (observers are owed tuple-shaped ops); otherwise
+    The machine runs this tuple driver only for a replay that is being
+    recorded (the capture list holds op tuples); otherwise
     :func:`replay_columns_driver` replays the same stream.
     """
     quantum = scale.time_quantum_s
@@ -150,12 +152,9 @@ def replay_driver(process, runtime, ops, version, scale):
     run_touches = process.run_touches
     handle_prefetch = runtime.handle_prefetch
     handle_release = runtime.handle_release
-    obs = process.kernel.obs
-    if obs is not None and obs.wants("trace.op"):
-        from repro.workloads.base import observed_ops
-
-        ops = observed_ops(obs, process.name, ops)
+    append = record.append
     for op in ops:
+        append(op)
         kind = op[0]
         if kind == "t":
             fault = touch(op[1], op[2])
@@ -189,8 +188,8 @@ def replay_columns_driver(process, runtime, cols: ReplayColumns, version, scale)
     stream is add-for-add identical to the per-op ``replay_driver``, so
     replayed results stay byte-identical whichever driver runs.
 
-    The machine selects this driver unless a ``trace.op`` observer is
-    attached — see ``Machine._prepare_trace``.
+    The machine selects this driver unless the replay is being recorded —
+    see ``Machine._prepare_trace``.
     """
     from repro.vm.frames import F_DIRTY, F_IN_TRANSIT, F_REFERENCED, F_SW_VALID
 

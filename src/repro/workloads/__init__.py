@@ -23,7 +23,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "WorkloadInstance",
             "app_driver",
             "build_layout",
-            "observed_ops",
         ),
         "repro.workloads.buk": ("BukWorkload",),
         "repro.workloads.cgm": ("CgmWorkload",),

@@ -16,7 +16,7 @@ time and routing every hint through the run-time layer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.config import MachineConfig, SimScale
 from repro.core.compiler.codegen import CompiledProgram
@@ -34,7 +34,6 @@ __all__ = [
     "app_driver",
     "build_layout",
     "invocation_ops",
-    "observed_ops",
 ]
 
 Invocation = Tuple[str, Dict[str, int]]
@@ -92,19 +91,12 @@ def build_layout(
     return layout
 
 
-def observed_ops(obs, process_name: str, ops):
-    """Mirror an op stream onto the bus as ``trace.op`` events.
-
-    The payload dict is reused across emissions (the bus contract lets
-    payloads be interned; sinks copy what they keep), so capture costs one
-    dict store and one emit per op — and nothing at all when no sink
-    subscribes, because callers gate on ``Bus.wants("trace.op")``.
-    """
-    emit = obs.emit
-    payload = {"process": process_name, "op": None}
+def _recorded(ops, append):
+    """Yield ``ops``, appending each to a trace capture list as it is
+    played, so a fault annotation appended while the op runs lands right
+    after it."""
     for op in ops:
-        payload["op"] = op
-        emit("trace.op", payload)
+        append(op)
         yield op
 
 
@@ -163,19 +155,20 @@ def app_driver(
     layout: Dict[str, int],
     version: VersionConfig,
     scale: SimScale,
+    record: Optional[List[Tuple]] = None,
 ):
     """Process generator: run the (possibly hint-annotated) executable.
 
     Version selection follows the paper: O runs with no hints at all, P
     emits only prefetches, R and B emit both (the runtime layer decides
-    what to do with the releases).
+    what to do with the releases).  ``record`` is a trace capture list
+    (:meth:`repro.trace.record.TraceCaptureSink.capture`): when given,
+    every op played is appended to it.
     """
     machine = scale.machine
     quantum = scale.time_quantum_s
     emit_prefetch = version.prefetch
     emit_release = version.release
-    obs = process.kernel.obs
-    trace_obs = obs if obs is not None and obs.wants("trace.op") else None
     handle_prefetch = runtime.handle_prefetch
     handle_release = runtime.handle_release
     run_touches = process.run_touches
@@ -193,8 +186,8 @@ def app_driver(
     for ops in invocation_ops(
         compiled, instance, layout, machine, emit_prefetch, emit_release
     ):
-        if trace_obs is not None:
-            ops = observed_ops(trace_obs, process.name, ops)
+        if record is not None:
+            ops = _recorded(ops, record.append)
         # The op loop keeps the user-time batch in a local mirror of
         # process.pending_user (synced around every yield and every call
         # that charges through the process), and inlines the touch_fast hit

@@ -325,6 +325,23 @@ class TestStructuredErrors:
         argv = ["run", "--benchmark", "MATVEC", "--scale", "tiny", *flags]
         self.assert_error(argv, capsys, f"run without --scenario ignores {flags[0]}\n")
 
+    def test_run_scenario_refuses_record_trace(self, tmp_path, monkeypatch, capsys):
+        """``run --scenario`` records nothing, so a ``record_trace`` scenario
+        exits 2 naming the two commands that do record it."""
+        monkeypatch.chdir(tmp_path)
+        scenario = json.dumps({"scenario": 1, "benchmark": "MATVEC", "record_trace": True})
+        assert main(["run", "--scenario", scenario, "--digest"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error:") and err.count("\n") == 1
+        for needle in (
+            "record_trace",
+            "repro trace record --scenario",
+            "repro sweep run --scenario",
+            "<state-dir>/traces/<i>/",
+        ):
+            assert needle in err
+        assert not any(tmp_path.iterdir())
+
     def test_run_trace_refuses_cache_dir(self, tmp_path, capsys):
         argv = ["run", "--scenario", "standard-mix", "--trace", "--cache-dir", str(tmp_path)]
         self.assert_error(argv, capsys, "ignores --cache-dir\n")

@@ -271,6 +271,26 @@ class TestHTTP:
         assert kinds[0] == "job.submitted"
         assert kinds[-2:] == ["sweep.done", "job.finished"]
 
+    def test_stream_of_a_resumed_job_ends_on_job_finished(self, tmp_path):
+        """``repro sweep resume`` on a finished job's directory appends
+        ``sweep.start`` and ``sweep.done`` after ``job.finished``; the
+        stream still ends with ``job.finished``, followed or not."""
+        from repro.cli import main
+
+        with ExperimentServer(tmp_path / "state", workers=1) as server:
+            client = ServiceClient(server.url)
+            job_id = client.submit(document=dict(MATVEC_DOC))["id"]
+            client.wait(job_id, timeout=180)
+            job_dir = tmp_path / "state" / "jobs" / job_id
+            assert main(["sweep", "resume", "--state-dir", str(job_dir)]) == 0
+            on_disk = [event["kind"] for event in read_journal(job_dir / "events.jsonl")]
+            assert on_disk[-3:] == ["job.finished", "sweep.start", "sweep.done"]
+            for follow in (True, False):
+                kinds = [
+                    event["kind"] for event in client.stream_events(job_id, follow=follow)
+                ]
+                assert kinds == on_disk[:-2], follow
+
     def test_quiet_stream_outlives_the_client_timeout(self, tmp_path, monkeypatch):
         """A spec that writes no event for longer than the client's socket
         timeout (a small MATVEC R spec runs most of a second, against a

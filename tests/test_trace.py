@@ -274,8 +274,8 @@ def test_column_replay_matches_live(recorded_live, tuple_replays):
 def test_rerecorded_replay_matches_live(
     recorded_live, tuple_replays, tmp_path, capsys
 ):
-    """Re-recording a replay subscribes the recorder to ``trace.op``, which
-    makes the machine replay through the tuple ``replay_driver``.  It must
+    """Re-recording a replay makes the machine replay through the tuple
+    ``replay_driver``, which appends each op to the capture list.  It must
     reproduce the live result, and ``trace diff`` must find the
     re-recorded trace identical to the original."""
     from repro.cli import main
@@ -330,18 +330,40 @@ def test_single_file_capture_and_process_filter(tmp_path):
 
 def test_capture_sink_refuses_two_processes_in_single_file_mode(tmp_path):
     sink = TraceCaptureSink(tmp_path / "one.trace")
-    payload = {
-        "process": "A",
+    fields = {
         "workload": "MATVEC",
         "version": "B",
         "scale": "tiny",
         "page_size": 4096,
         "layout": (("a", 8),),
     }
-    sink.on_event(0.0, "trace.spawn", payload)
+    assert sink.capture("A", **fields) == []
     with pytest.raises(TraceError, match="second"):
-        sink.on_event(0.0, "trace.spawn", {**payload, "process": "B"})
+        sink.capture("B", **fields)
     sink.abort()
+    assert sink.close() == {}
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_plain_recording_builds_no_bus(tmp_path, monkeypatch):
+    """Without fault annotations the recorder subscribes to no event, so the
+    machine runs without a bus, like a live run; ``include_faults`` needs
+    ``vm.fault`` and gets one."""
+    import repro.machine as machine_mod
+
+    buses = []
+    real_bus = machine_mod.Bus
+
+    def counting_bus(engine, sinks):
+        buses.append(list(sinks))
+        return real_bus(engine, sinks)
+
+    monkeypatch.setattr(machine_mod, "Bus", counting_bus)
+    spec = ExperimentSpec.multiprogram(tiny(), "MATVEC", version="B")
+    _result, paths = record_experiment(spec, tmp_path / "plain")
+    assert buses == [] and set(paths) == {"MATVEC"}
+    record_experiment(spec, tmp_path / "faults", include_faults=True)
+    assert len(buses) == 1 and isinstance(buses[0][0], TraceCaptureSink)
 
 
 # -- replay spec handling ---------------------------------------------------
@@ -713,17 +735,33 @@ def test_columns_rejects_corruption_like_tuple_decoder(tmp_path):
 
 def test_encode_body_matches_streaming_writer(tmp_path):
     """``encode_body`` (the verification fast path) must produce the exact
-    bytes ``TraceWriter`` streams out — same interning, same deltas."""
+    bytes ``TraceWriter`` streams out — same interning, same deltas — on a
+    stream with fault annotations, whether the writer gets the stream in
+    one batch or split across many (the delta cursor and the float and
+    string tables carry over from batch to batch)."""
+    from repro.trace import TraceWriter
     from repro.trace.format import encode_body
 
     ops = synthetic_ops(seed=13)
-    path = tmp_path / "enc.trace"
-    write_trace(path, HEADER, ops)
-    data = path.read_bytes()
-    header_len = int.from_bytes(data[8:12], "little")
+    fault_kinds = [op[2] for op in ops if op[0] == "f"]
+    assert len(fault_kinds) > len(set(fault_kinds)) == 2  # new and interned
     body, count = encode_body(iter(ops))
     assert count == len(ops)
-    assert body == data[12 + header_len : -4]
+    rng = random.Random(13)
+    cuts = sorted(rng.sample(range(1, len(ops)), 40))
+    for name, batches in [
+        ("whole", [ops]),
+        ("split", [ops[a:b] for a, b in zip([0, *cuts], [*cuts, len(ops)])]),
+        ("one-by-one", [[op] for op in ops]),
+    ]:
+        path = tmp_path / f"{name}.trace"
+        with TraceWriter(path, HEADER) as writer:
+            for batch in batches:
+                writer.write_ops(batch)
+        data = path.read_bytes()
+        header_len = int.from_bytes(data[8:12], "little")
+        assert body == data[12 + header_len : -4], name
+        assert read_trace(path)[1] == ops
 
 
 def test_verify_bytes_takes_fast_path_on_clean_trace(tmp_path):
