@@ -68,7 +68,7 @@ from repro.experiments.sweep import (
     sweep_status,
     synthetic_specs,
 )
-from repro.faults import EMPTY_PLAN, FaultPlan, FaultPlanError
+from repro.faults import EMPTY_PLAN, FaultPlan, FaultPlanError, seed_stream
 from repro.policies import PolicyError, policy_names
 from repro.machine import (
     INTERACTIVE,
@@ -79,6 +79,7 @@ from repro.machine import (
 )
 from repro.obs import TraceRecorder
 from repro.scenarios import (
+    SCENARIO_FORMAT_VERSION,
     CompiledScenario,
     ScenarioError,
     builtin_registry,
@@ -97,7 +98,7 @@ from repro.trace import (
     record_experiment,
     trace_info,
     trace_process_spec,
-    verify_against_code,
+    verify_bytes_against_code,
 )
 from repro.workloads import BENCHMARKS, benchmark, table2_rows
 
@@ -889,6 +890,22 @@ def _cmd_ensemble(args: argparse.Namespace) -> int:
     ensemble = EnsembleSpec(
         base=spec, seeds=args.seeds, base_seed=args.fault_seed or 0
     )
+    # The members as a sweep over their fault seeds: the checkpoint records
+    # this document, so `sweep status|resume` rebuild the members from it.
+    scenario = {
+        "scenario": SCENARIO_FORMAT_VERSION,
+        "scale": scale.name,
+        "faults": plan.to_dict(),
+        "sweep": {
+            "axes": {
+                "benchmark": [args.benchmark.upper()],
+                "version": [args.version],
+                "sleep": [args.sleep],
+                "policy": [args.policy],
+                "fault_seed": list(seed_stream(ensemble.base_seed, args.seeds)),
+            }
+        },
+    }
     try:
         report = run_ensemble(
             ensemble,
@@ -897,6 +914,7 @@ def _cmd_ensemble(args: argparse.Namespace) -> int:
             resume=args.resume,
             resamples=args.resamples,
             alpha=args.alpha,
+            scenario=scenario,
         )
     except SweepAborted as exc:
         print(f"repro ensemble: {exc}", file=sys.stderr)
@@ -1010,11 +1028,14 @@ def _cmd_trace_import(args: argparse.Namespace) -> int:
 def _cmd_trace_verify(args: argparse.Namespace) -> int:
     status = 0
     for path in args.trace:
-        summary = verify_against_code(path)
+        # A clean trace is decided by comparing encoded bytes; an annotated
+        # or unreadable body falls back to the op diff, which reports the
+        # first mismatch.  The OK line names the method that decided.
+        summary = verify_bytes_against_code(path)
         if summary["equal"]:
             print(
-                f"{path}: OK — {summary['recorded_ops']} recorded ops match "
-                f"the current compiler ({summary['workload']}/"
+                f"{path}: OK ({summary['method']}) — {summary['recorded_ops']} "
+                f"recorded ops match the current compiler ({summary['workload']}/"
                 f"{summary['version']} @ {summary['scale']})"
             )
         else:

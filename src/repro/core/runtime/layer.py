@@ -260,6 +260,7 @@ class RuntimeLayer:
         request_release = vm.request_release
         syscall_s = pm._syscall_s
         timeout = self.engine.timeout
+        advance = self.engine.advance
         buckets = task.buckets
         while True:
             item = yield queue_get()
@@ -281,7 +282,8 @@ class RuntimeLayer:
                             {"syscall": "pm_prefetch", "aspace": aspace.name},
                         )
                     if syscall_s > 0:
-                        yield timeout(syscall_s)
+                        if not advance(syscall_s):
+                            yield timeout(syscall_s)
                         buckets.system += syscall_s
                     yield from prefetch_page(task, aspace, vpn)
                     shared.refresh()
@@ -303,7 +305,8 @@ class RuntimeLayer:
                         {"syscall": "pm_release", "aspace": aspace.name},
                     )
                 if syscall_s > 0:
-                    yield timeout(syscall_s)
+                    if not advance(syscall_s):
+                        yield timeout(syscall_s)
                     buckets.system += syscall_s
                 request_release(aspace, pages)
 

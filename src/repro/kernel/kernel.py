@@ -60,7 +60,9 @@ class KernelProcess:
         pending = self.pending_user
         if pending > 0:
             self.pending_user = 0.0
-            yield self.engine.timeout(pending)
+            engine = self.engine
+            if not engine.advance(pending):
+                yield engine.timeout(pending)
             self.task.buckets.user += pending
 
     def flush_if_due(self):
@@ -82,7 +84,9 @@ class KernelProcess:
         pending = self.pending_user
         if pending > 0:
             self.pending_user = 0.0
-            yield self.engine.timeout(pending)
+            engine = self.engine
+            if not engine.advance(pending):
+                yield engine.timeout(pending)
             self.task.buckets.user += pending
         kind = yield from self.kernel.vm.fault(self.task, self.aspace, vpn, write)
         return kind

@@ -625,27 +625,15 @@ class Machine:
         scale = self.scale
         sleep = wspec.resolved(scale).sleep_time_s
         attached = _Attached(wspec, self._unique_name(wspec.name or "interactive"))
-        task = InteractiveTask(self.kernel, scale, sleep, name=attached.name)
+        task = InteractiveTask(
+            self.kernel, scale, sleep, name=attached.name, sweeps=wspec.sweeps
+        )
         attached.interactive = task
         attached.kprocess = task.process
         attached.sleep_time_s = sleep
-        sweeps = wspec.sweeps
-        if sweeps is None:
-            driver = task.run()
-        else:
-            driver = self._bounded_sweeps(task, sweeps)
-        self._spawn(attached, driver)
+        self._spawn(attached, task.run())
         self._attached.append(attached)
         return attached
-
-    @staticmethod
-    def _bounded_sweeps(task: InteractiveTask, sweeps: int):
-        runner = task.run()
-        # Drive the task's generator until enough sweeps are recorded.
-        for event in runner:
-            yield event
-            if len(task.samples) >= sweeps:
-                task.stop()
 
     # -- execution ---------------------------------------------------------
     def run(self) -> "Machine":

@@ -4,7 +4,9 @@ Every activity that consumes simulated time — application processes, the
 paging daemon, the releaser, prefetch worker threads — runs as a
 :class:`SimTask`.  The task owns the :class:`~repro.sim.stats.TimeBuckets`
 that Figure 7's stacked bars are built from and provides generator helpers
-that advance the clock while charging the right bucket.
+that advance the clock while charging the right bucket.  Each takes its
+step in place through :meth:`~repro.sim.engine.Engine.advance` when it is
+the engine's next one, and yields a timeout otherwise.
 """
 
 from __future__ import annotations
@@ -28,7 +30,9 @@ class SimTask:
     def spend(self, seconds: float, bucket: str):
         """Advance the clock by ``seconds``, charged to ``bucket``."""
         if seconds > 0:
-            yield self.engine.timeout(seconds)
+            engine = self.engine
+            if not engine.advance(seconds):
+                yield engine.timeout(seconds)
             self.buckets.add(bucket, seconds)
 
     # user/system/waits add to the bucket attribute directly rather than via
@@ -36,12 +40,16 @@ class SimTask:
     # these run, and the bucket is fixed at each of these call sites.
     def user(self, seconds: float):
         if seconds > 0:
-            yield self.engine.timeout(seconds)
+            engine = self.engine
+            if not engine.advance(seconds):
+                yield engine.timeout(seconds)
             self.buckets.user += seconds
 
     def system(self, seconds: float):
         if seconds > 0:
-            yield self.engine.timeout(seconds)
+            engine = self.engine
+            if not engine.advance(seconds):
+                yield engine.timeout(seconds)
             self.buckets.system += seconds
 
     def wait_io(self, event: Event):
@@ -67,7 +75,9 @@ class SimTask:
     def sleep(self, seconds: float):
         """Advance the clock without charging any bucket (idle time)."""
         if seconds > 0:
-            yield self.engine.timeout(seconds)
+            engine = self.engine
+            if not engine.advance(seconds):
+                yield engine.timeout(seconds)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SimTask({self.name})"

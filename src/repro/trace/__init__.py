@@ -35,6 +35,7 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "regenerate_ops",
             "trace_info",
             "verify_against_code",
+            "verify_bytes_against_code",
         ),
         "repro.trace.format": (
             "TRACE_FORMAT_VERSION",

@@ -203,6 +203,7 @@ def replay_columns_driver(process, runtime, cols: ReplayColumns, version, scale)
     task = process.task
     buckets = task.buckets
     timeout = process.engine.timeout
+    advance = process.engine.advance
     vm_fault = process.kernel.vm.fault
     flags = process.kernel.vm._flags
     in_mask = F_SW_VALID | F_IN_TRANSIT
@@ -229,14 +230,16 @@ def replay_columns_driver(process, runtime, cols: ReplayColumns, version, scale)
                 pending += resident_touch_s
                 if pending >= quantum:
                     # process.flush() inlined (quantum > 0, so pending > 0).
-                    yield timeout(pending)
+                    if not advance(pending):
+                        yield timeout(pending)
                     buckets.user += pending
                     pending = 0.0
             else:
                 # process._fault inlined: flush, then the kernel fault path.
                 process.pending_user = 0.0
                 if pending > 0:
-                    yield timeout(pending)
+                    if not advance(pending):
+                        yield timeout(pending)
                     buckets.user += pending
                 yield from vm_fault(task, aspace, vpn, kind == K_TOUCH_WRITE)
                 pending = 0.0
@@ -244,7 +247,8 @@ def replay_columns_driver(process, runtime, cols: ReplayColumns, version, scale)
         elif kind == K_COMPUTE:
             pending += floats[arg0[i]]
             if pending >= quantum:
-                yield timeout(pending)
+                if not advance(pending):
+                    yield timeout(pending)
                 buckets.user += pending
                 pending = 0.0
         elif kind <= K_RUN_WRITE:

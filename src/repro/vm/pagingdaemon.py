@@ -141,7 +141,7 @@ class PagingDaemon:
                 stolen * tunables.daemon_per_page_steal_s
             )
             pace = max(0.0, batch / rate - work_time)
-            if pace > 0:
+            if pace > 0 and not self.engine.advance(pace):
                 yield self.engine.timeout(pace)
         return stolen_total
 

@@ -117,7 +117,8 @@ class Releaser:
                     if freed:
                         cost = freed * per_page
                         if cost > 0:
-                            yield engine.timeout(cost)
+                            if not engine.advance(cost):
+                                yield engine.timeout(cost)
                             buckets.system += cost
                 finally:
                     lock.release()

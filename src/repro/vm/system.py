@@ -209,7 +209,8 @@ class VmSystem:
                     # be rescuable from the free list).
                     continue
                 if cost > 0:
-                    yield engine.timeout(cost)
+                    if not engine.advance(cost):
+                        yield engine.timeout(cost)
                     buckets.system += cost
                 if kind == FaultKind.RELEASE_REVALIDATE:
                     aspace.stats.release_revalidates += 1
@@ -262,7 +263,8 @@ class VmSystem:
             try:
                 cost = self._rescue_s
                 if cost > 0:
-                    yield engine.timeout(cost)
+                    if not engine.advance(cost):
+                        yield engine.timeout(cost)
                     buckets.system += cost
             finally:
                 lock.release()
@@ -294,7 +296,8 @@ class VmSystem:
         try:
             cost = self._hard_fault_s
             if cost > 0:
-                yield engine.timeout(cost)
+                if not engine.advance(cost):
+                    yield engine.timeout(cost)
                 buckets.system += cost
         finally:
             lock.release()

@@ -177,6 +177,7 @@ def app_driver(
     task = process.task
     buckets = task.buckets
     timeout = process.engine.timeout
+    advance = process.engine.advance
     vm_fault = process.kernel.vm.fault
     flags = process.kernel.vm._flags
     in_mask = F_SW_VALID | F_IN_TRANSIT
@@ -207,7 +208,8 @@ def app_driver(
                     if pending >= quantum:
                         # process.flush() inlined (the quantum is positive,
                         # so pending > 0 holds here).
-                        yield timeout(pending)
+                        if not advance(pending):
+                            yield timeout(pending)
                         buckets.user += pending
                         pending = 0.0
                 else:
@@ -215,7 +217,8 @@ def app_driver(
                     # path): one less generator frame per miss.
                     process.pending_user = 0.0
                     if pending > 0:
-                        yield timeout(pending)
+                        if not advance(pending):
+                            yield timeout(pending)
                         buckets.user += pending
                     yield from vm_fault(task, aspace, vpn, op[2])
                     pending = 0.0
@@ -223,7 +226,8 @@ def app_driver(
             elif kind == "w":
                 pending += op[1]
                 if pending >= quantum:
-                    yield timeout(pending)
+                    if not advance(pending):
+                        yield timeout(pending)
                     buckets.user += pending
                     pending = 0.0
             elif kind == "T":

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from operator import add
-from typing import Iterator, List, Union
+from typing import Iterator, List, Optional, Union
 
 from repro.config import SimScale
 from repro.kernel.kernel import Kernel, KernelProcess
@@ -142,7 +142,12 @@ def _steady_mean(column: List[float], skip_warmup: int) -> float:
 
 
 class InteractiveTask:
-    """Touch ``pages`` pages, sleep, repeat; record per-sweep response."""
+    """Touch ``pages`` pages, sleep, repeat; record per-sweep response.
+
+    With ``sweeps`` given the task stops by itself once that many sweeps
+    are recorded (after the last one's sleep); otherwise it runs until
+    :meth:`stop` is called.
+    """
 
     #: Minimum gap between sweeps even at sleep 0 — a zero-sleep toucher
     #: re-touches its (resident) pages thousands of times per second; one
@@ -156,6 +161,7 @@ class InteractiveTask:
         scale: SimScale,
         sleep_time_s: float,
         name: str = "interactive",
+        sweeps: Optional[int] = None,
     ) -> None:
         self.kernel = kernel
         self.scale = scale
@@ -164,6 +170,7 @@ class InteractiveTask:
         self.pages = scale.interactive_pages
         self.segment = self.process.aspace.map_segment("data", self.pages)
         self.samples = SweepLog()
+        self.sweeps = sweeps
         self._stop = False
 
     def stop(self) -> None:
@@ -187,9 +194,12 @@ class InteractiveTask:
         compare (``touch_fast``'s test) that adds the resident-touch cost to
         a local mirror of ``pending_user``; a miss flushes that batch and
         takes ``vm.fault`` (``KernelProcess._fault``); the sweep ends with
-        the batch's flush and the sleep, each one ``engine.timeout``.  The
-        sleep is at least ``MIN_CYCLE_S`` because validated specs hold no
-        negative or non-finite sleep.
+        the batch's flush and the sleep, each one ``engine.timeout``, taken
+        in place by ``engine.advance`` when it is the engine's next step.
+        The sleep is at least ``MIN_CYCLE_S`` because validated specs hold
+        no negative or non-finite sleep.  The ``sweeps`` bound is checked
+        after each recorded sweep, since a sleep taken in place never
+        leaves the loop.
         """
         process = self.process
         aspace = process.aspace
@@ -197,6 +207,7 @@ class InteractiveTask:
         pt = aspace.pt
         engine = self.kernel.engine
         timeout = engine.timeout
+        advance = engine.advance
         task = process.task
         buckets = task.buckets
         vm_fault = self.kernel.vm.fault
@@ -206,6 +217,7 @@ class InteractiveTask:
         segment = self.segment
         log = self.samples
         delay = max(self.sleep_time_s, self.MIN_CYCLE_S)
+        limit = self.sweeps
         while not self._stop:
             start = engine._now
             hard0 = stats.hard_faults
@@ -220,13 +232,15 @@ class InteractiveTask:
                 else:
                     process.pending_user = 0.0
                     if pending > 0:
-                        yield timeout(pending)
+                        if not advance(pending):
+                            yield timeout(pending)
                         buckets.user += pending
                     yield from vm_fault(task, aspace, vpn, False)
                     pending = 0.0
             process.pending_user = 0.0
             if pending > 0:
-                yield timeout(pending)
+                if not advance(pending):
+                    yield timeout(pending)
                 buckets.user += pending
             log.record(
                 start,
@@ -235,4 +249,7 @@ class InteractiveTask:
                 stats.soft_faults - soft0,
                 stats.rescues - rescues0,
             )
-            yield timeout(delay)
+            if limit is not None and len(log) >= limit:
+                self._stop = True
+            if not advance(delay):
+                yield timeout(delay)

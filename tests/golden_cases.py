@@ -10,6 +10,7 @@ from typing import Callable, Dict, List
 
 from repro.config import small, tiny
 from repro.experiments.harness import multiprogram_spec
+from repro.faults import DiskFailure, DiskFaultSpec, FaultPlan, HintFaultSpec
 from repro.machine import ExperimentSpec
 
 #: Workload ordering shared by the grid cases (Figure 7's order).
@@ -73,7 +74,46 @@ def grid_wide() -> List[ExperimentSpec]:
     ]
 
 
+#: The three fault plans behind ``faulted_tiny``: one per kind of fault.
+FAULT_PLANS = (
+    FaultPlan(
+        seed=11,
+        disk=DiskFaultSpec(
+            latency_spike_prob=0.2, latency_spike_multiplier=6.0, io_error_prob=0.05
+        ),
+    ),
+    FaultPlan(
+        seed=3,
+        disk=DiskFaultSpec(
+            degraded_disks=(0,),
+            degraded_multiplier=4.0,
+            failures=(DiskFailure(disk=2, at_s=0.05),),
+        ),
+    ),
+    FaultPlan(
+        seed=5,
+        hints=HintFaultSpec(drop_prob=0.2, spurious_prob=0.1, mistime_prob=0.1),
+    ),
+)
+
+
+def faulted_tiny() -> List[ExperimentSpec]:
+    """MATVEC and BUK, every version, under each plan of ``FAULT_PLANS``.
+
+    Disk latency spikes with transient I/O errors (retries), a degraded
+    spindle beside a failed one (failover), and dropped, spurious and
+    mistimed hints: the fault paths the fault-free cases never take.
+    """
+    return [
+        multiprogram_spec(tiny(), w, v).with_faults(plan)
+        for w in ("MATVEC", "BUK")
+        for v in "OPRB"
+        for plan in FAULT_PLANS
+    ]
+
+
 GOLDEN_CASES: Dict[str, Callable[[], List[ExperimentSpec]]] = {
+    "faulted_tiny": faulted_tiny,
     "standard_mix": standard_mix,
     "standard_mix_global_clock": standard_mix_global_clock,
     "grid_tiny": grid_tiny,

@@ -192,7 +192,29 @@ class TestTraceCommands:
 
     def test_verify(self, recorded, capsys):
         assert main(["trace", "verify", str(recorded)]) == 0
-        assert "OK" in capsys.readouterr().out
+        assert f"{recorded}: OK (bytes) — " in capsys.readouterr().out
+
+    def test_verify_annotated_trace_decides_by_ops(self, tmp_path, capsys):
+        argv = ["trace", "record", "--include-faults", "--benchmark", "MATVEC"]
+        argv += ["--version", "B", "--scale", "tiny", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        path = tmp_path / "MATVEC.trace"
+        assert main(["trace", "verify", str(path)]) == 0
+        assert f"{path}: OK (ops) — " in capsys.readouterr().out
+
+    def test_verify_mismatch_exits_1_with_first_mismatch(self, recorded, tmp_path, capsys):
+        from repro.trace import read_trace, write_trace
+
+        header, ops = read_trace(recorded)
+        index = next(i for i, op in enumerate(ops) if op[0] == "t")
+        ops[index] = ("t", ops[index][1] + 1, ops[index][2], 0.0)
+        other = tmp_path / "tampered.trace"
+        write_trace(other, header, ops)
+        assert main(["trace", "verify", str(other)]) == 1
+        out = capsys.readouterr().out
+        assert f"{other}: MISMATCH — " in out
+        assert f"first at index {index}: " in out
 
     def test_import(self, tmp_path, capsys):
         source = tmp_path / "scan.txt"
@@ -491,6 +513,37 @@ class TestSweepCommands:
         assert main(argv + ["--state-dir", str(tmp_path / "b")]) == 0
         # Fixed --fault-seed: the whole table (members + CIs) reproduces.
         assert capsys.readouterr().out == first
+
+    def test_ensemble_checkpoint_reads_back(self, tmp_path, capsys):
+        """`sweep status|resume` rebuild an ensemble's members from the
+        scenario its checkpoint records."""
+        from repro.config import tiny
+        from repro.experiments.ensemble import EnsembleSpec
+        from repro.experiments.sweep import collect_report
+        from repro.faults import FaultPlan
+        from repro.machine import ExperimentSpec
+
+        faults = {"disk": {"io_error_prob": 0.02}}
+        state = str(tmp_path / "ens")
+        argv = [
+            "ensemble", "--benchmark", "matvec", "--version", "B", "--scale", "tiny",
+            "--sleep", "0", "--policy", "global-clock", "--seeds", "2",
+            "--resamples", "20", "--faults", json.dumps(faults), "--fault-seed", "4",
+            "--state-dir", state,
+        ]
+        assert main(argv) == 0
+        capsys.readouterr()
+        base = ExperimentSpec.multiprogram(tiny(), "MATVEC", "B", sleep_time_s=0.0)
+        base = base.with_faults(FaultPlan.from_dict(faults)).with_policy("global-clock")
+        members = EnsembleSpec(base=base, seeds=2, base_seed=4).expand()
+        digest = collect_report(members, state).digest
+        assert main(["sweep", "status", "--state-dir", state, "--digest"]) == 0
+        assert f"merged digest: {digest}" in capsys.readouterr().out
+        assert main(["sweep", "resume", "--state-dir", state]) == 0
+        assert f"merged digest: {digest}" in capsys.readouterr().out
+        events = (tmp_path / "ens" / "events.jsonl").read_text().splitlines()
+        starts = [json.loads(line) for line in events if '"sweep.start"' in line]
+        assert [start["pending"] for start in starts] == [2, 0]
 
 
 class TestComparePoliciesExit:

@@ -528,3 +528,167 @@ class TestFastLane:
             return trace
 
         assert run_once() == run_once()
+
+
+def _charge(engine, delay, in_place):
+    """Charge ``delay`` the way process bodies do: in place when
+    ``in_place`` and the engine allows it, otherwise as a yielded timeout."""
+    if not (in_place and engine.advance(delay)):
+        yield engine.timeout(delay)
+
+
+class TestAdvance:
+    """``Engine.advance`` takes a timeout's step in place only when that
+    step is the engine's next: each scenario runs once with in-place
+    charges and once with yielded timeouts, and must observe the same."""
+
+    @staticmethod
+    def both(scenario):
+        """``scenario(engine, in_place)``'s observations, for both modes."""
+        return [scenario(Engine(), in_place) for in_place in (False, True)]
+
+    def test_outside_a_dispatch_loop_it_refuses(self, engine):
+        assert engine.advance(1.0) is False
+        assert (engine.now, engine.steps) == (0.0, 0)
+
+    def test_a_lone_process_charges_in_place(self, engine):
+        taken = []
+
+        def proc():
+            for _ in range(3):
+                taken.append(engine.advance(1.0))
+                yield engine.timeout(0.0)
+
+        engine.process(proc())
+        engine.run()
+        assert taken == [True, True, True]
+        assert (engine.now, engine.steps) == (3.0, 8)
+
+    def test_second_waiter_resumes_at_the_event_instant(self):
+        def scenario(engine, in_place):
+            shared = engine.event()
+            log = []
+
+            def first():
+                yield shared
+                yield from _charge(engine, 2.0, in_place)
+                log.append(("first", engine.now))
+
+            def second():
+                yield shared
+                log.append(("second", engine.now))
+
+            engine.process(first())
+            engine.process(second())
+            shared.succeed(delay=1.0)
+            engine.run()
+            return log, engine.steps
+
+        yielded, in_place = self.both(scenario)
+        assert in_place == yielded == ([("second", 1.0), ("first", 3.0)], 6)
+
+    def test_an_event_at_the_same_instant_goes_first(self):
+        def scenario(engine, in_place):
+            log = []
+
+            def proc():
+                yield from _charge(engine, 1.0, in_place)
+                log.append(("charged", engine.now))
+
+            engine.process(proc())
+            engine.timeout(1.0).add_callback(lambda event: log.append(("other", engine.now)))
+            engine.run()
+            return log, engine.steps
+
+        yielded, in_place = self.both(scenario)
+        assert in_place == yielded == ([("other", 1.0), ("charged", 1.0)], 4)
+
+    def test_step_runs_exactly_one_event(self):
+        def scenario(engine, in_place):
+            def proc():
+                for _ in range(3):
+                    yield from _charge(engine, 1.0, in_place)
+
+            engine.process(proc())
+            seen = []
+            while engine.peek() < float("inf"):
+                engine.step()
+                seen.append((engine.now, engine.steps))
+            return seen
+
+        yielded, in_place = self.both(scenario)
+        assert in_place == yielded == [(0.0, 1), (1.0, 2), (2.0, 3), (3.0, 4), (3.0, 5)]
+
+    def test_run_until_triggered_stops_at_the_budget_step(self):
+        def scenario(engine, in_place):
+            def ticker():
+                for _ in range(50):
+                    yield from _charge(engine, 1.0, in_place)
+
+            engine.process(ticker())
+            stopped = engine.run_until_triggered(engine.event(), max_steps=10)
+            return stopped, engine.now, engine.steps
+
+        yielded, in_place = self.both(scenario)
+        assert in_place == yielded == (False, 9.0, 10)
+
+    def test_run_until_triggered_stops_once_the_awaited_event_triggers(self):
+        def scenario(engine, in_place):
+            done = engine.event()
+
+            def proc():
+                done.succeed(delay=5.0)
+                yield from _charge(engine, 1.0, in_place)
+
+            engine.process(proc())
+            return engine.run_until_triggered(done), engine.now, engine.steps
+
+        yielded, in_place = self.both(scenario)
+        assert in_place == yielded == (True, 0.0, 1)
+
+    def test_run_until_never_leaves_the_clock_past_until(self):
+        def scenario(engine, in_place):
+            log = []
+
+            def proc():
+                for _ in range(6):
+                    yield from _charge(engine, 1.0, in_place)
+                    log.append(engine.now)
+
+            engine.process(proc())
+            engine.run(until=2.5)
+            first = (list(log), engine.now, engine.steps)
+            engine.run(until=5.0)
+            return first, (log, engine.now, engine.steps)
+
+        yielded, in_place = self.both(scenario)
+        assert in_place == yielded
+        assert in_place == (([1.0, 2.0], 2.5, 3), ([1.0, 2.0, 3.0, 4.0, 5.0], 5.0, 6))
+
+    def test_a_switch_subscriber_sees_the_unchanged_stream(self):
+        from repro.obs import Bus
+
+        class Switches:
+            kinds = ("engine.switch",)
+
+            def __init__(self):
+                self.seen = []
+
+            def on_event(self, time, kind, payload):
+                self.seen.append((time, payload["process"]))
+
+        def scenario(engine, in_place):
+            sink = Switches()
+            engine.obs = Bus(engine, [sink])
+
+            def proc():
+                for _ in range(3):
+                    yield from _charge(engine, 1.0, in_place)
+
+            engine.process(proc(), name="p")
+            engine.run()
+            return sink.seen, engine.steps
+
+        yielded, in_place = self.both(scenario)
+        assert in_place == yielded
+        assert in_place[0] == [(0.0, "p"), (1.0, "p"), (2.0, "p"), (3.0, "p")]

@@ -158,6 +158,43 @@ def test_step_budget_exceeded_carries_diagnostics(scale):
     assert "MATVEC" in str(exc)
 
 
+#: Where a 1000-step budget stops MATVEC O beside the interactive task:
+#: the clock and every bucket, bit for bit, at the default sleep and at
+#: sleep 0 (where most steps are taken in place by Engine.advance).
+BUDGET_STOPS = {
+    None: (
+        0.9776080000000009,
+        {
+            "MATVEC": (0.07965604000000012, 0.0252500000000001, 0.0, 0.872519999999997),
+            "interactive": (8e-06, 0.0007999999999999996, 0.0, 0.03960000000000001),
+        },
+    ),
+    0.0: (
+        0.3914800000000027,
+        {
+            "MATVEC": (0.02507672000000001, 0.008400000000000001, 0.0, 0.3544200000000006),
+            "interactive": (0.0002800000000000001, 0.0006, 0.0, 0.03960000000000001),
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("sleep", sorted(BUDGET_STOPS, key=str))
+def test_step_budget_stops_at_the_same_clock_and_buckets(scale, sleep):
+    spec = ExperimentSpec.multiprogram(
+        scale.with_overrides(max_engine_steps=1000), "MATVEC", "O", sleep_time_s=sleep
+    )
+    with pytest.raises(StepBudgetExceeded) as excinfo:
+        run_experiment(spec)
+    exc = excinfo.value
+    elapsed_s, buckets = BUDGET_STOPS[sleep]
+    assert exc.elapsed_s == elapsed_s
+    assert {
+        name: (b.user, b.system, b.stall_memory, b.stall_io)
+        for name, b in exc.buckets.items()
+    } == buckets
+
+
 def test_machine_rejects_running_with_no_bounded_process(scale):
     machine = Machine(scale)
     with pytest.raises(SpecError):

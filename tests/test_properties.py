@@ -4,7 +4,7 @@ import collections
 import heapq
 import math
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.config import MachineConfig
@@ -217,6 +217,10 @@ class _RefEngine:
     def timeout(self, delay, value=None):
         return _RefEvent(self).succeed(value, delay)
 
+    def advance(self, delay):
+        """Never in place: every charge is a dispatched timeout here."""
+        return False
+
     def process(self, generator):
         return _RefProcess(self, generator)
 
@@ -226,13 +230,18 @@ class _RefEngine:
     def all_of(self, events):
         return _RefCondition(self, events, need_all=True)
 
+    def step(self):
+        if not self.queue:
+            raise IndexError("step from an empty event queue")
+        self.now, _, event = heapq.heappop(self.queue)
+        self.steps += 1
+        callbacks, event.callbacks = event.callbacks, None
+        for callback in callbacks:
+            callback(event)
+
     def run(self, until=None):
         while self.queue and (until is None or self.queue[0][0] <= until):
-            self.now, _, event = heapq.heappop(self.queue)
-            self.steps += 1
-            callbacks, event.callbacks = event.callbacks, None
-            for callback in callbacks:
-                callback(event)
+            self.step()
         if until is not None:
             self.now = until
 
@@ -251,7 +260,11 @@ class _DispatchCounter:
 
 
 def _play(env, counter, lock, store, scenario):
-    """Play ``scenario`` on ``env``; returns the observation log."""
+    """Play ``scenario`` on ``env``; returns the observation log.
+
+    A split is a ``run(until)`` bound, or a negative ``-n`` for ``n``
+    single ``step()`` calls (stopping early if the queue drains).
+    """
     shared_count, chains, scripts, splits = scenario
     log = []
 
@@ -279,6 +292,9 @@ def _play(env, counter, lock, store, scenario):
             try:
                 if kind == "sleep":
                     yield env.timeout(a * GRID)
+                elif kind == "charge":
+                    if not env.advance(a * GRID):
+                        yield env.timeout(a * GRID)
                 elif kind == "wait":
                     seen = yield shared[a]
                 elif kind == "succeed" and not shared[a].triggered:
@@ -314,26 +330,41 @@ def _play(env, counter, lock, store, scenario):
 
     for pid, script in enumerate(scripts):
         processes.append(env.process(worker(pid, script)))
-    for until in splits:
-        env.run(until=until)
-        note("until")
+    for split in splits:
+        if split < 0:
+            for _ in range(int(-split)):
+                try:
+                    env.step()
+                except IndexError:
+                    break
+            note("steps")
+        else:
+            env.run(until=max(split, env.now))
+            note("until")
     env.run()
     note("end")
     return log
 
 
 def _assert_engine_matches_reference(scenario):
+    """The engine's log equals the reference's twice: once with every
+    dispatch observed (so no step is taken in place), and once unobserved,
+    where ``charge`` ops take their steps in place when they can."""
     from repro.sim.sync import Lock, Store
 
-    engine = Engine()
-    engine.obs = counter = _DispatchCounter()
-    actual = _play(engine, counter, Lock(engine), Store(engine), scenario)
     reference = _RefEngine()
     expected = _play(
         reference, reference, _RefLock(reference), _RefStore(reference), scenario
     )
+    engine = Engine()
+    engine.obs = counter = _DispatchCounter()
+    actual = _play(engine, counter, Lock(engine), Store(engine), scenario)
     assert actual == expected
     assert engine.steps == counter.steps == reference.steps
+    engine = Engine()
+    actual = _play(engine, engine, Lock(engine), Store(engine), scenario)
+    assert actual == expected
+    assert engine.steps == reference.steps
     return reference
 
 
@@ -345,6 +376,7 @@ def _scenarios():
         refs = st.integers(0, max(n_shared - 1, 0))
         ops = [
             st.tuples(st.just("sleep"), steps, st.just(0)),
+            st.tuples(st.just("charge"), steps, st.just(0)),
             st.tuples(st.just("any"), steps, steps),
             st.tuples(st.just("all"), steps, steps),
             st.tuples(st.just("lock"), steps, st.just(0)),
@@ -362,8 +394,8 @@ def _scenarios():
             st.tuples(refs, refs, st.integers(0, 2), st.booleans()),
             max_size=4 if n_shared else 0,
         )
-        splits = st.lists(st.integers(0, 24), max_size=3, unique=True).map(
-            lambda ticks: [t * GRID / 2 for t in sorted(ticks)]
+        splits = st.lists(st.integers(-3, 24), max_size=4, unique=True).map(
+            lambda ticks: [t * GRID / 2 if t >= 0 else t for t in sorted(ticks, key=abs)]
         )
         return st.tuples(st.just(n_shared), chains, scripts, splits)
 
@@ -388,6 +420,14 @@ def _churn_scenario(processes=1024, rounds=3):
 class TestDispatchOrder:
     @settings(max_examples=200, deadline=None)
     @given(scenario=_scenarios())
+    # Two waiters on one event, the first charging at once: it must not
+    # move the clock before the second runs.
+    @example(scenario=(1, [], [[("wait", 0, 0), ("charge", 1, 0)], [("wait", 0, 0)],
+                               [("succeed", 0, 1)]], []))
+    # A charge that crosses a run(until) bound.
+    @example(scenario=(0, [], [[("charge", 3, 0), ("charge", 2, 0)]], [GRID]))
+    # A charge inside one step().
+    @example(scenario=(0, [], [[("charge", 1, 0), ("charge", 1, 0)]], [-2]))
     def test_dispatch_order_matches_the_reference(self, scenario):
         _assert_engine_matches_reference(scenario)
 
