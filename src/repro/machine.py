@@ -45,7 +45,7 @@ from repro.policies import (
 from repro.sim.engine import Engine
 from repro.sim.stats import TimeBuckets
 from repro.vm.stats import AddressSpaceStats, VmStats
-from repro.workloads.base import app_driver, build_layout
+from repro.workloads.base import app_driver, build_layout, invocation_ops
 from repro.workloads.interactive import InteractiveTask, SweepLog
 from repro.workloads.suite import BENCHMARKS
 
@@ -382,7 +382,7 @@ def _delayed(engine: Engine, generator, delay: float):
 #
 # ``workload.build(scale)`` and ``compile_program`` are pure functions of
 # (workload, scale): they produce the array environment and the compiled
-# nest program, and nothing downstream mutates either — ``app_driver``
+# nest program, and nothing downstream mutates either — ``invocation_ops``
 # reads ``instance.env`` (copying when it applies per-process overrides)
 # and the layout/driver state is rebuilt per process.  A persistent pool
 # worker therefore keeps one template per (workload, scale) family and
@@ -533,9 +533,10 @@ class Machine:
                     for array in instance.program.arrays
                 ],
             )
-        driver = app_driver(
-            process, runtime, compiled, instance, layout, version, scale, record
+        streams = invocation_ops(
+            compiled, instance, layout, scale.machine, version.prefetch, version.release
         )
+        driver = app_driver(process, runtime, streams, version, scale, record)
         self._attached.append(attached)
         return attached, driver
 
@@ -543,11 +544,7 @@ class Machine:
         """Like :meth:`_prepare_out_of_core`, but replaying a recorded
         op stream: the trace header supplies the layout, hint version, and
         default process name; no compiler or interpreter work happens."""
-        from repro.trace.workload import (
-            TraceWorkload,
-            replay_columns_driver,
-            replay_driver,
-        )
+        from repro.trace.workload import TraceWorkload, replay_columns_driver
 
         scale = self.scale
         trace = TraceWorkload(wspec.trace_path)
@@ -569,10 +566,8 @@ class Machine:
                 page_size=header.page_size,
                 layout=header.layout,
             )
-        # Decode (and checksum-validate) before wiring: into flat columns
-        # for the object-free replayer, or into the op tuples a recorded
-        # replay appends to its capture list.
-        payload = trace.columns() if record is None else trace.ops()
+        # Decode (and validate) before wiring.
+        cols = trace.columns()
         if header.page_size and header.page_size != scale.machine.page_size:
             raise SpecError(
                 f"trace {wspec.trace_path} was recorded with page_size="
@@ -598,9 +593,11 @@ class Machine:
         attached.runtime = runtime
         attached.trace = header
         if record is None:
-            driver = replay_columns_driver(process, runtime, payload, version, scale)
+            driver = replay_columns_driver(process, runtime, cols, version, scale)
         else:
-            driver = replay_driver(process, runtime, payload, version, scale, record)
+            # The capture list holds op tuples: play the decoded ops through
+            # the loop that appends each one it plays.
+            driver = app_driver(process, runtime, (cols.ops(),), version, scale, record)
         self._attached.append(attached)
         return attached, driver
 

@@ -7,11 +7,16 @@ makes a recorded stream exactly replayable.  This package gives that
 stream a durable form:
 
 - :mod:`repro.trace.format` — the compact, versioned, checksummed binary
-  trace format with streaming :class:`TraceWriter`/:class:`TraceReader`;
+  trace format: one encoder (``encode_body``), one writer
+  (``write_trace``) and one decoder, which lands a trace in flat
+  ``ReplayColumns`` and refuses any page outside the header's layout;
+  ``ReplayColumns.ops()`` gives every consumer of op tuples its tuples;
 - :mod:`repro.trace.record` — :class:`TraceCaptureSink`, which collects a
   process's full op stream during any run and encodes it once at the end;
 - :mod:`repro.trace.workload` — :class:`TraceWorkload`, which replays a
-  trace file as a first-class process in an experiment mix;
+  trace file as a first-class process in an experiment mix (a replay
+  being recorded plays its op tuples through ``app_driver``, the loop a
+  live process runs);
 - :mod:`repro.trace.analyze` — op-for-op diff (the golden-equivalence
   machinery generalized to files) and footprint/locality stats;
 - :mod:`repro.trace.importer` — a simple external text format so non-NAS
@@ -43,9 +48,7 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "TraceError",
             "TraceFormatError",
             "TraceHeader",
-            "TraceReader",
             "TraceTruncatedError",
-            "TraceWriter",
             "file_digest",
             "read_header",
             "read_trace",
@@ -53,6 +56,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
         ),
         "repro.trace.importer": ("TraceImportError", "import_text"),
         "repro.trace.record": ("TraceCaptureSink", "record_experiment"),
-        "repro.trace.workload": ("TraceWorkload", "replay_driver", "trace_process_spec"),
+        "repro.trace.workload": ("TraceWorkload", "trace_process_spec"),
     },
 )

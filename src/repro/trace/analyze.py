@@ -235,9 +235,9 @@ def verify_bytes_against_code(path: os.PathLike) -> Dict[str, object]:
     A byte mismatch is not yet a verdict: a trace recorded with fault
     annotations legitimately interleaves ``'f'`` records (which perturb
     the vpn-delta and float-table chains) that regeneration cannot
-    produce, so a mismatch falls back to the tuple-level diff, which
-    strips annotations before comparing.  Corrupt files take the fallback
-    too and raise the same typed errors :func:`verify_against_code` would.
+    produce, so a mismatch falls back to the op-level diff, which strips
+    annotations before comparing.  Corrupt or malformed files take the
+    fallback too and raise the typed errors of :func:`read_trace`.
     """
     import json
     import zlib
@@ -260,7 +260,7 @@ def verify_bytes_against_code(path: os.PathLike) -> Dict[str, object]:
             header = TraceHeader.from_dict(
                 json.loads(data[12:body_start].decode("utf-8"))
             )
-        except (UnicodeDecodeError, json.JSONDecodeError):
+        except (UnicodeDecodeError, json.JSONDecodeError, TraceError):
             header = None
         if header is not None:
             body, count = encode_body(regenerate_ops(header))

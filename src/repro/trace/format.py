@@ -39,8 +39,11 @@ with a typed :class:`TraceError`: once the CRC fails, every symptom is
 reported as :class:`TraceChecksumError` (carrying the structural detail);
 :class:`TraceTruncatedError` / :class:`TraceFormatError` are reserved for
 files whose checksum, unusually, still passes (or that end before one
-exists).  Writers land files atomically (temp + rename), so a crashed
-recorder can never leave a torn trace under the final name.
+exists).  Decoding also refuses any page number outside the header's
+segment layout, and a layout with an empty or repeated segment.
+:func:`write_trace` lands files atomically (temp + rename, through
+:mod:`repro.ioutil`), so a crashed recorder can never leave a torn trace
+under the final name.
 """
 
 from __future__ import annotations
@@ -49,12 +52,13 @@ import hashlib
 import json
 import os
 import struct
-import tempfile
 import zlib
 from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Tuple
+
+from repro.ioutil import atomic_write_bytes
 
 __all__ = [
     "MAGIC",
@@ -72,11 +76,8 @@ __all__ = [
     "TraceError",
     "TraceFormatError",
     "TraceHeader",
-    "TraceReader",
     "TraceTruncatedError",
-    "TraceWriter",
     "decode_columns",
-    "decode_trace",
     "encode_body",
     "file_digest",
     "read_columns",
@@ -155,15 +156,29 @@ class TraceHeader:
                     f"unsupported trace format version {version} "
                     f"(this build reads version {TRACE_FORMAT_VERSION})"
                 )
+            layout = tuple(
+                (str(name), int(pages)) for name, pages in data["layout"]
+            )
+            # Replay maps these segments in order; the address space
+            # refuses an empty or repeated one.
+            names = set()
+            for name, pages in layout:
+                if pages < 1:
+                    raise TraceFormatError(
+                        f"malformed trace header: segment {name!r} has {pages} pages"
+                    )
+                if name in names:
+                    raise TraceFormatError(
+                        f"malformed trace header: duplicate segment {name!r}"
+                    )
+                names.add(name)
             return cls(
                 process=str(data["process"]),
                 workload=str(data["workload"]),
                 version=str(data["version"]),
                 scale=str(data["scale"]),
                 page_size=int(data["page_size"]),
-                layout=tuple(
-                    (str(name), int(pages)) for name, pages in data["layout"]
-                ),
+                layout=layout,
                 source=str(data.get("source", "record")),
                 meta=dict(data.get("meta", {})),
             )
@@ -208,42 +223,79 @@ def _read_uvarint(data: bytes, pos: int) -> Tuple[int, int]:
             raise TraceFormatError("varint field longer than 10 bytes")
 
 
-class _BodyEncoder:
-    """Record-body encoding state: the vpn delta cursor plus the
-    float/string interning tables, kept across :meth:`encode` calls, so a
-    stream encoded in several batches comes out byte for byte as if
-    encoded in one.  What becomes of ``_buf`` — flushed to a file by
-    :class:`TraceWriter`, or finished into body bytes by
-    :func:`encode_body` — is the caller's business."""
+def encode_body(ops: Iterable[Tuple]) -> Tuple[bytes, int]:
+    """Encode ``ops`` to the record-body bytes of a trace file.
 
-    def __init__(self) -> None:
-        self._buf = bytearray()
-        self._count = 0
-        self._last_vpn = 0
-        self._floats: Dict[float, int] = {}
-        self._strings: Dict[str, int] = {}
+    Returns ``(body, count)`` where ``body`` is exactly the span
+    :func:`write_trace` lays down between the header JSON and the CRC
+    footer: the records, the 0x00 end tag, and the uvarint op count.
+    Because the encoding is canonical (delta cursor and interning tables
+    depend only on the op sequence), comparing this against
+    ``file_bytes[12 + header_len:-4]`` proves the file records the same
+    op stream without decoding it — the fast path of trace verification.
 
-    def encode(self, ops: Iterable[Tuple]) -> None:
-        """Append one record per op of ``ops`` to ``_buf``.
-
-        This runs once per op of every recorded and every regenerated
-        stream, so the record layout is open-coded: zigzag and the
-        one-byte varint case inline, multi-byte varints (rare at real page
-        deltas) through the helper.
-        """
-        buf = self._buf
-        append = buf.append
-        append_uvarint = _append_uvarint
-        pack_f64 = _F64.pack
-        floats = self._floats
-        strings = self._strings
-        last_vpn = self._last_vpn
-        count = 0
-        for op in ops:
-            kind = op[0]
-            if kind == "t":
-                vpn = op[1]
-                append(0x04 if op[2] else 0x03)
+    This is the one encoder of the record layout, and it runs once per op
+    of every recorded and every regenerated stream, so the layout is
+    open-coded: zigzag and the one-byte varint case inline, multi-byte
+    varints (rare at real page deltas) through the helper.  The float
+    table is keyed by value, except that a zero is keyed by its bytes so
+    ``-0.0`` does not reuse ``0.0``'s entry.
+    """
+    buf = bytearray()
+    append = buf.append
+    append_uvarint = _append_uvarint
+    pack_f64 = _F64.pack
+    floats: Dict[object, int] = {}
+    strings: Dict[str, int] = {}
+    last_vpn = 0
+    count = 0
+    for op in ops:
+        kind = op[0]
+        if kind == "t":
+            vpn = op[1]
+            append(0x04 if op[2] else 0x03)
+            delta = vpn - last_vpn
+            z = delta << 1 if delta >= 0 else ((-delta) << 1) - 1
+            if z < 0x80:
+                append(z)
+            else:
+                append_uvarint(buf, z)
+            last_vpn = vpn
+        elif kind == "w":
+            value = op[1]
+            key = value if value else pack_f64(value)
+            index = floats.get(key)
+            if index is None:
+                floats[key] = len(floats)
+                append(0x01)
+                buf += pack_f64(value)
+            else:
+                append(0x02)
+                if index < 0x80:
+                    append(index)
+                else:
+                    append_uvarint(buf, index)
+        elif kind == "p" or kind == "r":
+            tag = op[1]
+            append(0x09 if kind == "p" else 0x0A)
+            if tag < 0x80:
+                append(tag)
+            else:
+                append_uvarint(buf, tag)
+            if kind == "r":
+                prio = op[3]
+                z = prio << 1 if prio >= 0 else ((-prio) << 1) - 1
+                if z < 0x80:
+                    append(z)
+                else:
+                    append_uvarint(buf, z)
+            vpns = op[2]
+            n = len(vpns)
+            if n < 0x80:
+                append(n)
+            else:
+                append_uvarint(buf, n)
+            for vpn in vpns:
                 delta = vpn - last_vpn
                 z = delta << 1 if delta >= 0 else ((-delta) << 1) - 1
                 if z < 0x80:
@@ -251,294 +303,49 @@ class _BodyEncoder:
                 else:
                     append_uvarint(buf, z)
                 last_vpn = vpn
-            elif kind == "w":
-                value = op[1]
-                index = floats.get(value)
-                if index is None:
-                    floats[value] = len(floats)
-                    append(0x01)
-                    buf += pack_f64(value)
-                else:
-                    append(0x02)
-                    if index < 0x80:
-                        append(index)
-                    else:
-                        append_uvarint(buf, index)
-            elif kind == "p" or kind == "r":
-                tag = op[1]
-                append(0x09 if kind == "p" else 0x0A)
-                if tag < 0x80:
-                    append(tag)
-                else:
-                    append_uvarint(buf, tag)
-                if kind == "r":
-                    prio = op[3]
-                    z = prio << 1 if prio >= 0 else ((-prio) << 1) - 1
-                    if z < 0x80:
-                        append(z)
-                    else:
-                        append_uvarint(buf, z)
-                vpns = op[2]
-                n = len(vpns)
-                if n < 0x80:
-                    append(n)
-                else:
-                    append_uvarint(buf, n)
-                for vpn in vpns:
-                    delta = vpn - last_vpn
-                    z = delta << 1 if delta >= 0 else ((-delta) << 1) - 1
-                    if z < 0x80:
-                        append(z)
-                    else:
-                        append_uvarint(buf, z)
-                    last_vpn = vpn
-            elif kind == "T":
-                start, run, write, secs = op[1], op[2], op[3], op[4]
-                index = floats.get(secs)
-                append((0x06 if write else 0x05) if index is None
-                       else (0x08 if write else 0x07))
-                delta = start - last_vpn
-                z = delta << 1 if delta >= 0 else ((-delta) << 1) - 1
-                if z < 0x80:
-                    append(z)
-                else:
-                    append_uvarint(buf, z)
-                if run < 0x80:
-                    append(run)
-                else:
-                    append_uvarint(buf, run)
-                if index is None:
-                    floats[secs] = len(floats)
-                    buf += pack_f64(secs)
-                elif index < 0x80:
-                    append(index)
-                else:
-                    append_uvarint(buf, index)
-                last_vpn = start + run - 1
-            elif kind == "f":
-                vpn, fault_kind = op[1], op[2]
-                index = strings.get(fault_kind)
-                append(0x0B if index is None else 0x0C)
-                append_uvarint(buf, _zigzag(vpn - last_vpn))
-                if index is None:
-                    strings[fault_kind] = len(strings)
-                    encoded = fault_kind.encode("utf-8")
-                    append_uvarint(buf, len(encoded))
-                    buf += encoded
-                else:
-                    append_uvarint(buf, index)
-                last_vpn = vpn
+        elif kind == "T":
+            start, run, write, secs = op[1], op[2], op[3], op[4]
+            key = secs if secs else pack_f64(secs)
+            index = floats.get(key)
+            append((0x06 if write else 0x05) if index is None
+                   else (0x08 if write else 0x07))
+            delta = start - last_vpn
+            z = delta << 1 if delta >= 0 else ((-delta) << 1) - 1
+            if z < 0x80:
+                append(z)
             else:
-                raise TraceFormatError(f"unknown op kind {kind!r}")
-            count += 1
-        self._last_vpn = last_vpn
-        self._count += count
-
-    def _end(self) -> None:
-        """Append the end tag and the op count: the body is complete."""
-        self._buf.append(0x00)
-        _append_uvarint(self._buf, self._count)
-
-
-def encode_body(ops: Iterable[Tuple]) -> Tuple[bytes, int]:
-    """Encode ``ops`` to the record-body bytes of a trace file.
-
-    Returns ``(body, count)`` where ``body`` is exactly the span a
-    :class:`TraceWriter` would lay down between the header JSON and the
-    CRC footer: the records, the 0x00 end tag, and the uvarint op count.
-    Because the encoding is canonical (delta cursor and interning tables
-    depend only on the op sequence), comparing this against
-    ``file_bytes[12 + header_len:-4]`` proves the file records the same
-    op stream without decoding it — the fast path of trace verification.
-    """
-    encoder = _BodyEncoder()
-    encoder.encode(ops)
-    encoder._end()
-    return bytes(encoder._buf), encoder._count
-
-
-class TraceWriter(_BodyEncoder):
-    """Streaming encoder; lands the file atomically on :meth:`close`.
-
-    Use as a context manager: a clean exit closes (finalizing the footer
-    and renaming into place), an exception aborts (removing the temp file
-    and leaving any previous file at ``path`` untouched).
-    """
-
-    _FLUSH_BYTES = 1 << 16
-
-    def __init__(self, path: os.PathLike, header: TraceHeader) -> None:
-        super().__init__()
-        self.path = Path(path)
-        self.header = header
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(
-            dir=str(self.path.parent), prefix=f"{self.path.name}.tmp."
-        )
-        self._tmp = Path(tmp_name)
-        self._file = os.fdopen(fd, "wb")
-        self._file.write(MAGIC)
-        header_bytes = header.encode()
-        prefix = _U32.pack(len(header_bytes)) + header_bytes
-        self._file.write(prefix)
-        self._crc = zlib.crc32(prefix)
-        self._done = False
-
-    def write_op(self, op: Tuple) -> None:
-        self.write_ops((op,))
-
-    def write_ops(self, ops: Iterable[Tuple]) -> int:
-        if self._done:
-            raise TraceFormatError(f"writer for {self.path} is closed")
-        self.encode(ops)
-        if len(self._buf) >= self._FLUSH_BYTES:
-            self._flush()
-        return self._count
-
-    # -- lifecycle ---------------------------------------------------------
-    def _flush(self) -> None:
-        if self._buf:
-            chunk = bytes(self._buf)
-            self._crc = zlib.crc32(chunk, self._crc)
-            self._file.write(chunk)
-            self._buf.clear()
-
-    @property
-    def count(self) -> int:
-        return self._count
-
-    def close(self) -> Path:
-        """Finalize the footer and atomically rename into place."""
-        if self._done:
-            return self.path
-        self._end()
-        self._flush()
-        self._file.write(_U32.pack(self._crc))
-        self._file.close()
-        os.replace(self._tmp, self.path)
-        self._done = True
-        return self.path
-
-    def abort(self) -> None:
-        """Discard the partial file; ``path`` is left untouched."""
-        if self._done:
-            return
-        self._done = True
-        self._file.close()
-        self._tmp.unlink(missing_ok=True)
-
-    def __enter__(self) -> "TraceWriter":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if exc_type is None:
-            self.close()
+                append_uvarint(buf, z)
+            if run < 0x80:
+                append(run)
+            else:
+                append_uvarint(buf, run)
+            if index is None:
+                floats[key] = len(floats)
+                buf += pack_f64(secs)
+            elif index < 0x80:
+                append(index)
+            else:
+                append_uvarint(buf, index)
+            last_vpn = start + run - 1
+        elif kind == "f":
+            vpn, fault_kind = op[1], op[2]
+            index = strings.get(fault_kind)
+            append(0x0B if index is None else 0x0C)
+            append_uvarint(buf, _zigzag(vpn - last_vpn))
+            if index is None:
+                strings[fault_kind] = len(strings)
+                encoded = fault_kind.encode("utf-8")
+                append_uvarint(buf, len(encoded))
+                buf += encoded
+            else:
+                append_uvarint(buf, index)
+            last_vpn = vpn
         else:
-            self.abort()
-
-
-def _decode_body(data: bytes, pos: int, strict: bool) -> Tuple[List[Tuple], int]:
-    """Decode records from ``pos`` to the end tag; returns (ops, pos_after).
-
-    ``strict`` marks a checksum-valid file: structural damage then means a
-    format bug and raises :class:`TraceFormatError`; otherwise damage is
-    attributed to the corruption the failed checksum already proved.
-    """
-    ops: List[Tuple] = []
-    append = ops.append
-    read_uvarint = _read_uvarint
-    floats: List[float] = []
-    strings: List[str] = []
-    last_vpn = 0
-    n = len(data)
-    unpack_f64 = _F64.unpack_from
-    while True:
-        if pos >= n:
-            raise TraceTruncatedError("trace ends before the end-of-records tag")
-        tag = data[pos]
-        pos += 1
-        if tag == 0x03 or tag == 0x04:
-            delta, pos = read_uvarint(data, pos)
-            last_vpn += _unzigzag(delta)
-            append(("t", last_vpn, tag == 0x04, 0.0))
-        elif tag == 0x02:
-            index, pos = read_uvarint(data, pos)
-            if index >= len(floats):
-                raise TraceFormatError(f"float table index {index} out of range")
-            append(("w", floats[index]))
-        elif tag == 0x01:
-            if pos + 8 > n:
-                raise TraceTruncatedError("trace ends inside a float field")
-            value = unpack_f64(data, pos)[0]
-            pos += 8
-            floats.append(value)
-            append(("w", value))
-        elif 0x05 <= tag <= 0x08:
-            delta, pos = read_uvarint(data, pos)
-            count, pos = read_uvarint(data, pos)
-            if tag <= 0x06:
-                if pos + 8 > n:
-                    raise TraceTruncatedError("trace ends inside a float field")
-                secs = unpack_f64(data, pos)[0]
-                pos += 8
-                floats.append(secs)
-            else:
-                index, pos = read_uvarint(data, pos)
-                if index >= len(floats):
-                    raise TraceFormatError(
-                        f"float table index {index} out of range"
-                    )
-                secs = floats[index]
-            start = last_vpn + _unzigzag(delta)
-            last_vpn = start + count - 1
-            append(("T", start, count, tag in (0x06, 0x08), secs))
-        elif tag == 0x09 or tag == 0x0A:
-            hint_tag, pos = read_uvarint(data, pos)
-            if tag == 0x0A:
-                priority, pos = read_uvarint(data, pos)
-                priority = _unzigzag(priority)
-            count, pos = read_uvarint(data, pos)
-            vpns = []
-            for _ in range(count):
-                delta, pos = read_uvarint(data, pos)
-                last_vpn += _unzigzag(delta)
-                vpns.append(last_vpn)
-            if tag == 0x09:
-                append(("p", hint_tag, tuple(vpns)))
-            else:
-                append(("r", hint_tag, tuple(vpns), priority))
-        elif tag == 0x0B or tag == 0x0C:
-            delta, pos = read_uvarint(data, pos)
-            last_vpn += _unzigzag(delta)
-            if tag == 0x0B:
-                length, pos = read_uvarint(data, pos)
-                if pos + length > n:
-                    raise TraceTruncatedError("trace ends inside a string field")
-                try:
-                    kind = data[pos:pos + length].decode("utf-8")
-                except UnicodeDecodeError as exc:
-                    raise TraceFormatError(f"bad fault-kind string: {exc}") from exc
-                pos += length
-                strings.append(kind)
-            else:
-                index, pos = read_uvarint(data, pos)
-                if index >= len(strings):
-                    raise TraceFormatError(
-                        f"string table index {index} out of range"
-                    )
-                kind = strings[index]
-            append(("f", last_vpn, kind))
-        elif tag == 0x00:
-            return ops, pos
-        else:
-            message = f"unknown record tag 0x{tag:02X}"
-            raise TraceFormatError(message) if strict else _corrupt(message)
-
-
-def _corrupt(message: str) -> TraceChecksumError:
-    return TraceChecksumError(
-        f"trace checksum mismatch ({message}) — the file is corrupt"
-    )
+            raise TraceFormatError(f"unknown op kind {kind!r}")
+        count += 1
+    append(0x00)
+    append_uvarint(buf, count)
+    return bytes(buf), count
 
 
 # ReplayColumns.kinds values: the op vocabulary as small ints so the replay
@@ -600,13 +407,42 @@ class ReplayColumns:
     def __len__(self) -> int:
         return len(self.kinds)
 
+    def ops(self) -> Iterator[Tuple]:
+        """The op tuples, in stream order: the tuples the recorder
+        captured, element types included (``bool`` write flags, ``float``
+        costs, ``tuple`` hint pages)."""
+        floats = self.floats
+        strings = self.strings
+        hint_vpns = self.hint_vpns
+        priorities = iter(self.rel_priorities)
+        for kind, a0, a1, a2 in zip(self.kinds, self.arg0, self.arg1, self.arg2):
+            if kind <= K_TOUCH_WRITE:
+                yield ("t", a0, kind == K_TOUCH_WRITE, 0.0)
+            elif kind == K_COMPUTE:
+                yield ("w", floats[a0])
+            elif kind <= K_RUN_WRITE:
+                yield ("T", a0, a1, kind == K_RUN_WRITE, floats[a2])
+            elif kind == K_PREFETCH:
+                yield ("p", a0, tuple(hint_vpns[a1:a2]))
+            elif kind == K_RELEASE:
+                yield ("r", a0, tuple(hint_vpns[a1:a2]), next(priorities))
+            else:
+                yield ("f", a0, strings[a1])
 
-def _decode_body_columns(
-    data: bytes, pos: int, strict: bool
-) -> Tuple[ReplayColumns, int]:
-    """Column-decoding twin of :func:`_decode_body`: same records, same
-    structural checks, but lands in :class:`ReplayColumns` arrays instead
-    of materialising a tuple per op."""
+
+def _outside(vpn: int, pages: int) -> TraceFormatError:
+    return TraceFormatError(
+        f"vpn {vpn} is outside the trace's layout of {pages} pages"
+    )
+
+
+def _decode_body(data: bytes, pos: int, pages: int) -> Tuple[ReplayColumns, int]:
+    """Decode records from ``pos`` to the end tag into
+    :class:`ReplayColumns`; returns ``(columns, pos_after)``.
+
+    Every page an op names — a touch, both ends of a non-empty run, each
+    hint page, a fault annotation — must lie in ``[0, pages)``.
+    """
     cols = ReplayColumns()
     kinds = cols.kinds
     floats = cols.floats
@@ -629,6 +465,8 @@ def _decode_body_columns(
         if tag == 0x03 or tag == 0x04:
             delta, pos = read_uvarint(data, pos)
             last_vpn += _unzigzag(delta)
+            if not 0 <= last_vpn < pages:
+                raise _outside(last_vpn, pages)
             append_kind(K_TOUCH_WRITE if tag == 0x04 else K_TOUCH_READ)
             append0(last_vpn)
             append1(0)
@@ -667,6 +505,8 @@ def _decode_body_columns(
                     )
             start = last_vpn + _unzigzag(delta)
             last_vpn = start + count - 1
+            if count and not (0 <= start and last_vpn < pages):
+                raise _outside(start if start < 0 else last_vpn, pages)
             append_kind(K_RUN_WRITE if tag in (0x06, 0x08) else K_RUN_READ)
             append0(start)
             append1(count)
@@ -681,6 +521,8 @@ def _decode_body_columns(
             for _ in range(count):
                 delta, pos = read_uvarint(data, pos)
                 last_vpn += _unzigzag(delta)
+                if not 0 <= last_vpn < pages:
+                    raise _outside(last_vpn, pages)
                 append_hint(last_vpn)
             append_kind(K_PREFETCH if tag == 0x09 else K_RELEASE)
             append0(hint_tag)
@@ -689,6 +531,8 @@ def _decode_body_columns(
         elif tag == 0x0B or tag == 0x0C:
             delta, pos = read_uvarint(data, pos)
             last_vpn += _unzigzag(delta)
+            if not 0 <= last_vpn < pages:
+                raise _outside(last_vpn, pages)
             if tag == 0x0B:
                 length, pos = read_uvarint(data, pos)
                 if pos + length > n:
@@ -713,15 +557,18 @@ def _decode_body_columns(
         elif tag == 0x00:
             return cols, pos
         else:
-            message = f"unknown record tag 0x{tag:02X}"
-            raise TraceFormatError(message) if strict else _corrupt(message)
+            raise TraceFormatError(f"unknown record tag 0x{tag:02X}")
 
 
-def _decode_with(data: bytes, source: str, decode_records, count_of):
-    """Shared validation flow around a record-body decoder.
+def decode_columns(
+    data: bytes, source: str = "trace"
+) -> Tuple[TraceHeader, ReplayColumns]:
+    """Decode and fully validate one trace from its raw bytes.
 
-    Checks magic, CRC, header, declared op count, and trailing bytes with
-    identical error semantics for the tuple and column decoders.
+    Checks the magic, the CRC, the header, every page number against the
+    header's layout, the declared op count and trailing bytes.  The record
+    stream lands in :class:`ReplayColumns` arrays, the object-free replay
+    driver's input; :meth:`ReplayColumns.ops` gives the op tuples.
     """
     if data[:8] != MAGIC:
         if len(data) < 8 and MAGIC.startswith(data):
@@ -741,27 +588,25 @@ def _decode_with(data: bytes, source: str, decode_records, count_of):
         try:
             header_data = json.loads(data[12:header_end].decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            if not crc_ok:
-                raise _corrupt("unreadable header") from exc
             raise TraceFormatError(f"unreadable trace header: {exc}") from exc
         header = TraceHeader.from_dict(header_data)
-        payload, pos = decode_records(data, header_end, crc_ok)
+        try:
+            cols, pos = _decode_body(data, header_end, header.footprint_pages)
+        except OverflowError:  # a hint tag or priority past 64 bits
+            raise TraceFormatError("a record field does not fit in 64 bits") from None
         declared, pos = _read_uvarint(data, pos)
-        decoded = count_of(payload)
-        if declared != decoded:
-            message = f"op count mismatch: footer says {declared}, decoded {decoded}"
-            if not crc_ok:
-                raise _corrupt(message)
-            raise TraceFormatError(message)
+        if declared != len(cols):
+            raise TraceFormatError(
+                f"op count mismatch: footer says {declared}, decoded {len(cols)}"
+            )
         if pos + 4 > len(data):
             raise TraceTruncatedError("file ends inside the checksum")
         if pos + 4 != len(data):
-            message = f"{len(data) - pos - 4} trailing bytes after the checksum"
-            if not crc_ok:
-                raise _corrupt(message)
-            raise TraceFormatError(message)
+            raise TraceFormatError(
+                f"{len(data) - pos - 4} trailing bytes after the checksum"
+            )
     except TraceError as exc:
-        if not crc_ok and not isinstance(exc, TraceChecksumError):
+        if not crc_ok:
             # The checksum already proved corruption; whatever structural
             # damage the decoder tripped over is a symptom, not the story.
             raise TraceChecksumError(
@@ -772,36 +617,13 @@ def _decode_with(data: bytes, source: str, decode_records, count_of):
         raise TraceChecksumError(
             f"{source}: trace checksum mismatch — the file is corrupt"
         )
-    return header, payload
-
-
-def decode_trace(data: bytes, source: str = "trace") -> Tuple[TraceHeader, List[Tuple]]:
-    """Decode and fully validate one trace from its raw bytes."""
-    return _decode_with(data, source, _decode_body, len)
-
-
-def decode_columns(
-    data: bytes, source: str = "trace"
-) -> Tuple[TraceHeader, ReplayColumns]:
-    """Decode and fully validate one trace straight into flat columns.
-
-    Same validation as :func:`decode_trace` (magic, CRC, structure, op
-    count, trailing bytes) but the record stream lands in
-    :class:`ReplayColumns` arrays — the object-free replay driver's
-    input — without building a tuple per op.
-    """
-    return _decode_with(
-        data, source, _decode_body_columns, lambda cols: len(cols.kinds)
-    )
+    return header, cols
 
 
 def read_trace(path: os.PathLike) -> Tuple[TraceHeader, List[Tuple]]:
-    """Read, checksum-validate, and decode one trace file."""
-    try:
-        data = Path(path).read_bytes()
-    except OSError as exc:
-        raise TraceError(f"cannot read trace {path}: {exc}") from exc
-    return decode_trace(data, source=str(path))
+    """Read, validate, and decode one trace file into its op tuples."""
+    header, cols = read_columns(path)
+    return header, list(cols.ops())
 
 
 def read_columns(path: os.PathLike) -> Tuple[TraceHeader, ReplayColumns]:
@@ -835,38 +657,25 @@ def read_header(path: os.PathLike) -> TraceHeader:
     if len(header_bytes) < header_len:
         raise TraceTruncatedError(f"{path}: file ends inside the header")
     try:
-        return TraceHeader.from_dict(json.loads(header_bytes.decode("utf-8")))
+        header_data = json.loads(header_bytes.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise TraceFormatError(f"{path}: unreadable trace header: {exc}") from exc
-
-
-class TraceReader:
-    """Eagerly validated reader: construct, then iterate ops.
-
-    The whole file is decoded and checksum-verified up front (traces are a
-    few MB), so iteration can never fail halfway through a replay.
-    """
-
-    def __init__(self, path: os.PathLike) -> None:
-        self.path = Path(path)
-        self.header, self._ops = read_trace(path)
-
-    @property
-    def ops(self) -> List[Tuple]:
-        return self._ops
-
-    def __len__(self) -> int:
-        return len(self._ops)
-
-    def __iter__(self):
-        return iter(self._ops)
+    try:
+        return TraceHeader.from_dict(header_data)
+    except TraceFormatError as exc:
+        raise TraceFormatError(f"{path}: {exc}") from None
 
 
 def write_trace(path: os.PathLike, header: TraceHeader, ops: Iterable[Tuple]) -> int:
-    """Encode ``ops`` under ``header`` at ``path``; returns the op count."""
-    with TraceWriter(path, header) as writer:
-        writer.write_ops(ops)
-        return writer.count
+    """Encode ``ops`` under ``header`` and land the file atomically at
+    ``path`` (parent directories created); returns the op count.  If
+    encoding or writing fails, ``path`` is left as it was."""
+    body, count = encode_body(ops)
+    header_bytes = header.encode()
+    prefix = _U32.pack(len(header_bytes)) + header_bytes
+    crc = zlib.crc32(body, zlib.crc32(prefix))
+    atomic_write_bytes(path, b"".join((MAGIC, prefix, body, _U32.pack(crc))))
+    return count
 
 
 def file_digest(path: os.PathLike) -> str:

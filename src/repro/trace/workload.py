@@ -5,13 +5,16 @@
 :class:`~repro.machine.WorkloadProcessSpec` that schedules in an
 :class:`~repro.machine.ExperimentSpec` mix exactly like a compiled
 benchmark — the machine maps the recorded segment layout, attaches the
-recorded hint policy's runtime layer, and drives :func:`replay_driver`
-over the decoded ops.
+recorded hint policy's runtime layer, and drives
+:func:`replay_columns_driver` over the decoded columns.  A replay that is
+being recorded plays the columns' op tuples through
+:func:`~repro.workloads.base.app_driver` instead, the loop that appends
+each op it plays to a capture list.
 
 Because the op stream is independent of machine state, replaying a trace
 alongside the same co-processes reproduces the live run's results
 byte-for-byte while skipping the compiler pass and the interpreter.
-Decoded op lists are memoized process-wide under the trace's content
+Decoded columns are memoized process-wide under the trace's content
 digest, so a mix replaying one trace many times (or a bench repeat loop)
 decodes it once.
 """
@@ -21,7 +24,7 @@ from __future__ import annotations
 import os
 from collections import OrderedDict
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import Optional
 
 from repro.trace.format import (
     K_COMPUTE,
@@ -34,30 +37,25 @@ from repro.trace.format import (
     file_digest,
     read_columns,
     read_header,
-    read_trace,
 )
 
 __all__ = [
     "TraceWorkload",
     "replay_columns_driver",
-    "replay_driver",
     "trace_process_spec",
 ]
 
-#: Decoded-op cache: trace content digest -> ops list.  Bounded so a long
-#: session over many traces cannot hold every stream alive.
-_OPS_CACHE: "OrderedDict[str, List[Tuple]]" = OrderedDict()
-_OPS_CACHE_LIMIT = 8
-
-#: Column cache for the object-free replay driver, same keying and bound.
+#: Decoded-column cache: trace content digest -> columns.  Bounded so a
+#: long-lived process replaying many traces cannot hold every stream alive.
 _COLUMNS_CACHE: "OrderedDict[str, ReplayColumns]" = OrderedDict()
+_COLUMNS_CACHE_LIMIT = 8
 
 
 class TraceWorkload:
     """One trace file, ready to replay.
 
     Construction reads only the header (cheap); the op body is decoded,
-    checksum-validated, and cached on first :meth:`ops` call.
+    validated, and cached on the first :meth:`columns` call.
     """
 
     def __init__(self, path: os.PathLike) -> None:
@@ -76,26 +74,10 @@ class TraceWorkload:
             self._digest = file_digest(self.path)
         return self._digest
 
-    def ops(self) -> List[Tuple]:
-        """The decoded op stream (memoized by content digest)."""
-        digest = self.digest
-        cached = _OPS_CACHE.get(digest)
-        if cached is not None:
-            _OPS_CACHE.move_to_end(digest)
-            return cached
-        header, ops = read_trace(self.path)
-        self.header = header
-        _OPS_CACHE[digest] = ops
-        while len(_OPS_CACHE) > _OPS_CACHE_LIMIT:
-            _OPS_CACHE.popitem(last=False)
-        return ops
-
     def columns(self) -> ReplayColumns:
-        """The op stream as flat columns (memoized by content digest).
-
-        Input for :func:`replay_columns_driver` — same validation as
-        :meth:`ops`, no per-op tuples.
-        """
+        """The op stream as flat columns (memoized by content digest):
+        the input of :func:`replay_columns_driver`, with no per-op tuples
+        (:meth:`ReplayColumns.ops` makes them)."""
         digest = self.digest
         cached = _COLUMNS_CACHE.get(digest)
         if cached is not None:
@@ -104,7 +86,7 @@ class TraceWorkload:
         header, cols = read_columns(self.path)
         self.header = header
         _COLUMNS_CACHE[digest] = cols
-        while len(_COLUMNS_CACHE) > _OPS_CACHE_LIMIT:
+        while len(_COLUMNS_CACHE) > _COLUMNS_CACHE_LIMIT:
             _COLUMNS_CACHE.popitem(last=False)
         return cols
 
@@ -131,62 +113,17 @@ def trace_process_spec(
     return TraceWorkload(path).process_spec(start_offset_s=start_offset_s, name=name)
 
 
-def replay_driver(process, runtime, ops, version, scale, record):
-    """Process generator: play a recorded op stream against the kernel,
-    appending each op to the trace capture list ``record``.
-
-    This mirrors ``app_driver``'s dispatch exactly — same touch calls, same
-    quantum-flush boundaries, same ``run_touches`` for batched runs — which
-    is what makes replayed metrics byte-identical to the live run's.  Fault
-    annotations (``'f'`` ops) are documentation, not commands: faults
-    re-emerge from the simulation itself, so they are skipped here (and
-    still copied to ``record``).
-
-    The machine runs this tuple driver only for a replay that is being
-    recorded (the capture list holds op tuples); otherwise
-    :func:`replay_columns_driver` replays the same stream.
-    """
-    quantum = scale.time_quantum_s
-    touch = process.touch
-    charge = process.charge
-    run_touches = process.run_touches
-    handle_prefetch = runtime.handle_prefetch
-    handle_release = runtime.handle_release
-    append = record.append
-    for op in ops:
-        append(op)
-        kind = op[0]
-        if kind == "t":
-            fault = touch(op[1], op[2])
-            if fault is not None:
-                yield from fault
-            elif process.pending_user >= quantum:
-                yield from process.flush()
-        elif kind == "w":
-            charge(op[1])
-            if process.pending_user >= quantum:
-                yield from process.flush()
-        elif kind == "T":
-            yield from run_touches(op[1], op[2], op[3], op[4])
-        elif kind == "p":
-            handle_prefetch(op[1], op[2])
-        elif kind == "r":
-            handle_release(op[1], op[2], op[3])
-        # 'f': fault annotation, replay ignores it.
-    if version.release:
-        runtime.flush_tag_filters()
-    yield from process.flush()
-
-
 def replay_columns_driver(process, runtime, cols: ReplayColumns, version, scale):
-    """Object-free twin of :func:`replay_driver` over decoded columns.
+    """Process generator: play a trace's decoded columns against the
+    kernel.
 
     Dispatches on the ``kinds`` bytearray and reads arguments out of flat
     int columns — no per-op tuple is ever built.  The loop body mirrors
-    ``app_driver``'s optimized stream (inlined touch hit test, local
-    ``pending`` mirror, ``run_touches`` for batched runs), whose event
-    stream is add-for-add identical to the per-op ``replay_driver``, so
-    replayed results stay byte-identical whichever driver runs.
+    ``app_driver``'s (inlined touch hit test, local ``pending`` mirror,
+    ``run_touches`` for batched runs) add for add, so a replay's results
+    are byte-identical to the live run's whichever loop plays it.  Fault
+    annotations are documentation, not commands: faults re-emerge from
+    the simulation itself, so they are skipped.
 
     The machine selects this driver unless the replay is being recorded —
     see ``Machine._prepare_trace``.

@@ -8,9 +8,10 @@ A workload contributes three things:
    per-invocation environment overrides (MGRID's changing grid levels,
    FFTPDE's changing strides).
 
-``app_driver`` turns a compiled program into a simulated process: it plays
-the interpreter's op stream against the kernel, batching resident compute
-time and routing every hint through the run-time layer.
+``app_driver`` turns an op stream into a simulated process: it plays the
+interpreter's ops (or a recorded trace's, when a replay is re-recorded)
+against the kernel, batching resident compute time and routing every hint
+through the run-time layer.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from repro.core.compiler.ir import Program
 from repro.core.compiler.pipeline import compile_program
 from repro.core.runtime.layer import RuntimeLayer
 from repro.core.runtime.policies import VersionConfig
-from repro.kernel.kernel import Kernel, KernelProcess
+from repro.kernel.kernel import KernelProcess
 from repro.vm.frames import F_DIRTY, F_IN_TRANSIT, F_REFERENCED, F_SW_VALID
 
 __all__ = [
@@ -150,25 +151,24 @@ def invocation_ops(
 def app_driver(
     process: KernelProcess,
     runtime: RuntimeLayer,
-    compiled: CompiledProgram,
-    instance: WorkloadInstance,
-    layout: Dict[str, int],
+    streams: Iterable[Iterable[Tuple]],
     version: VersionConfig,
     scale: SimScale,
     record: Optional[List[Tuple]] = None,
 ):
-    """Process generator: run the (possibly hint-annotated) executable.
+    """Process generator: play op ``streams`` against the kernel.
 
-    Version selection follows the paper: O runs with no hints at all, P
-    emits only prefetches, R and B emit both (the runtime layer decides
-    what to do with the releases).  ``record`` is a trace capture list
+    A live process plays :func:`invocation_ops`, the (possibly
+    hint-annotated) executable: O runs with no hints at all, P emits only
+    prefetches, R and B emit both (the runtime layer decides what to do
+    with the releases).  A replay that is being recorded plays a trace's
+    decoded ops as one stream.  ``record`` is a trace capture list
     (:meth:`repro.trace.record.TraceCaptureSink.capture`): when given,
-    every op played is appended to it.
+    every op played is appended to it, ``('f', …)`` fault annotations
+    included, which the loop itself skips (faults re-emerge from the
+    simulation).
     """
-    machine = scale.machine
     quantum = scale.time_quantum_s
-    emit_prefetch = version.prefetch
-    emit_release = version.release
     handle_prefetch = runtime.handle_prefetch
     handle_release = runtime.handle_release
     run_touches = process.run_touches
@@ -183,10 +183,8 @@ def app_driver(
     in_mask = F_SW_VALID | F_IN_TRANSIT
     bits_read = F_REFERENCED
     bits_write = F_REFERENCED | F_DIRTY
-    resident_touch_s = machine.resident_touch_s
-    for ops in invocation_ops(
-        compiled, instance, layout, machine, emit_prefetch, emit_release
-    ):
+    resident_touch_s = scale.machine.resident_touch_s
+    for ops in streams:
         if record is not None:
             ops = _recorded(ops, record.append)
         # The op loop keeps the user-time batch in a local mirror of
@@ -241,30 +239,11 @@ def app_driver(
                 process.pending_user = pending
                 handle_prefetch(op[1], op[2])
                 pending = process.pending_user
-            else:  # 'r'
+            elif kind == "r":
                 process.pending_user = pending
                 handle_release(op[1], op[2], op[3])
                 pending = process.pending_user
         process.pending_user = pending
-    if emit_release:
+    if version.release:
         runtime.flush_tag_filters()
     yield from process.flush()
-
-
-def run_standalone(
-    kernel: Kernel,
-    instance: WorkloadInstance,
-    version: VersionConfig,
-    scale: SimScale,
-):
-    """Convenience used by tests: set up a process + runtime and return
-    (process, runtime, driver generator)."""
-    process = kernel.create_process(instance.name)
-    layout = build_layout(process, instance, scale.machine.page_size)
-    pm = kernel.attach_policy(process)
-    runtime = RuntimeLayer(process, pm, scale.runtime, version)
-    compiled = instance.compiled(scale)
-    driver = app_driver(
-        process, runtime, compiled, instance, layout, version, scale
-    )
-    return process, runtime, driver

@@ -33,10 +33,10 @@ from repro.trace.analyze import diff_ops, trace_info
 from repro.trace.format import (
     K_RUN_READ,
     TraceHeader,
-    TraceWriter,
     encode_body,
     read_columns,
     read_trace,
+    write_trace,
 )
 from tests.helpers import drive
 
@@ -54,8 +54,7 @@ def _write_trace(tmp_path, ops, name="edge"):
         page_size=MACHINE.page_size,
         layout=(("a", 256),),
     )
-    with TraceWriter(path, header) as writer:
-        writer.write_ops(ops)
+    write_trace(path, header, ops)
     return path
 
 

@@ -3,6 +3,9 @@
 import collections
 import heapq
 import math
+import struct
+import tempfile
+from pathlib import Path
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -22,6 +25,13 @@ from repro.core.compiler.ir import (
 from repro.core.compiler.pipeline import compile_program
 from repro.core.runtime.buffering import ReleaseBuffer
 from repro.sim.engine import Engine
+from repro.trace.format import (
+    TraceHeader,
+    encode_body,
+    read_columns,
+    read_trace,
+    write_trace,
+)
 
 MACHINE = MachineConfig()
 EPP = MACHINE.page_elements
@@ -585,3 +595,72 @@ class TestBufferProperties:
             page for _tag, batch in buffer.drain(len(pages_low)) for page in batch
         ]
         assert set(drained) <= set(pages_low)
+
+
+# -- the trace codec -----------------------------------------------------------
+#: Big enough that page deltas need multi-byte varints (up to four bytes).
+CODEC_PAGES = 1 << 21
+CODEC_HEADER = TraceHeader(
+    process="codec",
+    workload="SYNTH",
+    version="B",
+    scale="tiny",
+    page_size=0,
+    layout=(("low", 1 << 7), ("high", CODEC_PAGES - (1 << 7))),
+)
+#: Pages near each other (one-byte deltas) and far apart.
+_vpns = st.one_of(st.integers(0, 300), st.integers(0, CODEC_PAGES - 1))
+#: A few recurring costs (interned after their first use, signed zeros
+#: kept apart) and arbitrary new ones.
+_secs = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e-6, 2.5e-3]), st.floats(allow_nan=False)
+)
+_tags = st.integers(0, 1000)
+_hint_pages = st.lists(_vpns, max_size=5).map(tuple)  # any order: negative deltas
+#: Runs of up to 300 pages; a zero-count run may start one past the last page.
+_runs = st.integers(0, 300).flatmap(
+    lambda count: st.tuples(
+        st.just("T"),
+        st.integers(0, CODEC_PAGES - count),
+        st.just(count),
+        st.booleans(),
+        _secs,
+    )
+)
+_ops = st.one_of(
+    st.tuples(st.just("t"), _vpns, st.booleans(), st.just(0.0)),
+    _runs,
+    st.tuples(st.just("w"), _secs),
+    st.tuples(st.just("p"), _tags, _hint_pages),
+    st.tuples(st.just("r"), _tags, _hint_pages, st.integers(-5, 1000)),
+    st.tuples(
+        st.just("f"), _vpns, st.one_of(st.sampled_from(["hard", "soft"]), st.text())
+    ),
+)
+
+
+def _exact(op):
+    """``op`` with each float replaced by its bytes, so a comparison sees
+    signed zeros; element types stay part of the comparison."""
+    return tuple(
+        (float, struct.pack("<d", x)) if type(x) is float else (type(x), x) for x in op
+    )
+
+
+class TestTraceCodec:
+    @settings(max_examples=150, deadline=None)
+    @given(ops=st.lists(_ops, max_size=60))
+    def test_write_read_round_trip_and_canonical_body(self, ops):
+        """Whatever ops a layout admits come back from ``read_trace``
+        element for element (types and float bits included), and
+        re-encoding the decoded columns' tuples gives the file's body."""
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "codec.trace"
+            assert write_trace(path, CODEC_HEADER, ops) == len(ops)
+            data = path.read_bytes()
+            header, decoded = read_trace(path)
+            _header, cols = read_columns(path)
+        assert header == CODEC_HEADER
+        assert [_exact(op) for op in decoded] == [_exact(op) for op in ops]
+        header_len = int.from_bytes(data[8:12], "little")
+        assert encode_body(list(cols.ops())) == (data[12 + header_len : -4], len(ops))

@@ -28,7 +28,6 @@ from repro.trace import (
     TraceFormatError,
     TraceHeader,
     TraceImportError,
-    TraceReader,
     TraceTruncatedError,
     TraceWorkload,
     diff_traces,
@@ -102,10 +101,11 @@ def test_reader_and_header_only_read(tmp_path):
     ops = synthetic_ops(seed=3, count=50)
     path = tmp_path / "r.trace"
     write_trace(path, HEADER, ops)
-    reader = TraceReader(path)
-    assert len(reader) == 50
-    assert list(reader) == ops
     assert read_header(path) == HEADER
+    header, decoded = read_trace(path)
+    assert header == HEADER
+    assert len(decoded) == 50
+    assert decoded == ops
 
 
 def test_empty_trace_round_trips(tmp_path):
@@ -157,15 +157,136 @@ def test_missing_file_is_trace_error(tmp_path):
 
 
 def test_writer_abort_leaves_nothing(tmp_path):
+    """A ``write_trace`` that raises part-way through its ops leaves no
+    file and no temp file, and leaves an earlier file at the path as it
+    was."""
+
+    def failing_ops():
+        yield ("t", 1, False, 0.0)
+        raise RuntimeError("boom")
+
     path = tmp_path / "aborted.trace"
     with pytest.raises(RuntimeError):
-        from repro.trace import TraceWriter
-
-        with TraceWriter(path, HEADER) as writer:
-            writer.write_op(("t", 1, False, 0.0))
-            raise RuntimeError("boom")
-    assert not path.exists()
+        write_trace(path, HEADER, failing_ops())
     assert list(tmp_path.iterdir()) == []  # no temp file leaked either
+    with pytest.raises(TraceFormatError, match="unknown op kind"):
+        write_trace(path, HEADER, [("t", 1, False, 0.0), ("?", 2)])
+    assert list(tmp_path.iterdir()) == []
+    write_trace(path, HEADER, [("t", 1, False, 0.0)])
+    before = path.read_bytes()
+    with pytest.raises(RuntimeError):
+        write_trace(path, HEADER, failing_ops())
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]
+
+
+# -- input checks -------------------------------------------------------------
+EIGHT_PAGES = TraceHeader(
+    process="small",
+    workload="SYNTH",
+    version="B",
+    scale="tiny",
+    page_size=0,
+    layout=(("a", 8),),
+)
+
+#: op streams naming a page outside an 8-page layout -> the page reported.
+OUTSIDE_LAYOUT = {
+    "write-below-zero-after-ops": (
+        [("t", vpn, False, 0.0) for vpn in range(8)] + [("t", -1, True, 0.0)],
+        -1,
+    ),
+    "write-below-zero-first": ([("t", -1, True, 0.0)], -1),
+    "touch-past-the-end": ([("t", 100, False, 0.0)], 100),
+    "prefetch-past-the-end": ([("p", 0, (50,))], 50),
+    "release-below-zero": ([("r", 0, (3, -2), 1)], -2),
+    "run-past-the-end": ([("T", 6, 3, False, 1e-6)], 8),
+    "run-below-zero": ([("T", -1, 2, True, 1e-6)], -1),
+    "fault-past-the-end": ([("t", 7, False, 0.0), ("f", 8, "hard")], 8),
+}
+
+
+@pytest.mark.parametrize("ops, vpn", OUTSIDE_LAYOUT.values(), ids=OUTSIDE_LAYOUT)
+def test_pages_outside_the_layout_are_refused(tmp_path, ops, vpn):
+    """The decoder refuses any page outside ``[0, footprint_pages)`` —
+    replaying one would write to another page or grow the page table past
+    every segment — naming the file, the page and the layout size; once
+    the checksum fails too, the same damage is reported as corruption."""
+    from repro.trace.format import read_columns
+
+    path = tmp_path / "outside.trace"
+    write_trace(path, EIGHT_PAGES, ops)
+    message = f"{path}: vpn {vpn} is outside the trace's layout of 8 pages"
+    for read in (read_trace, read_columns):
+        with pytest.raises(TraceFormatError) as info:
+            read(path)
+        assert str(info.value) == message
+    data = bytearray(path.read_bytes())
+    data[-1] ^= 0xFF  # break the CRC as well
+    path.write_bytes(bytes(data))
+    for read in (read_trace, read_columns):
+        with pytest.raises(TraceChecksumError, match=f"vpn {vpn} is outside"):
+            read(path)
+
+
+@pytest.mark.parametrize(
+    "op", [("p", 1 << 63, (1,)), ("r", 0, (1,), 1 << 63), ("r", 0, (1,), -(1 << 63) - 1)]
+)
+def test_fields_past_64_bits_are_refused(tmp_path, op):
+    """Hint tags and release priorities land in 64-bit columns; a larger
+    one is a format error, not an ``OverflowError``."""
+    path = tmp_path / "wide.trace"
+    write_trace(path, EIGHT_PAGES, [op])
+    with pytest.raises(TraceFormatError, match="does not fit in 64 bits"):
+        read_trace(path)
+
+
+def test_zero_count_run_at_the_layout_edge_decodes(tmp_path):
+    """A zero-count run touches nothing, so its start may sit one past the
+    last page (or anywhere): only the pages of a non-empty run are
+    checked."""
+    ops = [("t", 7, False, 0.0), ("T", 8, 0, False, 0.5), ("t", 0, True, 0.0)]
+    path = tmp_path / "edge.trace"
+    write_trace(path, EIGHT_PAGES, ops)
+    assert read_trace(path) == (EIGHT_PAGES, ops)
+
+
+def test_replay_of_a_page_outside_the_layout_exits_2(tmp_path, capsys):
+    from repro.cli import main
+
+    path = tmp_path / "outside.trace"
+    write_trace(path, EIGHT_PAGES, [("t", 100, False, 0.0)])
+    assert main(["trace", "replay", str(path), "--scale", "tiny"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"repro: error: {path}: vpn 100 is outside the trace's layout of 8 pages"]
+
+
+BAD_LAYOUTS = {
+    "zero-pages": ((("a", 0),), "segment 'a' has 0 pages"),
+    "negative-pages": ((("a", 4), ("b", -3)), "segment 'b' has -3 pages"),
+    "duplicate-name": ((("a", 4), ("a", 4)), "duplicate segment 'a'"),
+}
+
+
+@pytest.mark.parametrize("layout, problem", BAD_LAYOUTS.values(), ids=BAD_LAYOUTS)
+def test_malformed_layouts_are_refused(tmp_path, capsys, layout, problem):
+    """A layout replay could not map is refused by every reader, naming
+    the file, and ``trace replay`` exits 2 with one line instead of a
+    traceback from the address space."""
+    import dataclasses
+
+    from repro.cli import main
+
+    path = tmp_path / "layout.trace"
+    write_trace(path, dataclasses.replace(EIGHT_PAGES, layout=layout), [("w", 1e-6)])
+    message = f"{path}: malformed trace header: {problem}"
+    for read in (read_header, read_trace):
+        with pytest.raises(TraceFormatError) as info:
+            read(path)
+        assert str(info.value) == message
+    capsys.readouterr()
+    assert main(["trace", "replay", str(path), "--scale", "tiny"]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"repro: error: {message}"]
 
 
 # -- record -> replay round trip -------------------------------------------
@@ -247,42 +368,43 @@ def recorded_live(request, tmp_path_factory):
 
 
 @pytest.fixture
-def tuple_replays(monkeypatch):
-    """Names of the processes replayed through the tuple ``replay_driver``."""
+def column_replays(monkeypatch):
+    """Names of the processes replayed through ``replay_columns_driver``."""
     import repro.trace.workload as trace_workload
 
-    tuple_driver = trace_workload.replay_driver
+    column_driver = trace_workload.replay_columns_driver
     replayed = []
 
     def spy(process, *args):
         replayed.append(process.name)
-        return tuple_driver(process, *args)
+        return column_driver(process, *args)
 
-    monkeypatch.setattr(trace_workload, "replay_driver", spy)
+    monkeypatch.setattr(trace_workload, "replay_columns_driver", spy)
     return replayed
 
 
-def test_column_replay_matches_live(recorded_live, tuple_replays):
+def test_column_replay_matches_live(recorded_live, column_replays):
     """A plain replay runs the object-free column driver and reproduces
     the live result."""
-    _workload, live, _path, replay_spec = recorded_live
+    workload, live, _path, replay_spec = recorded_live
     replayed = run_experiment(replay_spec)
-    assert tuple_replays == []
+    assert column_replays == [workload]
     assert serialize_result(replayed) == live
 
 
 def test_rerecorded_replay_matches_live(
-    recorded_live, tuple_replays, tmp_path, capsys
+    recorded_live, column_replays, tmp_path, capsys
 ):
-    """Re-recording a replay makes the machine replay through the tuple
-    ``replay_driver``, which appends each op to the capture list.  It must
-    reproduce the live result, and ``trace diff`` must find the
-    re-recorded trace identical to the original."""
+    """Re-recording a replay makes the machine play the decoded op tuples
+    through ``app_driver``, which appends each op to the capture list,
+    not through the column driver.  It must reproduce the live result,
+    and ``trace diff`` must find the re-recorded trace identical to the
+    original."""
     from repro.cli import main
 
     workload, live, path, replay_spec = recorded_live
     rerecorded, rerecorded_paths = record_experiment(replay_spec, tmp_path / "again")
-    assert tuple_replays == [workload]
+    assert column_replays == []
     assert serialize_result(rerecorded) == live
     capsys.readouterr()
     diff = ["trace", "diff", str(path), str(rerecorded_paths[workload])]
@@ -448,8 +570,8 @@ def test_trace_workload_accessors(tmp_path):
     assert workload.header.workload == "CGM"
     assert workload.header.version == "B"
     assert workload.header.footprint_pages > 0
-    ops = workload.ops()
-    assert ops and ops is workload.ops()  # memoized
+    cols = workload.columns()
+    assert len(cols) and cols is workload.columns()  # memoized
 
 
 # -- diff -------------------------------------------------------------------
@@ -659,54 +781,11 @@ def test_atomic_open_rejects_read_modes(tmp_path):
 
 
 # -- column decoding and byte-level verification ----------------------------
-def _columns_to_ops(cols):
-    """Reconstruct the tuple stream from a :class:`ReplayColumns`."""
-    from repro.trace.format import (
-        K_COMPUTE,
-        K_PREFETCH,
-        K_RELEASE,
-        K_RUN_READ,
-        K_RUN_WRITE,
-        K_TOUCH_READ,
-        K_TOUCH_WRITE,
-    )
-
-    ops = []
-    rel_cursor = 0
-    for i in range(len(cols)):
-        kind = cols.kinds[i]
-        if kind in (K_TOUCH_READ, K_TOUCH_WRITE):
-            ops.append(("t", cols.arg0[i], kind == K_TOUCH_WRITE, 0.0))
-        elif kind == K_COMPUTE:
-            ops.append(("w", cols.floats[cols.arg0[i]]))
-        elif kind in (K_RUN_READ, K_RUN_WRITE):
-            ops.append(
-                (
-                    "T",
-                    cols.arg0[i],
-                    cols.arg1[i],
-                    kind == K_RUN_WRITE,
-                    cols.floats[cols.arg2[i]],
-                )
-            )
-        elif kind == K_PREFETCH:
-            pages = tuple(cols.hint_vpns[cols.arg1[i] : cols.arg2[i]])
-            ops.append(("p", cols.arg0[i], pages))
-        elif kind == K_RELEASE:
-            pages = tuple(cols.hint_vpns[cols.arg1[i] : cols.arg2[i]])
-            ops.append(
-                ("r", cols.arg0[i], pages, cols.rel_priorities[rel_cursor])
-            )
-            rel_cursor += 1
-        else:
-            ops.append(("f", cols.arg0[i], cols.strings[cols.arg1[i]]))
-    return ops
-
-
 def test_columns_decode_matches_tuple_decode(tmp_path):
-    """``read_columns`` is a lossless twin of ``read_trace`` on a stream
-    exercising every record type (negative deltas, interned floats and
-    fault kinds, multi-page hints)."""
+    """``ReplayColumns.ops()`` turns the decoded columns back into the
+    written tuples, element types included, on a stream exercising every
+    record type (negative deltas, interned floats and fault kinds,
+    multi-page hints); ``read_trace`` returns the same list."""
     from repro.trace.format import read_columns
 
     ops = synthetic_ops(seed=11)
@@ -715,10 +794,17 @@ def test_columns_decode_matches_tuple_decode(tmp_path):
     header, cols = read_columns(path)
     assert header == HEADER
     assert len(cols) == len(ops)
-    assert _columns_to_ops(cols) == ops
+    decoded = list(cols.ops())
+    assert decoded == ops
+    assert [tuple(map(type, op)) for op in decoded] == [
+        tuple(map(type, op)) for op in ops
+    ]
+    assert read_trace(path)[1] == decoded
 
 
 def test_columns_rejects_corruption_like_tuple_decoder(tmp_path):
+    """``read_columns`` and ``read_trace`` (the tuples built from those
+    columns) refuse the same damaged files with the same errors."""
     from repro.trace.format import read_columns
 
     path = tmp_path / "c.trace"
@@ -726,20 +812,19 @@ def test_columns_rejects_corruption_like_tuple_decoder(tmp_path):
     data = bytearray(path.read_bytes())
     data[len(data) // 2] ^= 0xFF
     (tmp_path / "bad.trace").write_bytes(bytes(data))
-    with pytest.raises(TraceChecksumError):
-        read_columns(tmp_path / "bad.trace")
     (tmp_path / "cut.trace").write_bytes(bytes(data[: len(data) // 2]))
-    with pytest.raises((TraceTruncatedError, TraceChecksumError)):
-        read_columns(tmp_path / "cut.trace")
+    for read in (read_columns, read_trace):
+        with pytest.raises(TraceChecksumError):
+            read(tmp_path / "bad.trace")
+        with pytest.raises((TraceTruncatedError, TraceChecksumError)):
+            read(tmp_path / "cut.trace")
 
 
-def test_encode_body_matches_streaming_writer(tmp_path):
-    """``encode_body`` (the verification fast path) must produce the exact
-    bytes ``TraceWriter`` streams out — same interning, same deltas — on a
-    stream with fault annotations, whether the writer gets the stream in
-    one batch or split across many (the delta cursor and the float and
-    string tables carry over from batch to batch)."""
-    from repro.trace import TraceWriter
+def test_encode_body_matches_written_body(tmp_path):
+    """``encode_body`` (the verification fast path) produces exactly the
+    body ``write_trace`` frames between the header and the CRC — same
+    interning, same deltas — on a stream with new and interned fault
+    kinds, whether the ops come as a list or as an iterator."""
     from repro.trace.format import encode_body
 
     ops = synthetic_ops(seed=13)
@@ -747,21 +832,13 @@ def test_encode_body_matches_streaming_writer(tmp_path):
     assert len(fault_kinds) > len(set(fault_kinds)) == 2  # new and interned
     body, count = encode_body(iter(ops))
     assert count == len(ops)
-    rng = random.Random(13)
-    cuts = sorted(rng.sample(range(1, len(ops)), 40))
-    for name, batches in [
-        ("whole", [ops]),
-        ("split", [ops[a:b] for a, b in zip([0, *cuts], [*cuts, len(ops)])]),
-        ("one-by-one", [[op] for op in ops]),
-    ]:
-        path = tmp_path / f"{name}.trace"
-        with TraceWriter(path, HEADER) as writer:
-            for batch in batches:
-                writer.write_ops(batch)
-        data = path.read_bytes()
-        header_len = int.from_bytes(data[8:12], "little")
-        assert body == data[12 + header_len : -4], name
-        assert read_trace(path)[1] == ops
+    assert encode_body(ops) == (body, count)
+    path = tmp_path / "written.trace"
+    assert write_trace(path, HEADER, iter(ops)) == count
+    data = path.read_bytes()
+    header_len = int.from_bytes(data[8:12], "little")
+    assert body == data[12 + header_len : -4]
+    assert read_trace(path)[1] == ops
 
 
 def test_verify_bytes_takes_fast_path_on_clean_trace(tmp_path):
