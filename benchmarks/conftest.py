@@ -47,9 +47,7 @@ class SuiteCache:
         for version in versions:
             key = (workload_name, version)
             if key not in self._runs:
-                single = run_version_suite(
-                    self.scale, BENCHMARKS[workload_name], version
-                )
+                single = run_version_suite(self.scale, workload_name, version)
                 self._runs[key] = single[version]
             result[version] = self._runs[key]
         return result

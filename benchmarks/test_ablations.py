@@ -15,7 +15,6 @@
 import dataclasses
 
 from repro.core.compiler import compile_program
-from repro.core.runtime.policies import VERSIONS
 from repro.experiments.harness import run_multiprogram
 from repro.experiments.report import format_table
 from repro.workloads import BENCHMARKS
@@ -43,7 +42,7 @@ def test_ablation_memory_confidence(benchmark, scale):
             instance = BENCHMARKS["MATVEC"].build(ablated)
             compiled = compile_program(instance.program, ablated.compiler)
             release_sites = len(compiled.all_release_specs())
-            result = run_multiprogram(ablated, BENCHMARKS["MATVEC"], VERSIONS["R"])
+            result = run_multiprogram(ablated, "MATVEC", "R")
             rows.append(
                 (
                     confidence,
@@ -73,7 +72,7 @@ def test_ablation_drain_hysteresis(benchmark, scale):
         rows = []
         for rearm in (1, 0):
             ablated = _with_runtime(scale, drain_rearm_batches=rearm)
-            result = run_multiprogram(ablated, BENCHMARKS["FFTPDE"], VERSIONS["B"])
+            result = run_multiprogram(ablated, "FFTPDE", "B")
             vm = result.vm
             share = vm.freed_by_daemon / max(1, vm.freed_total())
             rows.append(
@@ -110,7 +109,7 @@ def test_ablation_release_batch_size(benchmark, scale):
             scale.runtime.release_batch_pages * 4,
         ):
             ablated = _with_runtime(scale, release_batch_pages=batch)
-            result = run_multiprogram(ablated, BENCHMARKS["MATVEC"], VERSIONS["B"])
+            result = run_multiprogram(ablated, "MATVEC", "B")
             rows.append(
                 (
                     batch,
@@ -138,7 +137,7 @@ def test_ablation_drain_order(benchmark, scale):
         rows = []
         for newest in (True, False):
             ablated = _with_runtime(scale, drain_newest_first=newest)
-            result = run_multiprogram(ablated, BENCHMARKS["FFTPDE"], VERSIONS["B"])
+            result = run_multiprogram(ablated, "FFTPDE", "B")
             rows.append(
                 (
                     "MRU" if newest else "FIFO",
@@ -166,7 +165,7 @@ def test_ablation_prefetch_threads(benchmark, scale):
         rows = []
         for threads in (2, scale.runtime.prefetch_threads):
             ablated = _with_runtime(scale, prefetch_threads=threads)
-            result = run_multiprogram(ablated, BENCHMARKS["MATVEC"], VERSIONS["P"])
+            result = run_multiprogram(ablated, "MATVEC", "P")
             rows.append(
                 (
                     threads,

@@ -11,15 +11,12 @@ Run:  python examples/interactive_protection.py
 """
 
 from repro.config import small
-from repro.core.runtime.policies import VERSIONS
 from repro.experiments.harness import interactive_alone, run_multiprogram
 from repro.experiments.report import format_table
-from repro.workloads.matvec import MatvecWorkload
 
 
 def main() -> None:
     scale = small()
-    workload = MatvecWorkload()
     sleep_times = scale.figure_sleep_times_s[:5]
 
     rows = []
@@ -30,9 +27,7 @@ def main() -> None:
         )
         row = [round(sleep, 3), round(alone_ms, 3)]
         for version in "OPRB":
-            run = run_multiprogram(
-                scale, workload, VERSIONS[version], sleep_time_s=sleep
-            )
+            run = run_multiprogram(scale, "MATVEC", version, sleep_time_s=sleep)
             row.append(round(run.mean_response() * 1e3, 3))
         rows.append(row)
 

@@ -42,7 +42,7 @@ def main() -> None:
     # -- the four versions, sharing the machine with an interactive task --
     rows = []
     for version_name in "OPRB":
-        run = run_multiprogram(scale, workload, VERSIONS[version_name])
+        run = run_multiprogram(scale, workload.name, version_name)
         buckets = run.app_buckets
         rows.append(
             (

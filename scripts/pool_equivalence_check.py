@@ -7,16 +7,18 @@ Four phases, all under a dispatcher peak-RSS budget:
    and through the warm pool (``jobs=4``).  Every result must serialize
    byte-identically across the two.
 2. **Sweep scale** — a 1k-spec synthetic sweep (successes *and*
-   failures) runs inline, then on the pool with batched dispatch
-   (``jobs=4, batch_size=8``); the merged digests must match.
-3. **Crash chaos** — the same pooled sweep with workers killed
-   mid-batch (``PoolChaos.crash_keys``) must converge to the same
-   digest: only the blamed spec is retried, batchmates are requeued at
-   the same attempt.
-4. **Hang chaos** — the same pooled sweep with workers wedged mid-batch
-   and their heartbeats silenced (``PoolChaos.hang_keys``) must converge
-   to the same digest: the ``hang_timeout_s`` watchdog kills each wedged
-   worker and the requeued spec succeeds.
+   failures) runs inline, then on the pool (``jobs=4``, one spec per
+   dispatch, two outstanding per worker); the merged digests must match.
+3. **Crash chaos** — the same pooled sweep with workers killed as they
+   start a spec (``PoolChaos.crash_keys``), most of them with the next
+   spec already buffered behind it, must converge to the same digest:
+   only the blamed spec is retried, the buffered one is requeued at the
+   same attempt.
+4. **Hang chaos** — the same pooled sweep with workers wedged, a spec
+   buffered behind the wedged one and their heartbeats silenced
+   (``PoolChaos.hang_keys``), must converge to the same digest: the
+   ``hang_timeout_s`` watchdog kills each wedged worker and the requeued
+   spec succeeds.
 
 Exits non-zero with a diagnostic on any divergence.  Run from the repo
 root with ``PYTHONPATH=src``.
@@ -99,7 +101,7 @@ def sweep_scale(root: Path) -> str:
     sharded = sweep_digest(
         root,
         "sharded",
-        SweepOptions(jobs=4, batch_size=8, fsync_journal=False),
+        SweepOptions(jobs=4, fsync_journal=False),
     )
     if sharded != inline:
         fail(
@@ -126,7 +128,6 @@ def sweep_chaos(root: Path, reference: str) -> None:
         "chaos",
         SweepOptions(
             jobs=4,
-            batch_size=8,
             retries=1,
             fsync_journal=False,
             chaos=chaos,
@@ -156,7 +157,6 @@ def sweep_hang(root: Path, reference: str) -> None:
         "hang",
         SweepOptions(
             jobs=4,
-            batch_size=8,
             hang_timeout_s=0.5,
             fsync_journal=False,
             chaos=chaos,
@@ -180,7 +180,7 @@ def main() -> int:
         sweep_hang(root, reference)
     print(
         "pool-equivalence-check: OK (warm pool and serial runs are "
-        "byte-identical; batched, crashed and hung sweeps merge to the "
+        "byte-identical; pooled, crashed and hung sweeps merge to the "
         "inline digest)"
     )
     return 0

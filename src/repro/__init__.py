@@ -8,8 +8,8 @@ paper's evaluation.
 
 Typical entry points:
 
->>> from repro import small, run_multiprogram, VERSIONS, benchmark
->>> result = run_multiprogram(small(), benchmark("MATVEC"), VERSIONS["B"])
+>>> from repro import small, run_multiprogram
+>>> result = run_multiprogram(small(), "MATVEC", "B")
 >>> result.elapsed_s            # the out-of-core app's completion time
 >>> result.mean_response()      # the interactive task's response time
 

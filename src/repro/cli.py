@@ -251,8 +251,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     version = args.version or "B"
     spec = multiprogram_spec(
         scale,
-        benchmark(args.benchmark),
-        VERSIONS[version],
+        args.benchmark,
+        version,
         sleep_time_s=args.sleep,
     )
     plan = _faults_from_args(args)
@@ -547,8 +547,8 @@ def _cmd_compare_policies(args: argparse.Namespace) -> int:
     scale = _scale_from(args)
     spec = multiprogram_spec(
         scale,
-        benchmark(args.benchmark),
-        VERSIONS[args.version],
+        args.benchmark,
+        args.version,
         sleep_time_s=args.sleep,
     )
     policies = args.policy or list(policy_names())
@@ -595,7 +595,7 @@ def _cmd_suite(args: argparse.Namespace) -> int:
     scale = _scale_from(args)
     suite = run_version_suite(
         scale,
-        benchmark(args.benchmark),
+        args.benchmark,
         args.versions,
         jobs=args.jobs,
         cache_dir=args.cache_dir,
@@ -737,7 +737,6 @@ def _sweep_options_from(args: argparse.Namespace) -> SweepOptions:
         retries=args.retries,
         hang_timeout_s=args.hang_timeout,
         max_failures=args.max_failures,
-        batch_size=args.batch_size,
     )
 
 
@@ -845,7 +844,6 @@ def _cmd_sweep_status(args: argparse.Namespace) -> int:
         if pool:
             rows += [
                 ("pool workers", pool.get("workers", "-")),
-                ("pool batch size", pool.get("batch_size", "-")),
                 ("pool dispatches", pool.get("dispatches", "-")),
                 (
                     "pool specs/dispatch",
@@ -879,8 +877,8 @@ def _cmd_ensemble(args: argparse.Namespace) -> int:
     scale = _scale_from(args)
     spec = multiprogram_spec(
         scale,
-        benchmark(args.benchmark),
-        VERSIONS[args.version],
+        args.benchmark,
+        args.version,
         sleep_time_s=args.sleep,
     )
     plan = FaultPlan.from_dict(_load_json_argument(args.faults))
@@ -951,8 +949,8 @@ def _cmd_trace_record(args: argparse.Namespace) -> int:
     elif args.benchmark is not None:
         spec = multiprogram_spec(
             _scale_from(args),
-            benchmark(args.benchmark),
-            VERSIONS[args.version or "B"],
+            args.benchmark,
+            args.version or "B",
             sleep_time_s=args.sleep,
         )
     else:
@@ -1303,12 +1301,6 @@ def build_parser() -> argparse.ArgumentParser:
             type=int,
             default=None,
             help="abort the sweep after this many failed specs (default: off)",
-        )
-        parser.add_argument(
-            "--batch-size",
-            type=int,
-            default=1,
-            help="specs per dispatch to each worker (default 1)",
         )
 
     sweep_parser = commands.add_parser(

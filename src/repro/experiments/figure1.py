@@ -68,8 +68,8 @@ def run_figure1(
     specs = []
     for sleep in sleep_times:
         specs.append(ExperimentSpec.interactive_alone(scale, sleep, sweeps=6))
-        specs.append(multiprogram_spec(scale, workload, "O", sleep_time_s=sleep))
-        specs.append(multiprogram_spec(scale, workload, "P", sleep_time_s=sleep))
+        specs.append(multiprogram_spec(scale, workload.name, "O", sleep_time_s=sleep))
+        specs.append(multiprogram_spec(scale, workload.name, "P", sleep_time_s=sleep))
     runs = run_specs(
         specs, jobs=jobs, cache_dir=cache_dir, timeout_s=timeout_s, retries=retries
     )

@@ -22,7 +22,6 @@ from repro.experiments.report import format_table
 from repro.experiments.runner import run_specs
 from repro.machine import ExperimentSpec
 from repro.workloads.base import OutOfCoreWorkload
-from repro.workloads.matvec import MatvecWorkload
 from repro.workloads.suite import BENCHMARKS
 
 __all__ = [
@@ -55,14 +54,13 @@ def run_figure10a(
 ) -> Figure10aResult:
     if sleep_times is None:
         sleep_times = scale.figure_sleep_times_s
-    workload = MatvecWorkload()
     stride = 1 + len(versions)  # alone + one run per version, per sleep
     specs = []
     for sleep in sleep_times:
         specs.append(ExperimentSpec.interactive_alone(scale, sleep, sweeps=6))
         for version in versions:
             specs.append(
-                multiprogram_spec(scale, workload, version, sleep_time_s=sleep)
+                multiprogram_spec(scale, "MATVEC", version, sleep_time_s=sleep)
             )
     runs = run_specs(
         specs, jobs=jobs, cache_dir=cache_dir, timeout_s=timeout_s, retries=retries
@@ -150,7 +148,7 @@ def run_figure10bc(
     )
     grid = run_suite_grid(
         scale,
-        workloads,
+        [workload.name for workload in workloads],
         versions,
         sleep_time_s=sleep_time_s,
         jobs=jobs,

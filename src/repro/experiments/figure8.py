@@ -49,7 +49,7 @@ def run_figure8(
         workloads = list(BENCHMARKS.values())
     grid = run_suite_grid(
         scale,
-        workloads,
+        [workload.name for workload in workloads],
         versions,
         jobs=jobs,
         cache_dir=cache_dir,

@@ -82,7 +82,7 @@ def run_figure9(
         workloads = list(BENCHMARKS.values())
     grid = run_suite_grid(
         scale,
-        workloads,
+        [workload.name for workload in workloads],
         versions,
         jobs=jobs,
         cache_dir=cache_dir,

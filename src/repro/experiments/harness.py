@@ -12,11 +12,10 @@ through the parallel, cached runner (:mod:`repro.experiments.runner`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Sequence
 
 from repro.config import SimScale
 from repro.core.runtime.layer import RuntimeStats
-from repro.core.runtime.policies import VersionConfig
 from repro.experiments.runner import run_specs
 from repro.machine import (
     ExperimentResult,
@@ -25,7 +24,6 @@ from repro.machine import (
 )
 from repro.sim.stats import TimeBuckets
 from repro.vm.stats import AddressSpaceStats, VmStats
-from repro.workloads.base import OutOfCoreWorkload
 from repro.workloads.interactive import SweepSample
 
 __all__ = [
@@ -70,26 +68,22 @@ class MultiprogramResult:
         return sum(s.hard_faults for s in samples) / len(samples)
 
 
-def _workload_name(workload: Union[str, OutOfCoreWorkload]) -> str:
-    return workload if isinstance(workload, str) else workload.name
-
-
-def _version_name(version: Union[str, VersionConfig]) -> str:
-    return version if isinstance(version, str) else version.name
-
-
 def multiprogram_spec(
     scale: SimScale,
-    workload: Union[str, OutOfCoreWorkload],
-    version: Union[str, VersionConfig],
+    workload: str,
+    version: str,
     sleep_time_s: Optional[float] = None,
     with_interactive: bool = True,
 ) -> ExperimentSpec:
-    """The spec for one standard hog (+ interactive) experiment."""
+    """The spec for one standard hog (+ interactive) experiment.
+
+    ``workload`` and ``version`` are names (``"MATVEC"``, ``"R"``): a spec
+    carries a registered benchmark by name, never a workload object.
+    """
     return ExperimentSpec.multiprogram(
         scale,
-        _workload_name(workload),
-        _version_name(version),
+        workload,
+        version,
         sleep_time_s=sleep_time_s,
         with_interactive=with_interactive,
     )
@@ -124,8 +118,8 @@ def to_multiprogram(result: ExperimentResult) -> MultiprogramResult:
 
 def run_multiprogram(
     scale: SimScale,
-    workload: Union[str, OutOfCoreWorkload],
-    version: Union[str, VersionConfig],
+    workload: str,
+    version: str,
     sleep_time_s: Optional[float] = None,
     with_interactive: bool = True,
 ) -> MultiprogramResult:
@@ -147,7 +141,7 @@ def interactive_alone(
 
 def run_version_suite(
     scale: SimScale,
-    workload: Union[str, OutOfCoreWorkload],
+    workload: str,
     versions: str = "OPRB",
     sleep_time_s: Optional[float] = None,
     with_interactive: bool = True,
@@ -174,7 +168,7 @@ def run_version_suite(
 
 def run_suite_grid(
     scale: SimScale,
-    workloads,
+    workloads: Sequence[str],
     versions: str = "OPRB",
     sleep_time_s: Optional[float] = None,
     jobs: int = 1,
@@ -187,11 +181,7 @@ def run_suite_grid(
     Flattening the grid into one :func:`run_specs` call lets the runner
     parallelise across the whole figure, not just within one benchmark.
     """
-    pairs = [
-        (_workload_name(workload), version)
-        for workload in workloads
-        for version in versions
-    ]
+    pairs = [(workload, version) for workload in workloads for version in versions]
     specs = [
         multiprogram_spec(scale, workload, version, sleep_time_s)
         for workload, version in pairs

@@ -12,9 +12,10 @@ amortizes what per-grid process churn used to cost:
   resident.  A process-wide shared pool (:func:`get_pool`) survives across
   grids, bench repeats, and service jobs, so only the first dispatch pays
   interpreter startup.
-- **Batched dispatch** — many small specs ride one pipe round-trip
-  (``{"frame": "batch", "items": [...]}``), which matters when the specs
-  are cheap (synthetic sweep cells) and the IPC is not.
+- **Pipelined dispatch** — one spec per frame, and at most two per
+  worker: the one it runs and the next, buffered in its pipe, so a worker
+  never idles on a round trip and a slow spec holds back at most one
+  other.
 - **Zero-pickle frames** — specs and results travel as canonical-JSON
   frames (:mod:`repro.experiments.wire`), not pickles.
 - **Snapshot/reset** — workers keep :mod:`repro.machine`'s workload
@@ -33,13 +34,13 @@ reference path.
 
 Worker reuse raises a hygiene problem process churn used to hide: state a
 spec leaves behind (a leaked ``SIGALRM`` timer or handler) would flow into
-the next spec, so the deadline timer is forcibly disarmed between items.
+the next spec, so the deadline timer is forcibly disarmed between specs.
 
-Crash containment: when a worker dies or hangs mid-batch, the first
-unfinished item is the suspect — requeued once, alone, then failed with
-``kind="crash"`` or ``kind="hang"`` — and the rest requeue unblamed;
-finished items are never re-run, and work that never reached a worker is
-never blamed.
+Crash containment: when a worker dies or hangs, its first outstanding
+spec is the suspect — requeued once, alone on an idle worker, then failed
+with ``kind="crash"`` or ``kind="hang"`` — and the spec buffered behind
+it requeues unblamed at the same attempt; finished specs never run
+again, and a spec that never reached a worker is never blamed.
 """
 
 from __future__ import annotations
@@ -104,7 +105,7 @@ class PoolChaos:
     ``crash_keys`` makes a worker die (``os._exit``) when it picks up one
     of those specs; ``hang_keys`` makes it wedge with its heartbeat
     silenced — exactly the beyond-SIGALRM hang the watchdog exists for.
-    Injection applies only while the item's attempt number is
+    Injection applies only while the spec's attempt number is
     ``<= max_attempt``, so ``max_attempt=1`` models an environmental flake
     (the requeue succeeds) and the default models a poison spec (the
     requeue fails too).
@@ -143,7 +144,7 @@ def _mp_context():
 
 
 def _disarm_deadline() -> None:
-    """Defense in depth between items: whatever the previous spec did,
+    """Defense in depth between specs: whatever the previous spec did,
     no timer may survive into the next one."""
     if hasattr(signal, "SIGALRM"):
         try:
@@ -161,8 +162,8 @@ def worker_entry(
 ) -> None:
     """Persistent worker loop.
 
-    Pulls batch frames off the pipe, runs each item through the guarded
-    executor, pushes one result frame per item.  With ``heartbeat_s`` set
+    Pulls spec frames off the pipe, runs each through the guarded
+    executor, pushes one result frame per spec.  With ``heartbeat_s`` set
     a thread beats on the pipe so the dispatcher's watchdog can see hangs;
     either way the thread watches ``os.getppid()`` and exits if the parent
     dies, so a SIGKILLed dispatcher never leaves orphans.  With
@@ -205,58 +206,53 @@ def worker_entry(
 
     threading.Thread(target=_beats, daemon=True).start()
 
-    stop = False
-    while not stop:
+    while True:
         try:
             frame = recv_frame(conn)
         except (EOFError, OSError, wire.WireError):
             break
         if frame.get("frame") == "stop":
             break
-        if frame.get("frame") != "batch":
+        if frame.get("frame") != "spec":
             continue
-        for item in frame["items"]:
-            index = item["index"]
-            attempt = item["attempt"]
-            key = item["key"]
-            if chaos.enabled and attempt <= chaos.max_attempt:
-                if key in chaos.crash_keys:
-                    os._exit(3)  # stands in for a segfault / OOM kill
-                if key in chaos.hang_keys:
-                    beats_stopped.set()  # a wedge the watchdog must catch
-                    time.sleep(chaos.hang_s)
-            _disarm_deadline()
-            snap_before = machine_mod.template_counters()
-            started = time.monotonic()
-            outcome = execute_guarded(item["spec"], item["timeout_s"], item["retries"])
-            elapsed = time.monotonic() - started
-            snap_after = machine_mod.template_counters()
-            result_frame: Dict[str, object] = {
-                "frame": "result",
-                "index": index,
-                "elapsed_s": elapsed,
-                "snap_hits": snap_after["hits"] - snap_before["hits"],
-                "snap_misses": snap_after["misses"] - snap_before["misses"],
-            }
-            if isinstance(outcome, ExperimentFailure):
-                result_frame.update(
-                    status="failure",
-                    kind=outcome.kind,
-                    message=outcome.message,
-                    attempts=outcome.attempts,
-                )
-            elif store is not None:
-                store_cached(store, key, outcome)
-                result_frame["status"] = "ok"
-            else:
-                # Detach the spec: the dispatcher reattaches its own
-                # object, so the frame carries only the result data.
-                if isinstance(outcome, ExperimentResult):
-                    outcome.spec = None
-                result_frame.update(status="ok", result=outcome)
-            if not _send(result_frame):
-                stop = True
-                break
+        key = frame["key"]
+        if chaos.enabled and frame["attempt"] <= chaos.max_attempt:
+            if key in chaos.crash_keys:
+                os._exit(3)  # stands in for a segfault / OOM kill
+            if key in chaos.hang_keys:
+                beats_stopped.set()  # a wedge the watchdog must catch
+                time.sleep(chaos.hang_s)
+        _disarm_deadline()
+        snap_before = machine_mod.template_counters()
+        started = time.monotonic()
+        outcome = execute_guarded(frame["spec"], frame["timeout_s"], frame["retries"])
+        elapsed = time.monotonic() - started
+        snap_after = machine_mod.template_counters()
+        result_frame: Dict[str, object] = {
+            "frame": "result",
+            "index": frame["index"],
+            "elapsed_s": elapsed,
+            "snap_hits": snap_after["hits"] - snap_before["hits"],
+            "snap_misses": snap_after["misses"] - snap_before["misses"],
+        }
+        if isinstance(outcome, ExperimentFailure):
+            result_frame.update(
+                status="failure",
+                kind=outcome.kind,
+                message=outcome.message,
+                attempts=outcome.attempts,
+            )
+        elif store is not None:
+            store_cached(store, key, outcome)
+            result_frame["status"] = "ok"
+        else:
+            # Detach the spec: the dispatcher reattaches its own
+            # object, so the frame carries only the result data.
+            if isinstance(outcome, ExperimentResult):
+                outcome.spec = None
+            result_frame.update(status="ok", result=outcome)
+        if not _send(result_frame):
+            break
     try:
         conn.close()
     except OSError:
@@ -281,7 +277,7 @@ Outcome = Union[ExperimentResult, ExperimentFailure, object]
 
 
 class WarmPool:
-    """A leasable set of persistent workers plus a batching dispatcher.
+    """A leasable set of persistent workers plus a pipelining dispatcher.
 
     Thread-safe: the service's job threads each lease workers through
     :meth:`run`/:meth:`run_one` concurrently (a worker pipe is only ever
@@ -324,7 +320,6 @@ class WarmPool:
             "dispatches": 0,
             "warm_dispatches": 0,
             "specs_dispatched": 0,
-            "max_batch": 0,
             "crashes": 0,
             "snapshot_hits": 0,
             "snapshot_misses": 0,
@@ -440,18 +435,11 @@ class WarmPool:
 
     # -- dispatch ----------------------------------------------------------
 
-    def _auto_batch(self, count: int) -> int:
-        """Batch so each worker sees ~2 dispatch rounds: enough batching to
-        amortize the pipe; the two-deep pipeline rebalances uneven items."""
-        rounds = max(1, self._target * 2)
-        return max(1, min(8, -(-count // rounds)))
-
     def run(
         self,
         specs: Sequence[object],
         timeout_s: Optional[float] = None,
         retries: int = 0,
-        batch_size: Optional[int] = None,
         on_outcome: Optional[Callable[..., bool]] = None,
     ) -> List[Outcome]:
         """Run ``specs`` on warm workers; outcomes align with input order.
@@ -473,12 +461,9 @@ class WarmPool:
         if count == 0:
             return []
         keys = [spec_key(spec) for spec in specs]
-        if batch_size is None:
-            batch_size = self._auto_batch(count)
-        batch_size = max(1, int(batch_size))
 
         # Lease workers: at least one (blocking), more if free right now.
-        want = min(self._target, max(1, -(-count // batch_size)))
+        want = min(self._target, count)
         leased = [self._checkout()]
         while len(leased) < want:
             worker = self._try_checkout()
@@ -509,54 +494,41 @@ class WarmPool:
             _tell(index, outcome, worker, elapsed_s)
 
         def _fill(worker: _Worker) -> None:
-            """Top the worker up to two batches of outstanding items.
+            """Keep the worker two specs deep: the one it runs and the next.
 
-            Keeping a second batch buffered in the pipe is what removes
-            the round-trip stall: while the dispatcher is decoding one
-            result, the worker is already executing the next item instead
-            of idling.  A crash suspect (``solo``) is only ever sent to a
-            worker with *nothing* outstanding, so a second death
-            unambiguously blames it.
+            The buffered spec is what removes the round-trip stall: while
+            the dispatcher decodes one result, the worker already runs the
+            next spec.  Two, not more, so a slow spec holds back at most
+            one other while idle workers take the rest of the queue.  A
+            crash suspect (``solo``) is only ever sent to a worker with
+            *nothing* outstanding, so it is what that worker runs first
+            and a second death unambiguously blames it.
             """
-            while pending and len(inflight.get(worker, ())) < 2 * batch_size:
-                if pending[0] in solo:
-                    if inflight.get(worker):
-                        return  # suspects need an empty worker
-                    batch = [pending.popleft()]
-                else:
-                    batch = []
-                    while (
-                        pending
-                        and len(batch) < batch_size
-                        and pending[0] not in solo
-                    ):
-                        batch.append(pending.popleft())
-                    if not batch:
-                        return  # head of queue is a suspect
-                if not _dispatch(worker, batch):
-                    # The worker died before this batch reached it: the
-                    # batch goes back unblamed, at the same attempt.
-                    pending.extendleft(reversed(batch))
+            while pending and len(inflight.get(worker, ())) < 2:
+                index = pending[0]
+                if index in solo and inflight.get(worker):
+                    return  # suspects need an idle worker
+                pending.popleft()
+                if not _dispatch(worker, index):
+                    # The worker died before this spec reached it: the
+                    # spec goes back unblamed, at the same attempt.
+                    pending.appendleft(index)
                     _lose(worker, "crash")
                     return
-                inflight.setdefault(worker, []).extend(batch)
-                if batch[0] in solo:
-                    return  # nothing may ride along with a suspect
+                inflight.setdefault(worker, []).append(index)
 
-        def _dispatch(worker: _Worker, batch: List[int]) -> bool:
-            items = [
-                {
-                    "index": index,
-                    "attempt": attempts[index],
-                    "key": keys[index],
-                    "spec": specs[index],
-                    "timeout_s": timeout_s,
-                    "retries": retries,
-                }
-                for index in batch
-            ]
+        def _dispatch(worker: _Worker, index: int) -> bool:
+            frame = {
+                "frame": "spec",
+                "index": index,
+                "attempt": attempts[index],
+                "key": keys[index],
+                "spec": specs[index],
+                "timeout_s": timeout_s,
+                "retries": retries,
+            }
             try:
-                send_frame(worker.conn, {"frame": "batch", "items": items})
+                send_frame(worker.conn, frame)
             except (BrokenPipeError, OSError):
                 return False
             if not inflight.get(worker):
@@ -565,10 +537,7 @@ class WarmPool:
                 self._counters["dispatches"] += 1
                 if worker.dispatches > 0:
                     self._counters["warm_dispatches"] += 1
-                self._counters["specs_dispatched"] += len(items)
-                self._counters["max_batch"] = max(
-                    self._counters["max_batch"], len(items)
-                )
+                self._counters["specs_dispatched"] += 1
             worker.dispatches += 1
             return True
 
@@ -576,18 +545,19 @@ class WarmPool:
             """A worker died (``crash``) or stopped beating (``hang``).
 
             Results stream back in dispatch order, so the first
-            unfinished item is what the worker was running: the suspect,
+            outstanding spec is what the worker was running: the suspect,
             requeued once and alone, then failed with ``kind=reason``.
-            Its batchmates never started and requeue unblamed.
+            The spec buffered behind it never started and requeues
+            unblamed.
             """
-            batch = inflight.pop(worker, [])
+            outstanding = inflight.pop(worker, [])
             with self._tlock:
                 self._counters["crashes"] += 1
             leased.remove(worker)
             self._discard(worker)
-            if batch:
-                suspect = batch[0]
-                pending.extendleft(reversed(batch[1:]))
+            if outstanding:
+                suspect, *buffered = outstanding
+                pending.extendleft(buffered)
                 crash_counts[suspect] = crash_counts.get(suspect, 0) + 1
                 failure = ExperimentFailure(
                     specs[suspect],
@@ -611,10 +581,10 @@ class WarmPool:
 
         def _receive(worker: _Worker, frame: Dict[str, object]) -> None:
             index = frame["index"]
-            batch = inflight.get(worker, [])
-            if index in batch:
-                batch.remove(index)
-            if not batch:
+            outstanding = inflight.get(worker, [])
+            if index in outstanding:
+                outstanding.remove(index)
+            if not outstanding:
                 inflight.pop(worker, None)
             if frame["status"] == "ok":
                 outcome = frame.get("result")
@@ -656,7 +626,7 @@ class WarmPool:
                         _fill(worker)
                 if not inflight:
                     if not pending:
-                        break  # unreachable: each item is pending, in flight or done
+                        break  # unreachable: each spec is pending, in flight or done
                     continue
                 ready = conn_wait(
                     [w.conn for w in inflight], timeout=self._heartbeat_s or 1.0
@@ -681,8 +651,9 @@ class WarmPool:
         finally:
             for worker in list(leased):
                 if worker in inflight:
-                    # Abandoned mid-batch (stopped, or an exception above):
-                    # the worker may still be executing — do not reuse its pipe.
+                    # Abandoned with work outstanding (stopped, or an
+                    # exception above): the worker may still be executing
+                    # — do not reuse its pipe.
                     leased.remove(worker)
                     self._discard(worker)
                 else:
@@ -697,7 +668,7 @@ class WarmPool:
     ) -> Outcome:
         """One spec on one leased worker — how a sweep given a pool runs
         each cell.  Thread-safe against concurrent ``run_one`` calls."""
-        return self.run([spec], timeout_s=timeout_s, retries=retries, batch_size=1)[0]
+        return self.run([spec], timeout_s=timeout_s, retries=retries)[0]
 
     # -- telemetry ---------------------------------------------------------
 

@@ -453,7 +453,9 @@ def run_specs(
 
     ``timeout_s`` bounds each spec's wall clock; ``retries`` re-runs a
     failing spec that many extra times.  A spec that still fails becomes an
-    :class:`ExperimentFailure` in its slot (never cached).  With
+    :class:`ExperimentFailure` in its slot (never cached).  Each success is
+    cached as soon as it lands, so a grid interrupted part way (Ctrl-C, a
+    killed dispatcher) re-runs only what had not finished.  With
     ``on_error="raise"`` (default) an :class:`ExperimentGridError` is
     raised after the whole grid has run and every success is cached;
     ``on_error="return"`` returns the mixed list instead.
@@ -482,26 +484,32 @@ def run_specs(
                 continue
         missing.append(index)
 
+    def land(index: int, outcome) -> None:
+        results[index] = outcome
+        if cache is not None:
+            store_cached(cache, keys[index], outcome)  # refuses failures
+
     if missing:
         jobs = min(jobs, len(missing))
         if jobs == 1:
             for index in missing:
-                results[index] = execute_guarded(specs[index], timeout_s, retries)
+                land(index, execute_guarded(specs[index], timeout_s, retries))
         else:
             # Parallel grids run on the shared warm pool; the serial loop
             # above is the byte-identical reference path.
             from repro.experiments import pool as pool_mod
 
-            outcomes = pool_mod.get_pool(jobs).run(
+            def on_outcome(position, outcome, *_args, requeued=False) -> bool:
+                if not requeued:
+                    land(missing[position], outcome)
+                return False
+
+            pool_mod.get_pool(jobs).run(
                 [specs[index] for index in missing],
                 timeout_s=timeout_s,
                 retries=retries,
+                on_outcome=on_outcome,
             )
-            for index, outcome in zip(missing, outcomes):
-                results[index] = outcome
-        if cache is not None:
-            for index in missing:
-                store_cached(cache, keys[index], results[index])
 
     failures = [r for r in results if isinstance(r, ExperimentFailure)]
     if failures and on_error == "raise":

@@ -149,7 +149,6 @@ class SweepOptions:
     """
 
     jobs: int = 1
-    batch_size: int = 1
     timeout_s: Optional[float] = None
     retries: int = 0
     hang_timeout_s: Optional[float] = None
@@ -161,8 +160,6 @@ class SweepOptions:
     def validate(self) -> None:
         if self.jobs < 1:
             raise SweepError(f"jobs must be >= 1, got {self.jobs}")
-        if self.batch_size < 1:
-            raise SweepError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.retries < 0:
             raise SweepError(f"retries must be >= 0, got {self.retries}")
         if self.timeout_s is not None and self.timeout_s <= 0:
@@ -539,13 +536,11 @@ class _Journal:
                 [specs[index] for index in pending],
                 timeout_s=options.timeout_s,
                 retries=options.retries,
-                batch_size=options.batch_size,
                 on_outcome=land,
             )
         finally:
             pool.shutdown()
-            # Pool telemetry for `sweep status --json`: how well dispatch
-            # batching amortized the pipe, and how warm the workers ran.
+            # Pool telemetry for `sweep status --json`.
             telemetry = pool.telemetry()
             try:
                 append_journal_line(
@@ -554,11 +549,9 @@ class _Journal:
                         "event": "pool",
                         "workers": workers,
                         "workers_spawned": telemetry["workers_spawned"],
-                        "batch_size": options.batch_size,
                         "dispatches": telemetry["dispatches"],
                         "specs_dispatched": telemetry["specs_dispatched"],
                         "specs_per_dispatch": round(telemetry["specs_per_dispatch"], 3),
-                        "max_batch": telemetry["max_batch"],
                     },
                     fsync=False,
                 )

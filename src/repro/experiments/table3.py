@@ -67,7 +67,7 @@ def run_table3(
         workloads = list(BENCHMARKS.values())
     grid = run_suite_grid(
         scale,
-        workloads,
+        [workload.name for workload in workloads],
         "OR",
         jobs=jobs,
         cache_dir=cache_dir,

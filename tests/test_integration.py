@@ -8,23 +8,21 @@ who wins, and why — not absolute numbers.
 import pytest
 
 from repro.config import small, tiny
-from repro.core.runtime.policies import VERSIONS
 from repro.experiments.harness import (
     interactive_alone,
     run_multiprogram,
     run_version_suite,
 )
-from repro.workloads import BENCHMARKS
 
 
 @pytest.fixture(scope="module")
 def matvec_suite():
-    return run_version_suite(tiny(), BENCHMARKS["MATVEC"], "OPRB")
+    return run_version_suite(tiny(), "MATVEC", "OPRB")
 
 
 @pytest.fixture(scope="module")
 def small_matvec_suite():
-    return run_version_suite(small(), BENCHMARKS["MATVEC"], "OPRB")
+    return run_version_suite(small(), "MATVEC", "OPRB")
 
 
 class TestOutOfCorePerformance:
@@ -112,7 +110,7 @@ class TestInteractiveImpact:
 class TestBukReplacementPolicy:
     @pytest.fixture(scope="class")
     def buk(self):
-        return run_version_suite(tiny(), BENCHMARKS["BUK"], "PR")
+        return run_version_suite(tiny(), "BUK", "PR")
 
     def test_random_array_stays_resident_with_releasing(self, buk):
         """The compiler's decision not to release the random array keeps it
@@ -129,7 +127,7 @@ class TestBukReplacementPolicy:
 class TestFftpdeBufferingException:
     @pytest.fixture(scope="class")
     def fftpde(self):
-        return run_version_suite(tiny(), BENCHMARKS["FFTPDE"], "RB")
+        return run_version_suite(tiny(), "FFTPDE", "RB")
 
     def test_buffering_performs_few_releases(self, fftpde):
         """'FFTPDE with release buffering performs very few useful
@@ -158,7 +156,7 @@ class TestRuntimeFiltering:
     def test_cgm_hint_flood_is_filtered(self):
         """CGM's unknown bounds produce a very large number of unnecessary
         requests that the run-time layer filters."""
-        run = run_multiprogram(tiny(), BENCHMARKS["CGM"], VERSIONS["R"])
+        run = run_multiprogram(tiny(), "CGM", "R")
         stats = run.runtime
         filtered = (
             stats.prefetch_filtered_bitmap
@@ -172,8 +170,8 @@ class TestRuntimeFiltering:
 
 class TestDeterminism:
     def test_runs_are_reproducible(self):
-        first = run_multiprogram(tiny(), BENCHMARKS["MATVEC"], VERSIONS["R"])
-        second = run_multiprogram(tiny(), BENCHMARKS["MATVEC"], VERSIONS["R"])
+        first = run_multiprogram(tiny(), "MATVEC", "R")
+        second = run_multiprogram(tiny(), "MATVEC", "R")
         assert first.elapsed_s == second.elapsed_s
         assert first.app_stats.hard_faults == second.app_stats.hard_faults
         assert first.vm.releaser_pages_freed == second.vm.releaser_pages_freed

@@ -119,7 +119,7 @@ class TestWarmReuse:
         pooled = [serialize_result(r) for r in run_specs(specs, jobs=2)]
         assert pooled == serial
 
-    def test_batched_sweep_matches_inline_digest(self, tmp_path):
+    def test_pooled_sweep_matches_inline_digest(self, tmp_path):
         specs = synthetic_specs(60, fail_every=13)
         inline = run_sweep(
             specs, tmp_path / "inline", options=SweepOptions(fsync_journal=False)
@@ -127,10 +127,41 @@ class TestWarmReuse:
         sharded = run_sweep(
             specs,
             tmp_path / "sharded",
-            options=SweepOptions(jobs=2, batch_size=4, fsync_journal=False),
+            options=SweepOptions(jobs=2, fsync_journal=False),
         )
         assert sharded.digest == inline.digest
         assert sharded.counts() == inline.counts()
+
+
+# -- dispatch ----------------------------------------------------------------
+
+
+class TestDispatch:
+    def test_a_slow_spec_holds_back_at_most_one_other(self):
+        """One spec per frame and two outstanding per worker: the worker
+        that draws the slow spec runs at most the spec buffered behind it,
+        while the other worker takes the rest of the queue."""
+        specs = [SyntheticSpec(index=0, sleep_s=0.5)]
+        specs += [SyntheticSpec(index=i) for i in range(1, 9)]
+        ran_on = {}
+
+        def record(index, outcome, attempt, worker, elapsed_s, requeued=False):
+            ran_on[index] = worker
+            return False
+
+        pool = WarmPool(2)
+        try:
+            outcomes = pool.run(specs, on_outcome=record)
+            assert all(isinstance(o, SyntheticResult) for o in outcomes)
+            behind_slow = [
+                index for index, worker in ran_on.items()
+                if worker == ran_on[0] and index != 0
+            ]
+            assert len(behind_slow) <= 1
+            telemetry = pool.telemetry()
+            assert telemetry["dispatches"] == telemetry["specs_dispatched"] == len(specs)
+        finally:
+            pool.shutdown()
 
 
 # -- deadlines on persistent workers -----------------------------------------
@@ -175,7 +206,7 @@ class TestCrashContainment:
         chaos = PoolChaos(crash_keys=(spec_key(specs[2]),), max_attempt=1)
         pool = WarmPool(2, chaos=chaos)
         try:
-            outcomes = pool.run(specs, batch_size=3)
+            outcomes = pool.run(specs)
             assert all(isinstance(o, SyntheticResult) for o in outcomes)
             assert [o.index for o in outcomes] == list(range(6))
             assert pool.telemetry()["crashes"] >= 1
@@ -187,7 +218,7 @@ class TestCrashContainment:
         chaos = PoolChaos(crash_keys=(spec_key(specs[2]),))  # crashes forever
         pool = WarmPool(2, chaos=chaos)
         try:
-            outcomes = pool.run(specs, batch_size=3)
+            outcomes = pool.run(specs)
             poisoned = outcomes[2]
             assert isinstance(poisoned, ExperimentFailure)
             assert poisoned.kind == "crash"
@@ -197,26 +228,26 @@ class TestCrashContainment:
             pool.shutdown()
 
     def test_crashed_results_never_rerun_finished_items(self):
-        # Crash on the LAST item of a batch: the first two results of
-        # that batch are already home and must not be re-executed.
+        # Crash on the last spec one worker runs: the first two results
+        # are already home and must not be re-executed.
         specs = [SyntheticSpec(index=i) for i in range(3)]
         chaos = PoolChaos(crash_keys=(spec_key(specs[2]),), max_attempt=1)
         pool = WarmPool(1, chaos=chaos)
         try:
-            outcomes = pool.run(specs, batch_size=3)
+            outcomes = pool.run(specs)
             assert all(isinstance(o, SyntheticResult) for o in outcomes)
             telemetry = pool.telemetry()
-            # Items 0 and 1 complete once on the first pass; only the
+            # Specs 0 and 1 complete once on the first pass; only the
             # suspect re-runs. A naive requeue would re-execute all 3.
             assert telemetry["specs_done"] == 3
         finally:
             pool.shutdown()
 
     def test_send_to_dead_worker_blames_nothing(self):
-        # A worker that died while idle never received the batch, so the
-        # batch requeues unblamed: the flaky spec's first real attempt is
+        # A worker that died while idle never received the spec, so the
+        # spec requeues unblamed: the flaky spec's first real attempt is
         # attempt 1, its injected crash fires, and the pool counts both
-        # losses.  Blaming the unsent batch would skip that attempt.
+        # losses.  Blaming the unsent spec would skip that attempt.
         a, b = SyntheticSpec(index=0), SyntheticSpec(index=1)
         chaos = PoolChaos(crash_keys=(spec_key(a),), max_attempt=1)
         pool = WarmPool(1, chaos=chaos)
@@ -226,7 +257,7 @@ class TestCrashContainment:
             idle.process.kill()
             idle.process.join(timeout=5.0)
             assert not idle.process.is_alive()
-            outcomes = pool.run([a, b], batch_size=2)
+            outcomes = pool.run([a, b])
             assert all(isinstance(o, SyntheticResult) for o in outcomes)
             assert pool.telemetry()["crashes"] == 2
         finally:
@@ -238,8 +269,8 @@ class TestWatchdog:
         """While ``on_outcome`` holds the dispatcher past the hang timeout,
         the other worker runs a long spec and its heartbeats wait unread
         in its pipe: it is alive and must not be killed as hung."""
-        # Two batches of one per worker: the first worker gets the slow
-        # spec, the second lands spec 2 at once and so calls back first.
+        # Two specs per worker: the first worker gets the slow spec, the
+        # second lands spec 2 at once and so calls back first.
         specs = [
             SyntheticSpec(index=0, sleep_s=1.5),
             SyntheticSpec(index=1),
@@ -256,7 +287,7 @@ class TestWatchdog:
 
         pool = WarmPool(2, hang_timeout_s=0.4)
         try:
-            outcomes = pool.run(specs, batch_size=1, on_outcome=slow_callback)
+            outcomes = pool.run(specs, on_outcome=slow_callback)
             assert all(isinstance(o, SyntheticResult) for o in outcomes)
             assert heard[0] == (2, False)
             assert sorted(heard) == [(i, False) for i in range(4)]

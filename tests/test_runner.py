@@ -160,6 +160,34 @@ def test_parallel_pool_path_matches_serial(scale):
     assert [r.engine_steps for r in parallel] == [r.engine_steps for r in serial]
 
 
+def test_interrupted_serial_grid_keeps_finished_results(scale, tmp_path, monkeypatch):
+    """Each success is cached as it lands: a grid interrupted part way
+    (Ctrl-C during a figure regeneration) keeps what already finished."""
+    cache = tmp_path / "cache"
+    first, second = _spec(scale, "R"), _spec(scale, "B")
+    real_run = runner_mod.run_experiment
+
+    def interrupt_second(spec):
+        if spec == second:
+            raise KeyboardInterrupt
+        return real_run(spec)
+
+    monkeypatch.setattr(runner_mod, "run_experiment", interrupt_second)
+    with pytest.raises(KeyboardInterrupt):
+        run_specs([first, second], cache_dir=cache)
+    assert runner_mod.load_cached(cache, spec_key(first)) is not None
+    assert runner_mod.load_cached(cache, spec_key(second)) is None
+
+
+def test_parallel_grid_caches_every_success(scale, tmp_path):
+    cache = tmp_path / "cache"
+    specs = [_spec(scale, v) for v in "RB"]
+    fresh = run_specs(specs, jobs=2, cache_dir=cache)
+    again = run_specs(specs, jobs=2, cache_dir=cache)
+    assert all(r.from_cache for r in again)
+    assert [r.engine_steps for r in again] == [r.engine_steps for r in fresh]
+
+
 def test_rejects_nonpositive_jobs(scale):
     with pytest.raises(ValueError):
         run_specs([_spec(scale)], jobs=0)

@@ -464,7 +464,6 @@ class TestOptions:
             {"jobs": 0},
             {"retries": -1},
             {"timeout_s": 0},
-            {"batch_size": 0},
             {"hang_timeout_s": 0},
             {"progress_every": 0},
             {"max_failures": -1},
